@@ -1,106 +1,443 @@
+// run_workload: one measured run, on one engine or on N shards alike
+// (DESIGN.md §3.14).
+//
+// Every shard of a run gets one *rig*: its engine, its slice of the
+// cluster, and every collector and service the run wires onto them —
+// digest collector + flight recorder, telemetry hub + sampler, the §4.2
+// meter protocol, the DVS daemons, the fault checkpoint/injector/
+// watchdogs, tracer + energy probe, ACPI reads, and the stoppers that end
+// the measurement window.  One function builds a rig and one assembly path
+// folds the rigs into a RunResult, so a single-engine run is simply the
+// one-rig case.  What depends on the clamped shard count stays explicit:
+//   - 1 shard: a plain sim::Engine, the cluster built whole, mpi::Comm, an
+//     in-engine completion watcher that stops the services at the exact
+//     completion instant, an MPI progress-watchdog coroutine, and
+//     200k-event control batches;
+//   - N shards: sim::ShardedEngine, build_shard_clusters, mpi::ShardedComm,
+//     completion/cancel/deadline/progress checks at every barrier, and the
+//     deterministic merges — telemetry (merge_snapshots), trace (absorb +
+//     sort_messages), faults (split_plan in, merge_reports out), energy
+//     (per-lane terms re-folded in global lane order) and digests
+//     (merge_digests, per-shard parts kept for tools/pcd_diff).
 #include "core/runner.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "fault/injector.hpp"
 #include "fault/watchdog.hpp"
+#include "machine/partition.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/sharded_comm.hpp"
 #include "net/network.hpp"
 #include "sim/process.hpp"
+#include "sim/sharded.hpp"
 #include "telemetry/export.hpp"
 
 namespace pcd::core {
 
 namespace {
 
-struct Completion {
-  bool done = false;
-  bool failed = false;
-  std::string failure;
-  sim::SimTime t_end = 0;
-  double energy_end = 0;
-};
-
-// Joins every rank process, then snapshots time/energy at the exact
-// completion instant and stops the daemons — before any later meter or
-// daemon event can advance the clock past the measurement window.
-sim::Process completion_watcher(std::vector<sim::Process>& ranks, sim::Engine& engine,
-                                machine::Cluster& cluster,
-                                std::vector<std::function<void()>>& stoppers,
-                                Completion* out) {
-  for (auto& p : ranks) co_await p;
-  if (out->done) co_return;  // the progress watchdog already failed the run
-  out->t_end = engine.now();
-  out->energy_end = cluster.total_energy_joules();
-  for (auto& stop : stoppers) stop();
-  out->done = true;
+// Per-lane cumulative joule terms at the cluster's current instant: the
+// exact doubles NodeStateArena::total_joules() folds.  Summing them in lane
+// order reproduces total_energy_joules(); keeping them per lane lets a
+// sharded run rebuild the machine-wide sum in global lane order even though
+// shards freeze their integrators at different local end times.
+std::vector<double> lane_energy_terms(machine::Cluster& cluster) {
+  cluster.total_energy_joules();  // accrues every lane to the cluster clock
+  const auto& arena = cluster.arena();
+  std::vector<double> terms(static_cast<std::size_t>(arena.size()));
+  for (int l = 0; l < arena.size(); ++l) {
+    const double* j = arena.joules(l);
+    terms[static_cast<std::size_t>(l)] = j[0] + j[1] + j[2] + j[3] + j[4];
+  }
+  return terms;
 }
 
-// Fails the run (structured, not a hang) when nothing has made progress for
-// `timeout_s`: no MPI message delivered, no CPU work unit retired, no rank
-// finished.  That is the signature of a crashed node with no
-// checkpoint/restart — the survivors block inside MPI forever while the
-// daemons keep the event queue alive.
-sim::Process progress_watchdog(sim::Engine& engine, machine::Cluster& cluster,
-                               mpi::Comm& comm, std::vector<sim::Process>& ranks,
-                               std::vector<std::function<void()>>& stoppers,
-                               double timeout_s, Completion* out) {
-  auto signature = [&] {
-    std::int64_t work = 0;
-    for (int i = 0; i < cluster.size(); ++i) {
-      work += cluster.node(i).cpu().stats().work_completed;
-    }
-    std::int64_t done_ranks = 0;
-    for (const auto& p : ranks) done_ranks += p.done() ? 1 : 0;
-    return std::tuple{comm.stats().messages, work, done_ranks};
-  };
-  auto last = signature();
-  sim::SimTime last_change = engine.now();
-  const auto poll = sim::from_seconds(std::max(0.25, timeout_s / 4.0));
-  while (!out->done) {
-    co_await sim::delay(poll);
-    if (out->done) co_return;
-    const auto cur = signature();
-    if (cur != last) {
-      last = cur;
-      last_change = engine.now();
-      continue;
-    }
-    if (sim::to_seconds(engine.now() - last_change) < timeout_s) continue;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "MPI progress timeout: no message, work, or rank completion "
-                  "for %.1f s (%lld/%zu ranks finished)",
-                  timeout_s, static_cast<long long>(std::get<2>(cur)), ranks.size());
-    out->failed = true;
-    out->failure = buf;
-    out->t_end = engine.now();
-    out->energy_end = cluster.total_energy_joules();
-    for (auto& stop : stoppers) stop();
-    out->done = true;
-    co_return;
-  }
+double fold(const std::vector<double>& terms, double sum = 0) {
+  for (const double v : terms) sum += v;
+  return sum;
 }
 
 // Energy probe behind scope attribution: a pure read of the exact node
 // energy integrator and the CPU's retired-cycle counter.  Both accessors
 // accrue lazily but never mutate simulation-visible state, so sampling on
-// every scope boundary keeps the run bit-identical.
-struct ClusterProbe final : trace::Tracer::Probe {
-  explicit ClusterProbe(machine::Cluster& c) : cluster(&c) {}
+// every scope boundary keeps the run bit-identical.  Scopes carry
+// machine-wide rank ids; the cluster indexes its own nodes from rank_base.
+struct EnergyProbe final : trace::Tracer::Probe {
+  EnergyProbe(machine::Cluster& c, int base) : cluster(&c), rank_base(base) {}
   machine::Cluster* cluster;
+  int rank_base;
   trace::Tracer::EnergySample sample(int rank) override {
-    auto& node = cluster->node(rank);
+    auto& node = cluster->node(rank - rank_base);
     const auto e = node.power().energy_breakdown();
     return {e.total(), e.cpu, node.cpu().retired_sensitive_cycles()};
   }
 };
+
+// One shard's share of a run (the whole run on a single engine).  Rigs
+// live in a vector that is sized once, so services may hold pointers into
+// them.  Members are declared in dependency order: everything that
+// references the cluster, hub or fault report is destroyed before them.
+struct Rig {
+  Rig() = default;
+  Rig(const Rig&) = delete;  // stoppers, hooks and coroutines hold its address
+  Rig& operator=(const Rig&) = delete;
+
+  sim::Engine* engine = nullptr;
+  int node_base = 0;  // machine-wide id of the first node (and rank)
+  std::unique_ptr<telemetry::DeterminismCollector> det;
+  std::unique_ptr<machine::Cluster> cluster;
+  std::unique_ptr<telemetry::Hub> hub;
+  std::vector<std::unique_ptr<CpuspeedDaemon>> daemons;
+  std::vector<std::unique_ptr<PhasePredictorDaemon>> predictors;
+  std::vector<fault::DaemonHooks> daemon_hooks;  // per node, with a fault plan
+  fault::FaultReport fault_report;
+  std::unique_ptr<fault::CheckpointService> ckpt;
+  std::unique_ptr<fault::FaultInjector> injector;
+  std::vector<std::unique_ptr<fault::DaemonWatchdog>> watchdogs;
+  std::unique_ptr<trace::Tracer> tracer;
+  std::optional<EnergyProbe> probe;
+  std::unique_ptr<telemetry::TimeSeriesSampler> sampler;
+  std::vector<std::function<void()>> stoppers;
+  bool stopped = false;
+  apps::AppContext ctx;
+  std::vector<sim::Process> ranks;
+  std::vector<double> e_start, acpi_start, acpi_end;
+
+  // Completion: the rig's clock and per-lane energy at its last rank's end
+  // (or at the abort instant).
+  bool done = false;
+  sim::SimTime t_end = 0;
+  std::vector<double> e_end;
+
+  void finish() {
+    t_end = engine->now();
+    e_end = lane_energy_terms(*cluster);
+    done = true;
+  }
+  // Ends the measurement window: stops daemons, sampler, checkpoint sweeps
+  // and injector, and takes the ACPI end reads.  Runs once.
+  void stop() {
+    if (stopped) return;
+    stopped = true;
+    for (auto& s : stoppers) s();
+  }
+};
+
+// Per-node hooks through which the fault layer wedges, watches, restarts
+// and disables the DVS daemons (CPUSPEED or predictor).
+template <typename Daemon>
+std::vector<fault::DaemonHooks> daemon_hooks(
+    const std::vector<std::unique_ptr<Daemon>>& daemons, double interval_s) {
+  std::vector<fault::DaemonHooks> out;
+  for (const auto& owned : daemons) {
+    Daemon* d = owned.get();
+    out.push_back({[d] { return d->polls(); }, [d] { d->start(); }, [d] { d->stop(); },
+                   interval_s});
+  }
+  return out;
+}
+
+// One daemon per node, started at a random offset into its first interval
+// so the fleet does not poll in lockstep.
+template <typename Daemon, typename Params>
+void start_daemons(Rig& rig, const Params& params,
+                   std::vector<std::unique_ptr<Daemon>>& out) {
+  auto stagger_rng = rig.cluster->rng_stream();
+  for (int i = 0; i < rig.cluster->size(); ++i) {
+    const auto offset = static_cast<sim::SimDuration>(
+        stagger_rng.uniform(0.0, params.interval_s) * 1e9);
+    out.push_back(std::make_unique<Daemon>(*rig.engine, rig.cluster->node(i), params, offset));
+    Daemon* d = out.back().get();
+    d->start();
+    rig.stoppers.push_back([d] { d->stop(); });
+  }
+}
+
+// Black-box state providers: dump-time reads of the rig's engine, RNG
+// counter, lazy energy integrators (pure — reads never fold into the power
+// digest) and digest streams.
+void add_state_providers(Rig& rig) {
+  telemetry::FlightRecorder* fr = rig.det->recorder();
+  if (fr == nullptr) return;
+  fr->add_state("engine", [eng = rig.engine] {
+    char b[160];
+    std::snprintf(b, sizeof b,
+                  "{\"t_ns\":%llu,\"pending_events\":%zu,"
+                  "\"events_processed\":%zu}",
+                  static_cast<unsigned long long>(eng->now()), eng->pending_events(),
+                  eng->events_processed());
+    return std::string(b);
+  });
+  fr->add_state("rng_draws", [] { return std::to_string(sim::RngTelemetry::draws); });
+  fr->add_state("power", [cl = rig.cluster.get()] {
+    char b[64];
+    std::snprintf(b, sizeof b, "{\"total_joules\":%.9f}", cl->total_energy_joules());
+    return std::string(b);
+  });
+  fr->add_state("digest", [d = rig.det.get()] {
+    const auto& dg = d->digest();
+    char b[160];
+    std::snprintf(b, sizeof b,
+                  "{\"root\":\"%016llx\",\"events\":%llu,\"rng\":%llu,"
+                  "\"power\":%llu,\"mpi\":%llu}",
+                  static_cast<unsigned long long>(dg.root()),
+                  static_cast<unsigned long long>(
+                      dg.streams[telemetry::RunDigest::kEvents].count),
+                  static_cast<unsigned long long>(
+                      dg.streams[telemetry::RunDigest::kRng].count),
+                  static_cast<unsigned long long>(
+                      dg.streams[telemetry::RunDigest::kPower].count),
+                  static_cast<unsigned long long>(
+                      dg.streams[telemetry::RunDigest::kMpi].count));
+    return std::string(b);
+  });
+}
+
+// Wires everything between cluster construction and launch onto one rig.
+// The order is part of the single-engine event sequence (and so of its
+// digests and outputs); keep it.  `part` is the rig's share of the fault
+// plan (the whole plan on a single engine).
+void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan part) {
+  sim::Engine& engine = *rig.engine;
+  machine::Cluster& cluster = *rig.cluster;
+
+  if (rig.det != nullptr) {
+    // Nodes fold under their machine-wide id, so per-shard power streams
+    // name the same machine the rank numbering does.
+    for (int i = 0; i < cluster.size(); ++i) {
+      cluster.node(i).power().set_digest(rig.det->power_stream(), rig.node_base + i);
+    }
+    add_state_providers(rig);
+  }
+
+  // --- telemetry (attach before any strategy acts, so EXTERNAL static
+  // sets and meter-protocol events are captured too) ---
+  if (config.telemetry.enabled) {
+    rig.hub = std::make_unique<telemetry::Hub>();
+    cluster.attach_telemetry(rig.hub.get());
+  }
+
+  // --- measurement protocol (paper §4.2) ---
+  if (config.use_meters) {
+    for (int i = 0; i < cluster.size(); ++i) {
+      auto& b = cluster.node(i).battery();
+      b.recharge_full();   // 1) fully charge
+      b.disconnect_ac();   // 2) disconnect building power (via Baytech)
+      b.start_polling();
+    }
+    cluster.baytech().start_polling();
+    engine.run_until(engine.now() + 300 * sim::kSecond);  // 3) 5-min discharge
+  }
+
+  // --- strategy setup ---
+  if (config.static_mhz != 0) {
+    cluster.set_all_cpuspeed(config.static_mhz);  // EXTERNAL: psetcpuspeed
+    engine.run_until(engine.now() + sim::kMillisecond);  // settle transitions
+  }
+  if (config.daemon.has_value()) start_daemons(rig, *config.daemon, rig.daemons);
+  if (config.predictor.has_value()) start_daemons(rig, *config.predictor, rig.predictors);
+
+  // --- fault layer (src/fault) ---
+  //
+  // Everything here is skipped for an empty plan: no RNG stream is drawn
+  // (the injector split happens only when the plan injects, *after* the
+  // daemon stagger draws), nothing is scheduled, nothing is observed.
+  const fault::FaultPlan& plan = config.faults;
+  if (plan.active()) {
+    const auto& res = plan.resilience;
+    if (config.daemon.has_value()) {
+      rig.daemon_hooks = daemon_hooks(rig.daemons, config.daemon->interval_s);
+    } else if (config.predictor.has_value()) {
+      rig.daemon_hooks = daemon_hooks(rig.predictors, config.predictor->interval_s);
+    }
+    if (res.checkpoint_interval_s > 0) {
+      rig.ckpt = std::make_unique<fault::CheckpointService>(
+          engine, cluster, res.checkpoint_interval_s, res.checkpoint_cost_s,
+          &rig.fault_report, rig.hub.get());
+      rig.stoppers.push_back([c = rig.ckpt.get()] { c->stop(); });
+    }
+    // A sharded run gives every shard an injector even when its part is
+    // empty: finalize() folds per-node downtime and dropped-DVS-write counts
+    // into the report, and those must cover the whole machine.
+    if (plan.injects()) {
+      rig.injector = std::make_unique<fault::FaultInjector>(
+          engine, cluster, std::move(part), cluster.rng_stream(), &rig.fault_report);
+      rig.injector->attach_telemetry(rig.hub.get());
+      if (rig.ckpt != nullptr) rig.injector->set_checkpoint_service(rig.ckpt.get());
+      if (!rig.daemon_hooks.empty()) {
+        rig.injector->set_daemon_wedger(
+            [hs = &rig.daemon_hooks](int n) { hs->at(n).disable(); });
+      }
+      rig.stoppers.push_back([inj = rig.injector.get()] { inj->disarm(); });
+    }
+    if (res.watchdog) {
+      for (int i = 0; i < cluster.size(); ++i) {
+        fault::DaemonHooks hooks;
+        if (!rig.daemon_hooks.empty()) hooks = rig.daemon_hooks[static_cast<std::size_t>(i)];
+        rig.watchdogs.push_back(std::make_unique<fault::DaemonWatchdog>(
+            engine, cluster.node(i), res.watchdog_params, hooks, &rig.fault_report,
+            rig.hub.get()));
+        fault::DaemonWatchdog* wd = rig.watchdogs.back().get();
+        if (rig.det != nullptr) wd->set_flight_recorder(rig.det->recorder());
+        wd->start();
+        rig.stoppers.push_back([wd] { wd->stop(); });
+      }
+    }
+  }
+
+  // --- trace/profile: the tracer spans the machine-wide rank space (a
+  // shard's rows are disjoint from every other shard's) ---
+  if (config.collect_trace || config.profile) {
+    rig.tracer = std::make_unique<trace::Tracer>(engine, ranks);
+    if (config.profile) {
+      rig.probe.emplace(cluster, rig.node_base);
+      rig.tracer->set_probe(&*rig.probe);
+    }
+  }
+
+  // The sampler only *reads* cluster state, so enabling it cannot perturb
+  // delay or energy; it starts here so the series covers the run window.
+  // Node labels are machine-wide (node_base).
+  if (rig.hub != nullptr && config.telemetry.sample) {
+    rig.sampler = std::make_unique<telemetry::TimeSeriesSampler>(
+        engine, cluster.size(), config.telemetry.sampler,
+        [cl = &cluster](int i) {
+          auto& node = cl->node(i);
+          const auto bd = node.power().breakdown();
+          telemetry::NodeProbe p;
+          p.freq_mhz = node.cpu().frequency_mhz();
+          p.busy_weighted_ns = node.cpu().busy_weighted_ns();
+          p.watts_cpu = bd.cpu;
+          p.watts_memory = bd.memory;
+          p.watts_disk = bd.disk;
+          p.watts_nic = bd.nic;
+          p.watts_other = bd.other;
+          return p;
+        },
+        &rig.hub->registry(), rig.node_base);
+    // Batch path: one dense dirty-lane refresh over the arena per tick; the
+    // per-node breakdown() calls above then read clean cached lanes.
+    rig.sampler->set_tick_prelude([cl = &cluster] { cl->arena().refresh_all(); });
+    rig.sampler->start();
+    rig.stoppers.push_back([s = rig.sampler.get()] { s->stop(); });
+  }
+}
+
+// Joins a rig's rank processes and snapshots its clock and per-lane energy
+// at the last completion.  On a single engine (`stop_at_end`) it also stops
+// the rig's services right there, before any later meter or daemon event
+// can advance the clock past the measurement window.  A shard that
+// finishes early keeps its services running instead — a single engine
+// stops them at *global* completion, so stopping one shard early would cut
+// its observation record short; run_workload stops every rig after the
+// barrier loop.
+sim::Process completion_watcher(Rig& rig, bool stop_at_end) {
+  for (auto& p : rig.ranks) co_await p;
+  if (rig.done) co_return;  // the run was already failed or aborted
+  rig.finish();
+  if (stop_at_end) rig.stop();
+}
+
+// MPI progress detection: a run has stalled when nothing has progressed for
+// `timeout_s` — no MPI message delivered, no CPU work unit retired, no rank
+// finished.  That is the signature of a crashed node with no
+// checkpoint/restart: the survivors block inside MPI forever while the
+// daemons keep the event queue alive.
+struct ProgressMonitor {
+  const std::vector<Rig>& rigs;
+  const mpi::CommBase& comm;
+  double timeout_s;
+  int ranks;
+  std::tuple<std::int64_t, std::int64_t, std::int64_t> last{};
+  sim::SimTime last_change = 0;
+
+  auto signature() const {
+    std::int64_t work = 0, done_ranks = 0;
+    for (const Rig& rig : rigs) {
+      for (int i = 0; i < rig.cluster->size(); ++i) {
+        work += rig.cluster->node(i).cpu().stats().work_completed;
+      }
+      for (const auto& p : rig.ranks) done_ranks += p.done() ? 1 : 0;
+    }
+    return std::tuple{comm.stats().messages, work, done_ranks};
+  }
+  void reset(sim::SimTime now) {
+    last = signature();
+    last_change = now;
+  }
+  // The failure text once the run has stalled for timeout_s at `now`.
+  std::optional<std::string> stalled(sim::SimTime now) {
+    const auto cur = signature();
+    if (cur != last) {
+      last = cur;
+      last_change = now;
+      return std::nullopt;
+    }
+    if (sim::to_seconds(now - last_change) < timeout_s) return std::nullopt;
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "MPI progress timeout: no message, work, or rank completion "
+                  "for %.1f s (%lld/%d ranks finished)",
+                  timeout_s, static_cast<long long>(std::get<2>(cur)), ranks);
+    return std::string(buf);
+  }
+};
+
+// Single-engine progress watchdog: polls the monitor in simulated time and
+// fails the run (structured, not a hang) at the stall instant.
+sim::Process progress_watchdog(Rig& rig, ProgressMonitor& monitor,
+                               std::optional<std::string>* failure) {
+  monitor.reset(rig.engine->now());
+  const auto poll = sim::from_seconds(std::max(0.25, monitor.timeout_s / 4.0));
+  while (!rig.done) {
+    co_await sim::delay(poll);
+    if (rig.done) co_return;
+    if (auto why = monitor.stalled(rig.engine->now())) {
+      *failure = std::move(why);
+      rig.finish();
+      rig.stop();
+      co_return;
+    }
+  }
+}
+
+// The run-level gauges and counters, plus per-scope profiler attribution.
+void write_run_metrics(telemetry::MetricsRegistry& reg, const RunResult& result) {
+  reg.set_help("run_delay_seconds", "Wall time from launch to last rank completion");
+  reg.set_help("run_energy_joules", "Exact total system energy over the run window");
+  reg.set_help("mpi_messages_total", "Point-to-point MPI messages delivered");
+  reg.gauge("run_delay_seconds").set(result.delay_s);
+  reg.gauge("run_energy_joules").set(result.energy_j);
+  reg.counter("mpi_messages_total").inc(static_cast<double>(result.messages));
+  if (!result.profiler.has_value()) return;
+  reg.set_help("profiler_scope_energy_joules",
+               "Node energy attributed to trace scopes, per rank and category");
+  reg.set_help("profiler_scope_seconds",
+               "Time attributed to trace scopes, per rank and category");
+  const auto& attr = result.profiler->attribution;
+  for (std::size_t r = 0; r < attr.ranks.size(); ++r) {
+    for (int c = 0; c < 6; ++c) {
+      const auto& cat = attr.ranks[r].by_cat[static_cast<std::size_t>(c)];
+      if (cat.count == 0) continue;
+      const telemetry::Labels labels = {
+          {"rank", std::to_string(r)},
+          {"category", trace::to_string(static_cast<trace::Cat>(c))}};
+      reg.counter("profiler_scope_energy_joules", labels).inc(cat.joules);
+      reg.counter("profiler_scope_seconds", labels).inc(cat.seconds);
+    }
+  }
+}
 
 }  // namespace
 
@@ -193,297 +530,145 @@ RunConfig RunConfigBuilder::build() const {
   return cfg_;
 }
 
-// sharded_runner.cpp — the N-shard driver behind RunConfig::shards.
-RunResult run_workload_sharded(const apps::Workload& workload,
-                               const RunConfig& config, int shards);
-
 RunResult run_workload(const apps::Workload& workload, const RunConfig& config) {
   if (auto issues = config.validate(); !issues.empty()) {
     throw std::invalid_argument("invalid RunConfig: " + describe(issues));
   }
-  // Shards are clamped to the rank count; an effective count of 1 falls
-  // through to the classic single-engine path below, bit-identical to a
-  // config that never mentioned shards.
-  if (const int s = std::min(config.shards, workload.ranks); s > 1) {
-    return run_workload_sharded(workload, config, s);
-  }
-  sim::Engine engine;
+  // Shards are clamped to the rank count; an effective count of 1 runs one
+  // plain engine, bit-identical to a config that never mentioned shards.
+  const int shards = std::min(config.shards, workload.ranks);
+  const bool sharded = shards > 1;
+  const auto plan = machine::ShardPlan::contiguous(workload.ranks, shards);
 
-  // --- determinism observability (installed before anything schedules, so
-  // the digest streams cover the cluster's very first event) ---
-  std::unique_ptr<telemetry::DeterminismCollector> det;
-  if (config.determinism.any()) {
-    det = std::make_unique<telemetry::DeterminismCollector>(engine, config.determinism);
+  std::optional<sim::Engine> solo;
+  std::optional<sim::ShardedEngine> engines;
+  if (sharded) {
+    engines.emplace(shards, config.cluster.network.latency);
+  } else {
+    solo.emplace();
+  }
+  std::vector<Rig> rigs(static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) {
+    Rig& rig = rigs[static_cast<std::size_t>(s)];
+    rig.engine = sharded ? &engines->shard(s) : &*solo;
+    rig.node_base = plan.global_of(s, 0);
+    // --- determinism observability (installed before anything schedules,
+    // so the digest streams cover the cluster's very first event) ---
+    //
+    // A collector's RNG install covers only the constructing (calling)
+    // thread, and stacking N of them would chain dangling restores, so at
+    // shards > 1 each collector releases it and the engine re-installs the
+    // stream on whichever thread runs the shard's windows.  Calling-thread
+    // construction draws are therefore not folded into the RNG stream at
+    // shards > 1 — the other streams still cover construction, and
+    // multi-shard digests have no 1-shard identity to hold.
+    if (!config.determinism.any()) continue;
+    rig.det = std::make_unique<telemetry::DeterminismCollector>(*rig.engine,
+                                                                config.determinism);
+    if (sharded) {
+      rig.det->release_rng();
+      engines->set_rng_digest(s, rig.det->rng_stream());
+    }
   }
 
-  machine::ClusterConfig cc = config.cluster;
   // The paper reports total system energy of the nodes running the job
-  // (one battery per participating node); size the cluster accordingly.
+  // (one battery per participating node); size the machine accordingly.
+  machine::ClusterConfig cc = config.cluster;
   cc.nodes = workload.ranks;
   cc.seed = config.seed * 0x9e3779b97f4a7c15ULL + 0x1234567;
-  machine::Cluster cluster(engine, cc);
-
-  if (det != nullptr) {
-    for (int i = 0; i < cluster.size(); ++i) {
-      cluster.node(i).power().set_digest(det->power_stream(), i);
-    }
-    if (telemetry::FlightRecorder* fr = det->recorder(); fr != nullptr) {
-      fr->add_state("engine", [&engine] {
-        char b[160];
-        std::snprintf(b, sizeof b,
-                      "{\"t_ns\":%llu,\"pending_events\":%zu,"
-                      "\"events_processed\":%zu}",
-                      static_cast<unsigned long long>(engine.now()),
-                      engine.pending_events(), engine.events_processed());
-        return std::string(b);
-      });
-      fr->add_state("rng_draws", [] {
-        return std::to_string(sim::RngTelemetry::draws);
-      });
-      // Dump-time read of the lazy integrators: pure, never folds (reads
-      // are deliberately outside the power digest).
-      fr->add_state("power", [&cluster] {
-        char b[64];
-        std::snprintf(b, sizeof b, "{\"total_joules\":%.9f}",
-                      cluster.total_energy_joules());
-        return std::string(b);
-      });
-      fr->add_state("digest", [d = det.get()] {
-        const auto& dg = d->digest();
-        char b[160];
-        std::snprintf(b, sizeof b,
-                      "{\"root\":\"%016llx\",\"events\":%llu,\"rng\":%llu,"
-                      "\"power\":%llu,\"mpi\":%llu}",
-                      static_cast<unsigned long long>(dg.root()),
-                      static_cast<unsigned long long>(
-                          dg.streams[telemetry::RunDigest::kEvents].count),
-                      static_cast<unsigned long long>(
-                          dg.streams[telemetry::RunDigest::kRng].count),
-                      static_cast<unsigned long long>(
-                          dg.streams[telemetry::RunDigest::kPower].count),
-                      static_cast<unsigned long long>(
-                          dg.streams[telemetry::RunDigest::kMpi].count));
-        return std::string(b);
-      });
-    }
+  if (sharded) {
+    auto clusters = machine::build_shard_clusters(*engines, cc, plan);
+    for (std::size_t s = 0; s < rigs.size(); ++s) rigs[s].cluster = std::move(clusters[s]);
+  } else {
+    rigs[0].cluster = std::make_unique<machine::Cluster>(*solo, cc);
   }
 
-  // --- telemetry (attach before any strategy acts, so EXTERNAL static
-  // sets and meter-protocol events are captured too) ---
-  std::unique_ptr<telemetry::Hub> hub;
-  if (config.telemetry.enabled) {
-    hub = std::make_unique<telemetry::Hub>();
-    cluster.attach_telemetry(hub.get());
+  // The machine-wide fault plan splits along shard boundaries: node-targeted
+  // events localize to the owning shard, cluster-wide events replicate
+  // (recording only on shard 0), pick-a-node hazards replicate with their
+  // MTBF scaled to the shard's node share.  Per-shard checkpoint services
+  // sweep in lockstep (same interval, same launch instant), so the merged
+  // checkpoint count is the max, not the sum.
+  auto fault_parts = sharded ? fault::split_plan(config.faults, plan.first)
+                             : std::vector<fault::FaultPlan>{config.faults};
+  for (std::size_t s = 0; s < rigs.size(); ++s) {
+    build_rig(rigs[s], config, workload.ranks, std::move(fault_parts[s]));
   }
 
-  // --- measurement protocol (paper §4.2) ---
-  if (config.use_meters) {
-    for (int i = 0; i < cluster.size(); ++i) {
-      auto& b = cluster.node(i).battery();
-      b.recharge_full();   // 1) fully charge
-      b.disconnect_ac();   // 2) disconnect building power (via Baytech)
-      b.start_polling();
+  std::unique_ptr<mpi::CommBase> comm;
+  if (sharded) {
+    std::vector<machine::Cluster*> clusters;
+    for (auto& rig : rigs) clusters.push_back(rig.cluster.get());
+    auto sc = std::make_unique<mpi::ShardedComm>(*engines, clusters, plan);
+    for (int s = 0; s < shards; ++s) {
+      const Rig& rig = rigs[static_cast<std::size_t>(s)];
+      if (rig.det != nullptr) sc->set_digest(s, rig.det->mpi_stream());
+      if (rig.tracer != nullptr) sc->set_tracer(s, rig.tracer.get());
     }
-    cluster.baytech().start_polling();
-    engine.run_until(engine.now() + 300 * sim::kSecond);  // 3) 5-min discharge
+    comm = std::move(sc);
+  } else {
+    std::vector<int> node_ids(workload.ranks);
+    std::iota(node_ids.begin(), node_ids.end(), 0);
+    auto c = std::make_unique<mpi::Comm>(*rigs[0].cluster, node_ids, mpi::CostParams{},
+                                         rigs[0].tracer.get());
+    if (rigs[0].det != nullptr) c->set_digest(rigs[0].det->mpi_stream());
+    comm = std::move(c);
   }
 
-  // --- strategy setup ---
-  if (config.static_mhz != 0) {
-    cluster.set_all_cpuspeed(config.static_mhz);  // EXTERNAL: psetcpuspeed
-    engine.run_until(engine.now() + sim::kMillisecond);  // settle transitions
-  }
-
-  std::vector<std::unique_ptr<CpuspeedDaemon>> daemons;
-  std::vector<std::unique_ptr<PhasePredictorDaemon>> predictors;
-  std::vector<std::function<void()>> stoppers;
-  if (config.daemon.has_value()) {
-    auto stagger_rng = cluster.rng_stream();
-    for (int i = 0; i < cluster.size(); ++i) {
-      const auto offset = static_cast<sim::SimDuration>(
-          stagger_rng.uniform(0.0, config.daemon->interval_s) * 1e9);
-      daemons.push_back(std::make_unique<CpuspeedDaemon>(engine, cluster.node(i),
-                                                         *config.daemon, offset));
-      daemons.back()->start();
-      stoppers.push_back([d = daemons.back().get()] { d->stop(); });
-    }
-  }
-  if (config.predictor.has_value()) {
-    auto stagger_rng = cluster.rng_stream();
-    for (int i = 0; i < cluster.size(); ++i) {
-      const auto offset = static_cast<sim::SimDuration>(
-          stagger_rng.uniform(0.0, config.predictor->interval_s) * 1e9);
-      predictors.push_back(std::make_unique<PhasePredictorDaemon>(
-          engine, cluster.node(i), *config.predictor, offset));
-      predictors.back()->start();
-      stoppers.push_back([d = predictors.back().get()] { d->stop(); });
-    }
-  }
-
-  // --- fault layer (src/fault) ---
-  //
-  // Everything here is skipped for an empty plan: no RNG stream is drawn
-  // (the injector split happens only when the plan injects, *after* the
-  // daemon stagger draws), nothing is scheduled, nothing is observed.
-  const fault::FaultPlan& plan = config.faults;
-  std::optional<fault::FaultReport> fault_report;
-  std::unique_ptr<fault::CheckpointService> ckpt;
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::vector<std::unique_ptr<fault::DaemonWatchdog>> watchdogs;
-  double mpi_timeout_s = plan.resilience.mpi_timeout_s;
-  if (mpi_timeout_s == 0) mpi_timeout_s = plan.injects() ? 60.0 : -1.0;
-  if (plan.active()) {
-    fault_report.emplace();
-    if (plan.resilience.checkpoint_interval_s > 0) {
-      ckpt = std::make_unique<fault::CheckpointService>(
-          engine, cluster, plan.resilience.checkpoint_interval_s,
-          plan.resilience.checkpoint_cost_s, &*fault_report, hub.get());
-      stoppers.push_back([c = ckpt.get()] { c->stop(); });
-    }
-    if (plan.injects()) {
-      injector = std::make_unique<fault::FaultInjector>(
-          engine, cluster, plan, cluster.rng_stream(), &*fault_report);
-      injector->attach_telemetry(hub.get());
-      if (ckpt != nullptr) injector->set_checkpoint_service(ckpt.get());
-      if (!daemons.empty()) {
-        injector->set_daemon_wedger([&daemons](int n) { daemons.at(n)->stop(); });
-      } else if (!predictors.empty()) {
-        injector->set_daemon_wedger([&predictors](int n) { predictors.at(n)->stop(); });
+  // --- launch ---
+  sim::SimTime t_start = 0;
+  for (const auto& rig : rigs) t_start = std::max(t_start, rig.engine->now());
+  for (auto& rig : rigs) {
+    rig.ctx.comm = comm.get();
+    rig.ctx.tracer = rig.tracer.get();
+    rig.ctx.hooks = &config.hooks;
+    rig.ctx.slice_s = config.slice_s;
+    rig.e_start = lane_energy_terms(*rig.cluster);
+    if (config.use_meters) {
+      for (int i = 0; i < rig.cluster->size(); ++i) {
+        rig.acpi_start.push_back(rig.cluster->node(i).battery().reported_remaining_mwh());
       }
-      stoppers.push_back([inj = injector.get()] { inj->disarm(); });
-    }
-    if (plan.resilience.watchdog) {
-      for (int i = 0; i < cluster.size(); ++i) {
-        fault::DaemonHooks hooks;
-        if (!daemons.empty()) {
-          auto* d = daemons[static_cast<std::size_t>(i)].get();
-          hooks.polls = [d] { return d->polls(); };
-          hooks.restart = [d] { d->start(); };
-          hooks.disable = [d] { d->stop(); };
-          hooks.expected_poll_interval_s = config.daemon->interval_s;
-        } else if (!predictors.empty()) {
-          auto* d = predictors[static_cast<std::size_t>(i)].get();
-          hooks.polls = [d] { return d->polls(); };
-          hooks.restart = [d] { d->start(); };
-          hooks.disable = [d] { d->stop(); };
-          hooks.expected_poll_interval_s = config.predictor->interval_s;
+      rig.acpi_end.resize(rig.acpi_start.size());
+      // The operator reads the batteries right at completion; register that
+      // read with the stoppers so it happens at exactly the end instant.
+      rig.stoppers.push_back([r = &rig] {
+        for (int i = 0; i < r->cluster->size(); ++i) {
+          r->acpi_end[static_cast<std::size_t>(i)] =
+              r->cluster->node(i).battery().reported_remaining_mwh();
+          r->cluster->node(i).battery().stop_polling();
         }
-        watchdogs.push_back(std::make_unique<fault::DaemonWatchdog>(
-            engine, cluster.node(i), plan.resilience.watchdog_params, hooks,
-            &*fault_report, hub.get()));
-        if (det != nullptr) watchdogs.back()->set_flight_recorder(det->recorder());
-        watchdogs.back()->start();
-        stoppers.push_back([w = watchdogs.back().get()] { w->stop(); });
-      }
+      });
     }
+    // Arm the resilience/injection machinery right at launch so scripted
+    // fault times are relative to the application's start.  Shard clocks
+    // are equal here (every pre-run advance is the same on each shard), so
+    // the lockstep-checkpoint assumption behind the report merge holds.
+    if (rig.ckpt != nullptr) rig.ckpt->start();
+    if (rig.injector != nullptr) rig.injector->arm();
+    rig.ranks.reserve(static_cast<std::size_t>(rig.cluster->size()));
   }
-
-  std::unique_ptr<trace::Tracer> tracer;
-  std::optional<ClusterProbe> probe;
-  if (config.collect_trace || config.profile) {
-    tracer = std::make_unique<trace::Tracer>(engine, workload.ranks);
-    if (config.profile) {
-      probe.emplace(cluster);
-      tracer->set_probe(&*probe);
-    }
-  }
-
-  // The sampler only *reads* cluster state, so enabling it cannot perturb
-  // delay or energy; it starts here so the series covers the run window.
-  std::unique_ptr<telemetry::TimeSeriesSampler> sampler;
-  if (hub != nullptr && config.telemetry.sample) {
-    sampler = std::make_unique<telemetry::TimeSeriesSampler>(
-        engine, cluster.size(), config.telemetry.sampler,
-        [&cluster](int i) {
-          auto& node = cluster.node(i);
-          const auto bd = node.power().breakdown();
-          telemetry::NodeProbe p;
-          p.freq_mhz = node.cpu().frequency_mhz();
-          p.busy_weighted_ns = node.cpu().busy_weighted_ns();
-          p.watts_cpu = bd.cpu;
-          p.watts_memory = bd.memory;
-          p.watts_disk = bd.disk;
-          p.watts_nic = bd.nic;
-          p.watts_other = bd.other;
-          return p;
-        },
-        &hub->registry());
-    // Batch path: one dense dirty-lane refresh over the arena per tick; the
-    // per-node breakdown() calls above then read clean cached lanes.
-    sampler->set_tick_prelude([&cluster] { cluster.arena().refresh_all(); });
-    sampler->start();
-    stoppers.push_back([s = sampler.get()] { s->stop(); });
-  }
-
-  std::vector<int> node_ids(workload.ranks);
-  std::iota(node_ids.begin(), node_ids.end(), 0);
-  mpi::Comm comm(cluster, node_ids, mpi::CostParams{}, tracer.get());
-  if (det != nullptr) comm.set_digest(det->mpi_stream());
-
-  apps::AppContext ctx;
-  ctx.comm = &comm;
-  ctx.tracer = tracer.get();
-  ctx.hooks = &config.hooks;
-  ctx.slice_s = config.slice_s;
-
-  // --- launch and run ---
-  const sim::SimTime t_start = engine.now();
-  const double e_start = cluster.total_energy_joules();
-  std::vector<double> acpi_start(cluster.size(), 0);
-  std::vector<double> acpi_end(cluster.size(), 0);
-  if (config.use_meters) {
-    for (int i = 0; i < cluster.size(); ++i) {
-      acpi_start[i] = cluster.node(i).battery().reported_remaining_mwh();
-    }
-    // The operator reads the batteries right at completion; register that
-    // read with the completion watcher so it happens at exactly t_end.
-    stoppers.push_back([&cluster, &acpi_end] {
-      for (int i = 0; i < cluster.size(); ++i) {
-        acpi_end[i] = cluster.node(i).battery().reported_remaining_mwh();
-        cluster.node(i).battery().stop_polling();
-      }
-    });
-  }
-
-  // Arm the resilience/injection machinery right at launch so scripted
-  // fault times are relative to the application's start.
-  if (ckpt != nullptr) ckpt->start();
-  if (injector != nullptr) injector->arm();
-
-  std::vector<sim::Process> rank_procs;
-  rank_procs.reserve(workload.ranks);
   for (int r = 0; r < workload.ranks; ++r) {
-    rank_procs.push_back(sim::spawn(engine, workload.make_rank(ctx, r)));
+    Rig& rig = rigs[static_cast<std::size_t>(plan.shard_of(r))];
+    rig.ranks.push_back(sim::spawn(*rig.engine, workload.make_rank(rig.ctx, r)));
   }
-  Completion completion;
-  sim::spawn(engine,
-             completion_watcher(rank_procs, engine, cluster, stoppers, &completion));
-  if (mpi_timeout_s > 0) {
-    sim::spawn(engine, progress_watchdog(engine, cluster, comm, rank_procs, stoppers,
-                                         mpi_timeout_s, &completion));
+  for (auto& rig : rigs) sim::spawn(*rig.engine, completion_watcher(rig, !sharded));
+
+  double mpi_timeout_s = config.faults.resilience.mpi_timeout_s;
+  if (mpi_timeout_s == 0) mpi_timeout_s = config.faults.injects() ? 60.0 : -1.0;
+  ProgressMonitor progress{rigs, *comm, mpi_timeout_s, workload.ranks};
+  std::optional<std::string> failure;
+  if (mpi_timeout_s > 0 && !sharded) {
+    sim::spawn(*solo, progress_watchdog(rigs[0], progress, &failure));
   }
 
-  // Structured mid-run abort shared by the cancellation, deadline, and
-  // deadlock paths: snapshot the measurement window at the abort instant and
-  // stop every daemon/sampler so no later event advances the clock.
-  auto abort_run = [&](std::string why) {
-    completion.failed = true;
-    completion.failure = std::move(why);
-    completion.t_end = engine.now();
-    completion.energy_end = cluster.total_energy_joules();
-    for (auto& stop : stoppers) stop();
-    completion.done = true;
-  };
-
-  // Cancellation and wall-clock deadline checks run between event batches:
-  // a pure wall-side read (no event scheduled, no RNG drawn), so a run
-  // that is never cancelled stays bit-identical to an unbounded one.
+  // Cancellation and wall-clock deadline checks run between event batches
+  // (single engine) or at every barrier (sharded): a pure wall-side read —
+  // no event scheduled, no RNG drawn — so a run that is never cancelled
+  // stays bit-identical to an unbounded one.
   const auto wall_start = std::chrono::steady_clock::now();
-  auto check_control = [&]() -> bool {  // true = keep running
-    if (config.cancel != nullptr &&
-        config.cancel->load(std::memory_order_relaxed)) {
-      abort_run("run cancelled by caller");
-      return false;
+  auto control_abort = [&]() -> std::optional<std::string> {
+    if (config.cancel != nullptr && config.cancel->load(std::memory_order_relaxed)) {
+      return "run cancelled by caller";
     }
     if (config.wall_deadline_s > 0) {
       const double elapsed =
@@ -495,129 +680,200 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
                       "wall-clock deadline exceeded: %.2f s elapsed against a "
                       "%.2f s budget",
                       elapsed, config.wall_deadline_s);
-        abort_run(buf);
-        return false;
+        return std::string(buf);
       }
     }
-    return true;
+    return std::nullopt;
+  };
+  auto all_done = [&] {
+    return std::all_of(rigs.begin(), rigs.end(), [](const Rig& r) { return r.done; });
   };
 
-  while (!completion.done) {
-    if (!check_control()) break;
-    if (engine.run(200'000) == 0) {
-      if (plan.active()) {
-        // Structured failure: a crashed node left the survivors blocked in
-        // MPI with nothing else scheduled.
-        abort_run("cluster deadlocked: ranks blocked in MPI with no events pending");
-        break;
-      }
-      throw std::runtime_error("workload deadlocked: no events but ranks unfinished");
+  std::uint64_t events = 0;
+  if (sharded) {
+    progress.reset(t_start);
+    auto on_barrier = [&](sim::SimTime t) {
+      if ((failure = control_abort())) return false;
+      if (mpi_timeout_s > 0 && (failure = progress.stalled(t))) return false;
+      return !all_done();  // stop promptly once every shard is done
+    };
+    events = engines->run(sim::ShardedEngine::kNoLimit, on_barrier).events;
+  } else {
+    while (!rigs[0].done) {
+      if ((failure = control_abort())) break;
+      if (solo->run(200'000) == 0) break;
     }
   }
+  if (!failure && !all_done()) {
+    if (!config.faults.active()) {
+      throw std::runtime_error("workload deadlocked: no events but ranks unfinished");
+    }
+    // Structured failure: a crashed node left the survivors blocked in MPI
+    // with nothing else scheduled.
+    failure = "cluster deadlocked: ranks blocked in MPI with no events pending";
+  }
+  // Global completion (or the abort instant): snapshot every rig still
+  // running, then stop every rig's services.
+  for (auto& rig : rigs) {
+    if (!rig.done) rig.finish();
+  }
+  for (auto& rig : rigs) rig.stop();
 
-  const sim::SimTime t_end = completion.t_end;
+  // --- assemble the result ---
+  sim::SimTime t_end = t_start;
+  for (const auto& rig : rigs) t_end = std::max(t_end, rig.t_end);
   RunResult result;
   result.workload = workload.name;
+  result.failed = failure.has_value();
+  if (failure) result.failure = *failure;
   result.delay_s = sim::to_seconds(t_end - t_start);
-  result.energy_j = completion.energy_end - e_start;
-  result.failed = completion.failed;
-  result.failure = completion.failure;
+  // Machine-wide energy: each total walks every lane in global order
+  // (shards are contiguous node ranges), so the addition order — and the
+  // doubles — match a single arena's total_joules() at the same instants.
+  double e_end_total = 0, e_start_total = 0;
+  for (const auto& rig : rigs) {
+    e_end_total = fold(rig.e_end, e_end_total);
+    e_start_total = fold(rig.e_start, e_start_total);
+  }
+  result.energy_j = e_end_total - e_start_total;
 
-  if (fault_report.has_value()) {
-    if (injector != nullptr) injector->finalize();
-    fault_report->run_failed = completion.failed;
-    fault_report->failure = completion.failure;
-    result.fault_report = std::move(fault_report);
+  if (config.faults.active()) {
+    std::vector<fault::FaultReport> reports;
+    for (auto& rig : rigs) {
+      if (rig.injector != nullptr) rig.injector->finalize();
+      reports.push_back(std::move(rig.fault_report));
+    }
+    auto merged = fault::merge_reports(std::move(reports));
+    merged.run_failed = result.failed;
+    merged.failure = result.failure;
+    result.fault_report = std::move(merged);
   }
 
   if (config.use_meters) {
-    // Capacity differences were read at t_end by the completion watcher;
+    // Capacity differences were read at the end instant by the stoppers;
     // staleness at both ends (each value is from the last 15-20 s refresh)
     // largely cancels over long runs.
     double acpi_mwh = 0;
-    for (int i = 0; i < cluster.size(); ++i) {
-      acpi_mwh += acpi_start[i] - acpi_end[i];
+    for (const auto& rig : rigs) {
+      for (std::size_t i = 0; i < rig.acpi_start.size(); ++i) {
+        acpi_mwh += rig.acpi_start[i] - rig.acpi_end[i];
+      }
     }
     result.energy_acpi_j = acpi_mwh * 3.6;
     // The Baytech unit reports completed one-minute windows; run the clock
     // past the next report so the window containing t_end is available.
+    // Every rank has joined, so advancing one shard alone only drains its
+    // local meter events.  Sharded runs sum onto the -1 "not measured"
+    // default — a 1 J low bias kept so their outputs stay unchanged.
+    if (!sharded) result.energy_baytech_j = 0;
     const sim::SimTime grace = t_end + 61 * sim::kSecond;
-    if (engine.now() < grace) engine.run_until(grace);
-    result.energy_baytech_j = cluster.baytech().estimate_energy_joules(t_start, t_end);
-    cluster.baytech().stop_polling();
+    for (auto& rig : rigs) {
+      if (rig.engine->now() < grace) rig.engine->run_until(grace);
+      result.energy_baytech_j +=
+          rig.cluster->baytech().estimate_energy_joules(t_start, t_end);
+      rig.cluster->baytech().stop_polling();
+    }
   }
 
-  for (int i = 0; i < cluster.size(); ++i) {
-    result.dvs_transitions += cluster.node(i).cpu().stats().transitions;
-    result.mean_utilization += cluster.node(i).cpu().busy_weighted_ns() /
-                               static_cast<double>(t_end - t_start) / cluster.size();
+  for (const auto& rig : rigs) {
+    for (int i = 0; i < rig.cluster->size(); ++i) {
+      result.dvs_transitions += rig.cluster->node(i).cpu().stats().transitions;
+      result.mean_utilization += rig.cluster->node(i).cpu().busy_weighted_ns() /
+                                 static_cast<double>(t_end - t_start) / workload.ranks;
+    }
+    result.net_collisions += rig.cluster->network().stats().collisions;
   }
-  result.net_collisions = cluster.network().stats().collisions;
-  result.messages = comm.stats().messages;
-  result.events = static_cast<std::int64_t>(engine.events_processed());
+  result.messages = comm->stats().messages;
+  result.events = static_cast<std::int64_t>(sharded ? events : solo->events_processed());
 
-  if (tracer) {
+  // Trace merge: per-rank rows are disjoint (each shard traced only its own
+  // ranks), messages re-sort by send time — the order one engine would have
+  // logged them in.
+  trace::Tracer* tracer = rigs[0].tracer.get();
+  std::optional<trace::Tracer> merged_tracer;
+  if (sharded && tracer != nullptr) {
+    merged_tracer.emplace(engines->shard(0), workload.ranks);
+    for (const auto& rig : rigs) merged_tracer->absorb(*rig.tracer);
+    merged_tracer->sort_messages();
+    tracer = &*merged_tracer;
+  }
+  if (tracer != nullptr) {
     result.profile = trace::analyze(*tracer);
     result.timeline = trace::render_timeline(*tracer);
   }
-
-  if (config.profile && config.profile_analysis && tracer) {
-    const auto& table = cluster.node(0).cpu().table();
+  if (config.profile && config.profile_analysis && tracer != nullptr) {
+    const auto& table = rigs[0].cluster->node(0).cpu().table();
     const int profile_mhz =
         config.static_mhz != 0 ? config.static_mhz : table.highest().freq_mhz;
     result.profiler = profiler::profile(*tracer, table, profile_mhz, result.delay_s,
                                         result.energy_j);
   }
 
-  if (det != nullptr) {
-    telemetry::RunCapture capture = det->take_capture();
-    // Black box: a failed run dumps the last N causal steps at the failure
-    // instant (watchdog-fallback dumps are in fault_report already).
-    if (completion.failed && det->recorder() != nullptr) {
-      capture.flight_recording =
-          det->recorder()->dump_json(completion.failure, engine.now());
+  if (config.determinism.any()) {
+    telemetry::RunCapture capture;
+    std::vector<telemetry::RunDigest> parts;
+    std::string flight;
+    for (auto& rig : rigs) {
+      telemetry::RunCapture part = rig.det->take_capture();
+      // Black box: a failed run dumps the last N causal steps at the failure
+      // instant (watchdog-fallback dumps are in fault_report already).
+      if (result.failed && rig.det->recorder() != nullptr) {
+        if (!flight.empty()) flight += "\n";
+        flight += rig.det->recorder()->dump_json(result.failure, rig.engine->now());
+      }
+      rig.det->detach();
+      if (sharded) {
+        parts.push_back(std::move(part.digest));
+      } else {
+        capture = std::move(part);
+      }
     }
-    det->detach();
+    if (sharded) {
+      capture.digest = telemetry::merge_digests(parts);
+      capture.shard_parts = std::move(parts);
+    }
+    capture.flight_recording = std::move(flight);
     result.determinism = std::move(capture);
   }
 
-  if (hub != nullptr) {
-    auto& reg = hub->registry();
-    reg.set_help("run_delay_seconds", "Wall time from launch to last rank completion");
-    reg.set_help("run_energy_joules", "Exact total system energy over the run window");
-    reg.set_help("mpi_messages_total", "Point-to-point MPI messages delivered");
-    reg.gauge("run_delay_seconds").set(result.delay_s);
-    reg.gauge("run_energy_joules").set(result.energy_j);
-    reg.counter("mpi_messages_total").inc(static_cast<double>(result.messages));
-    if (result.profiler.has_value()) {
-      reg.set_help("profiler_scope_energy_joules",
-                   "Node energy attributed to trace scopes, per rank and category");
-      reg.set_help("profiler_scope_seconds",
-                   "Time attributed to trace scopes, per rank and category");
-      const auto& attr = result.profiler->attribution;
-      for (std::size_t r = 0; r < attr.ranks.size(); ++r) {
-        for (int c = 0; c < 6; ++c) {
-          const auto& cat = attr.ranks[r].by_cat[static_cast<std::size_t>(c)];
-          if (cat.count == 0) continue;
-          const telemetry::Labels labels = {
-              {"rank", std::to_string(r)},
-              {"category", trace::to_string(static_cast<trace::Cat>(c))}};
-          reg.counter("profiler_scope_energy_joules", labels).inc(cat.joules);
-          reg.counter("profiler_scope_seconds", labels).inc(cat.seconds);
-        }
+  if (config.telemetry.enabled) {
+    telemetry::TelemetrySnapshot snap;
+    if (!sharded) {
+      write_run_metrics(rigs[0].hub->registry(), result);
+      snap = telemetry::make_snapshot(*rigs[0].hub, rigs[0].sampler.get());
+    } else {
+      // Per-shard parts plus one run-level part; each shard's
+      // raw registry is kept for the per-shard provenance views.
+      telemetry::Hub run_hub;
+      write_run_metrics(run_hub.registry(), result);
+      std::vector<telemetry::TelemetrySnapshot> snap_parts;
+      std::vector<std::vector<telemetry::MetricSample>> shard_metrics;
+      for (const auto& rig : rigs) {
+        snap_parts.push_back(telemetry::make_snapshot(*rig.hub, rig.sampler.get()));
+        shard_metrics.push_back(snap_parts.back().metrics);
+      }
+      snap_parts.push_back(telemetry::make_snapshot(run_hub, nullptr));
+      snap = telemetry::merge_snapshots(std::move(snap_parts));
+      snap.shard_metrics = std::move(shard_metrics);
+      snap.rank_shards.resize(static_cast<std::size_t>(workload.ranks));
+      for (int r = 0; r < workload.ranks; ++r) {
+        snap.rank_shards[static_cast<std::size_t>(r)] = plan.shard_of(r);
       }
     }
-    auto snap = telemetry::make_snapshot(*hub, sampler.get());
-    snap.chrome_trace_json = telemetry::to_chrome_json(
-        snap, tracer.get(),
-        result.determinism.has_value() ? &*result.determinism : nullptr);
+    const telemetry::RunCapture* det =
+        result.determinism.has_value() ? &*result.determinism : nullptr;
+    snap.chrome_trace_json = telemetry::to_chrome_json(snap, tracer, det);
+    if (sharded && tracer != nullptr) {
+      snap.chrome_trace_sharded_json =
+          telemetry::to_chrome_json(snap, tracer, det, &snap.rank_shards);
+    }
     result.telemetry = std::move(snap);
   }
 
   // Failed or abandoned runs leave ranks suspended inside MPI waits; those
   // frames hold RAII guards over cluster objects, so destroy them here while
-  // the cluster (declared above) is still alive rather than in ~Engine.
-  engine.destroy_suspended_frames();
+  // the clusters are still alive rather than in the engines' destructors.
+  for (auto& rig : rigs) rig.engine->destroy_suspended_frames();
   return result;
 }
 

@@ -94,13 +94,16 @@ bool SocketServer::start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The accept thread gets the fd by value: stop() owns the member and
+  // closes it only after join(), so the thread never reads a field being
+  // reset nor accepts on a descriptor number the process has reused.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   return true;
 }
 
-void SocketServer::accept_loop() {
+void SocketServer::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listener closed (stop()) or fatal
@@ -215,12 +218,13 @@ void SocketServer::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes the blocked accept(); close only once the thread is gone.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);

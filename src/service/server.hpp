@@ -57,7 +57,7 @@ class SocketServer {
   void on_shutdown(std::function<void()> fn) { on_shutdown_ = std::move(fn); }
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void handle_connection(int fd);
   std::string handle_line(const std::string& line, bool* shutdown_requested);
 

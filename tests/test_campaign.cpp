@@ -193,8 +193,8 @@ TEST(Pool, RethrowsFirstExceptionByIndexButFinishesAllItems) {
 
 TEST(Campaign, SerialAndParallelTablesAreByteIdentical) {
   const auto spec = tiny_spec(2);
-  campaign::CampaignOptions serial{.threads = 1};
-  campaign::CampaignOptions parallel{.threads = 8};
+  campaign::CampaignOptions serial{.threads = 1, .on_progress = {}};
+  campaign::CampaignOptions parallel{.threads = 8, .on_progress = {}};
   const auto a = campaign::CampaignRunner(serial).run(spec);
   const auto b = campaign::CampaignRunner(parallel).run(spec);
   EXPECT_EQ(a.tsv(), b.tsv());
@@ -220,8 +220,8 @@ TEST(Campaign, DeterministicUnderArmedFaultPlan) {
       .base(base)
       .axis(campaign::Axis::seeds({1, 2, 3}))
       .trials(2);
-  const auto a = campaign::run_campaign(spec, {.threads = 1});
-  const auto b = campaign::run_campaign(spec, {.threads = 8});
+  const auto a = campaign::run_campaign(spec, {.threads = 1, .on_progress = {}});
+  const auto b = campaign::run_campaign(spec, {.threads = 8, .on_progress = {}});
   EXPECT_EQ(a.tsv(), b.tsv());
 }
 
@@ -331,7 +331,7 @@ TEST(Sweeps, SweepStaticNormalizesAgainstHighestFrequency) {
 
 TEST(Sweeps, SweepOfRebuildsPerWorkloadCrescendo) {
   auto spec = tiny_spec(1);
-  const auto result = campaign::run_campaign(spec, {.threads = 1});
+  const auto result = campaign::run_campaign(spec, {.threads = 1, .on_progress = {}});
   const auto& label = spec.workload_entries().front().first;
   const auto sweep = campaign::sweep_of(result, label);
   ASSERT_EQ(sweep.points.size(), 2u);
@@ -347,7 +347,7 @@ TEST(Campaign, CapturesThrowingTrialsWithoutAbortingTheMatrix) {
   spec.workload(throwing_workload())
       .workload(apps::make_ep(kTinyScale))
       .trials(2);
-  const auto result = campaign::run_campaign(spec, {.threads = 4});
+  const auto result = campaign::run_campaign(spec, {.threads = 4, .on_progress = {}});
 
   const auto* bad = result.find("THROW");
   ASSERT_NE(bad, nullptr);
@@ -404,7 +404,7 @@ TEST(Campaign, ProgressCallbackSeesEveryRunAndFeedsTelemetry) {
 
 TEST(Result, FindAndNormalizedTo) {
   const auto spec = tiny_spec(1);
-  const auto result = campaign::run_campaign(spec, {.threads = 2});
+  const auto result = campaign::run_campaign(spec, {.threads = 2, .on_progress = {}});
   const auto& cg = spec.workload_entries().front().first;
 
   const auto* slow = result.find(cg, {"600"});

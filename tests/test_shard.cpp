@@ -6,7 +6,11 @@
 // fingerprints that stay reproducible with shards in the base config.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/npb.hpp"
@@ -222,6 +226,8 @@ TEST(ShardedComm, RendezvousMessagesCrossShardsToo) {
 // Rank bodies for the collective tests live at namespace scope: a coroutine
 // spawned from a loop-local lambda would outlive its closure (the captures
 // die with the lambda object, not with the frame).
+// Each rank counts into its own slot: ranks on different shards finish on
+// different worker threads, so a shared counter would be a data race.
 sim::Process collective_rank(mpi::ShardedComm& comm, int r, int* done) {
   co_await comm.barrier(r);
   co_await comm.allreduce(r, 1024);
@@ -236,11 +242,11 @@ sim::Process burst_rank(mpi::ShardedComm& comm, int r) {
 
 TEST(ShardedComm, CollectivesRunAcrossShardBoundaries) {
   ShardedMpiFixture f(8, 4);
-  int done = 0;
+  std::vector<int> done(8, 0);
   std::vector<sim::Process> procs;
   for (int r = 0; r < 8; ++r) {
     procs.push_back(sim::spawn(f.engines.shard(f.plan.shard_of(r)),
-                               collective_rank(*f.comm, r, &done)));
+                               collective_rank(*f.comm, r, &done[r])));
   }
   f.engines.run();
   for (std::size_t r = 0; r < procs.size(); ++r) {
@@ -252,7 +258,7 @@ TEST(ShardedComm, CollectivesRunAcrossShardBoundaries) {
       }
     }
   }
-  EXPECT_EQ(done, 8);
+  EXPECT_EQ(done, std::vector<int>(8, 1));
 }
 
 TEST(ShardedComm, RepeatedRunsAreIdentical) {
@@ -542,6 +548,119 @@ TEST(ShardedObservability, CrashInAnUpperShardMatchesTheSingleEngineFaultReport)
   EXPECT_FALSE(four.failed) << four.failure;
   EXPECT_EQ(one.fault_report->node_reboots, 1);
   EXPECT_EQ(one.fault_report->summary(), four.fault_report->summary());
+}
+
+// --- pinned outputs ------------------------------------------------------------
+
+// The tests above compare one path with another; these pin absolute outputs
+// (bit patterns, digest roots, export hashes) so a drift that moves the
+// 1-shard and N-shard paths together is still caught.
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct Pinned {
+  std::uint64_t delay_s, energy_j, energy_acpi_j, energy_baytech_j;
+  std::uint64_t digest_root;
+  std::int64_t dvs_transitions, messages;
+  std::uint64_t prometheus, chrome_trace, fault_report;
+};
+
+// FT with every layer on: CPUSPEED daemon, ACPI/Baytech meters, a fault plan
+// with checkpoint/restart, daemon watchdog and a scripted daemon wedge,
+// telemetry with the sampler, profiling, and digests + flight recorder.
+void expect_pinned(int shards, const Pinned& want) {
+  core::RunConfig cfg;
+  cfg.shards = shards;
+  cfg.daemon = core::CpuspeedParams::v1_2_1();
+  cfg.use_meters = true;
+  cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
+  cfg.faults.resilience.checkpoint_interval_s = 0.7;
+  cfg.faults.resilience.checkpoint_cost_s = 0.05;
+  cfg.faults.resilience.watchdog = true;
+  // Detect the wedge after 4 s, so the restart lands inside the ~6.3 s run.
+  cfg.faults.resilience.watchdog_params.missed_checks_before_restart = 2;
+  cfg.telemetry.enabled = true;
+  cfg.profile = true;
+  cfg.determinism.digest = true;
+  cfg.determinism.flight_recorder = true;
+  const auto r = core::run_workload(apps::make_ft(kScale), cfg);
+  ASSERT_FALSE(r.failed) << r.failure;
+  ASSERT_TRUE(r.telemetry.has_value());
+  ASSERT_TRUE(r.fault_report.has_value());
+  ASSERT_TRUE(r.determinism.has_value());
+  std::string fault_text = r.fault_report->summary();
+  for (const auto& f : r.fault_report->flight_recordings) fault_text += f;
+  const Pinned got = {
+      std::bit_cast<std::uint64_t>(r.delay_s),
+      std::bit_cast<std::uint64_t>(r.energy_j),
+      std::bit_cast<std::uint64_t>(r.energy_acpi_j),
+      std::bit_cast<std::uint64_t>(r.energy_baytech_j),
+      r.determinism->digest.root(),
+      r.dvs_transitions,
+      r.messages,
+      fnv1a(telemetry::to_prometheus(r.telemetry->metrics)),
+      fnv1a(r.telemetry->chrome_trace_json),
+      fnv1a(fault_text)};
+  auto hex = [](std::uint64_t v) {
+    char b[24];
+    std::snprintf(b, sizeof b, "0x%016llxULL", static_cast<unsigned long long>(v));
+    return std::string(b);
+  };
+  EXPECT_EQ(hex(got.delay_s), hex(want.delay_s)) << "delay_s = " << r.delay_s;
+  EXPECT_EQ(hex(got.energy_j), hex(want.energy_j)) << "energy_j = " << r.energy_j;
+  EXPECT_EQ(hex(got.energy_acpi_j), hex(want.energy_acpi_j))
+      << "energy_acpi_j = " << r.energy_acpi_j;
+  EXPECT_EQ(hex(got.energy_baytech_j), hex(want.energy_baytech_j))
+      << "energy_baytech_j = " << r.energy_baytech_j;
+  EXPECT_EQ(hex(got.digest_root), hex(want.digest_root));
+  EXPECT_EQ(got.dvs_transitions, want.dvs_transitions);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(hex(got.prometheus), hex(want.prometheus));
+  EXPECT_EQ(hex(got.chrome_trace), hex(want.chrome_trace));
+  EXPECT_EQ(hex(got.fault_report), hex(want.fault_report));
+}
+
+TEST(PinnedOutputs, EveryLayerOnOneShard) {
+  expect_pinned(1, {0x40192926802d9e05ULL, 0x4095d82d8bd79ac0ULL,
+                     0x4071c66666666667ULL, 0x4089355204402644ULL,
+                     0x01d34e4812cd6d21ULL,
+                     9, 126,
+                     0x78ec81247f83440cULL, 0xa11e526af4685274ULL,
+                     0x1fe19a9110bb292cULL});
+}
+
+TEST(PinnedOutputs, EveryLayerOnTwoShards) {
+  expect_pinned(2, {0x40192976b68d11c4ULL, 0x409543d562411860ULL,
+                     0x408aa9999999999aULL, 0x4088ad935542fc10ULL,
+                     0x11ed2ac724202377ULL,
+                     11, 126,
+                     0xae0aa55d65411b07ULL, 0x1bf84e2242a633d4ULL,
+                     0x1fe19a9110bb292cULL});
+}
+
+// A watchdog restart still pending when the last rank finishes fires during
+// the meters' Baytech grace run, after the fault report has been assembled.
+// It must not write into freed per-shard state.
+TEST(ShardedRunner, WatchdogRestartPendingAtCompletionIsHarmless) {
+  core::RunConfig cfg;
+  cfg.shards = 2;
+  cfg.daemon = core::CpuspeedParams::v1_2_1();
+  cfg.use_meters = true;
+  cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
+  cfg.faults.resilience.watchdog = true;  // detects at 6.0 s, restarts at 6.5 s
+  const auto r = core::run_workload(apps::make_ft(kScale), cfg);
+  EXPECT_FALSE(r.failed) << r.failure;
+  EXPECT_LT(r.delay_s, 6.5);
+  ASSERT_TRUE(r.fault_report.has_value());
+  EXPECT_EQ(r.fault_report->detections, 1);
+  EXPECT_EQ(r.fault_report->daemon_restarts, 1);
 }
 
 TEST(ShardedRunner, CampaignFingerprintIsReproducibleWithShardsInTheBase) {

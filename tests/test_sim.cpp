@@ -268,7 +268,9 @@ TEST(Engine, CancelPeriodicFromOwnCallbackStopsRecurrence) {
   int count = 0;
   sim::EventId id;
   id = e.schedule_every(10, [&] {
-    if (++count == 3) EXPECT_TRUE(e.cancel(id));  // mid-fire cancel succeeds
+    if (++count == 3) {
+      EXPECT_TRUE(e.cancel(id));  // mid-fire cancel succeeds
+    }
   });
   e.run();
   EXPECT_EQ(count, 3);

@@ -1,8 +1,8 @@
 // pcd_client: submit a campaign to a running pcd_service and print the TSV.
 //
-//   pcd_client --socket /tmp/pcd.sock --workload FT --workload CG \
-//              --static 1400 --daemon v1.2.1 --trials 3 --scale 0.02 \
-//              [--seed N] [--deadline-s S] [--budget-s S] [--no-digests] \
+//   pcd_client --socket /tmp/pcd.sock --workload FT --workload CG
+//              --static 1400 --daemon v1.2.1 --trials 3 --scale 0.02
+//              [--seed N] [--deadline-s S] [--budget-s S] [--no-digests]
 //              [--spec FILE] [--op ping|stats|submit|shutdown] [--quiet]
 //
 // The request is strict line-delimited JSON (service/json.hpp — the same
