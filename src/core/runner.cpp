@@ -10,9 +10,9 @@
 // folds the rigs into a RunResult, so a single-engine run is simply the
 // one-rig case.  What depends on the clamped shard count stays explicit:
 //   - 1 shard: a plain sim::Engine, the cluster built whole, mpi::Comm, an
-//     in-engine completion watcher that stops the services at the exact
-//     completion instant, an MPI progress-watchdog coroutine, and
-//     200k-event control batches;
+//     in-engine completion watcher that stops the services and the engine
+//     at the exact completion instant, an MPI progress-watchdog coroutine,
+//     and 200k-event control batches;
 //   - N shards: sim::ShardedEngine, build_shard_clusters, mpi::ShardedComm,
 //     completion/cancel/deadline/progress checks at every barrier, and the
 //     deterministic merges — telemetry (merge_snapshots), trace (absorb +
@@ -336,17 +336,21 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan pa
 
 // Joins a rig's rank processes and snapshots its clock and per-lane energy
 // at the last completion.  On a single engine (`stop_at_end`) it also stops
-// the rig's services right there, before any later meter or daemon event
-// can advance the clock past the measurement window.  A shard that
-// finishes early keeps its services running instead — a single engine
-// stops them at *global* completion, so stopping one shard early would cut
-// its observation record short; run_workload stops every rig after the
+// the rig's services and the engine right there, so no later meter or
+// daemon event runs before the meters' grace run — the same rule a sharded
+// run keeps by ending at its completion barrier.  A shard that finishes
+// early keeps its services running instead — a single engine stops them
+// at *global* completion, so stopping one shard early would cut its
+// observation record short; run_workload stops every rig after the
 // barrier loop.
 sim::Process completion_watcher(Rig& rig, bool stop_at_end) {
   for (auto& p : rig.ranks) co_await p;
   if (rig.done) co_return;  // the run was already failed or aborted
   rig.finish();
-  if (stop_at_end) rig.stop();
+  if (stop_at_end) {
+    rig.stop();
+    rig.engine->stop();
+  }
 }
 
 // MPI progress detection: a run has stalled when nothing has progressed for
@@ -407,6 +411,7 @@ sim::Process progress_watchdog(Rig& rig, ProgressMonitor& monitor,
       *failure = std::move(why);
       rig.finish();
       rig.stop();
+      rig.engine->stop();
       co_return;
     }
   }
@@ -763,12 +768,11 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
     // The Baytech unit reports completed one-minute windows; run the clock
     // past the next report so the window containing t_end is available.
     // Every rank has joined, so advancing one shard alone only drains its
-    // local meter events.  Sharded runs sum onto the -1 "not measured"
-    // default — a 1 J low bias kept so their outputs stay unchanged.
-    if (!sharded) result.energy_baytech_j = 0;
+    // local meter events.
+    result.energy_baytech_j = 0;
     const sim::SimTime grace = t_end + 61 * sim::kSecond;
     for (auto& rig : rigs) {
-      if (rig.engine->now() < grace) rig.engine->run_until(grace);
+      rig.engine->run_until(grace);
       result.energy_baytech_j +=
           rig.cluster->baytech().estimate_energy_joules(t_start, t_end);
       rig.cluster->baytech().stop_polling();

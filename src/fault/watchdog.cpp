@@ -31,6 +31,15 @@ void DaemonWatchdog::stop() {
   running_ = false;
   if (next_tick_) engine_.cancel(*next_tick_);
   next_tick_.reset();
+  // A restart still waiting out its backoff is dropped with the tick: it
+  // must not revive a daemon the run has stopped.  The restart stays
+  // counted (daemon_restarts counts restarts scheduled), and a later
+  // start() watches the daemon afresh.
+  if (pending_restart_) {
+    engine_.cancel(*pending_restart_);
+    pending_restart_.reset();
+    daemon_wedged_ = false;
+  }
 }
 
 void DaemonWatchdog::record(const char* kind, telemetry::FaultPhase phase,
@@ -58,7 +67,7 @@ void DaemonWatchdog::tick() {
 }
 
 void DaemonWatchdog::check_daemon() {
-  if (!hooks_.polls || restart_pending_) return;
+  if (!hooks_.polls || pending_restart_) return;
   const std::int64_t polls = hooks_.polls();
   if (polls != last_polls_) {
     last_polls_ = polls;
@@ -89,9 +98,8 @@ void DaemonWatchdog::check_daemon() {
       ++report_->daemon_restarts;
       report_->daemon_backoff_s += backoff;
     }
-    restart_pending_ = true;
-    engine_.schedule_in(sim::from_seconds(backoff), [this] {
-      restart_pending_ = false;
+    pending_restart_ = engine_.schedule_in(sim::from_seconds(backoff), [this] {
+      pending_restart_.reset();
       daemon_wedged_ = false;
       last_poll_change_ = engine_.now();
       if (hooks_.polls) last_polls_ = hooks_.polls();

@@ -91,7 +91,7 @@ class DaemonWatchdog {
   // daemon-liveness detector
   std::int64_t last_polls_ = -1;
   sim::SimTime last_poll_change_ = 0;
-  bool restart_pending_ = false;
+  std::optional<sim::EventId> pending_restart_;  // restart in its backoff
   bool daemon_wedged_ = false;
   std::int64_t restarts_ = 0;
   double backoff_total_s_ = 0;

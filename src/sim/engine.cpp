@@ -479,12 +479,20 @@ void Engine::throw_pending() {
   std::rethrow_exception(ex);
 }
 
+// Both run loops drop a stop request left from outside any run (or by a run
+// that threw) on entry, and consume the one that ends them, so stop() ends
+// only the innermost run.
 std::size_t Engine::run(std::size_t max_events) {
   std::size_t n = 0;
   throw_pending();
+  stop_requested_ = false;
   while (n < max_events && step()) {
     ++n;
     throw_pending();
+    if (stop_requested_) {
+      stop_requested_ = false;
+      break;
+    }
   }
   return n;
 }
@@ -493,14 +501,19 @@ std::size_t Engine::run_until(SimTime t) {
   if (t < now_) throw std::invalid_argument("run_until: target time is in the past");
   std::size_t n = 0;
   throw_pending();
+  stop_requested_ = false;
   SimTime next = 0;
   while (next_event_time(&next) && next <= t) {
     if (!step()) break;
     ++n;
     // Exceptions (from the callback or a rethrown orphan) propagate before
     // the final clock advance below: now_ stays at the last dispatched
-    // event's time rather than jumping ahead to t.
+    // event's time rather than jumping ahead to t.  So does a stop().
     throw_pending();
+    if (stop_requested_) {
+      stop_requested_ = false;
+      return n;
+    }
   }
   now_ = t;
   return n;

@@ -81,6 +81,12 @@ class Engine final : public Scheduler {
   /// to t.
   std::size_t run_until(SimTime t);
 
+  /// Makes the innermost active run()/run_until() return right after the
+  /// event now dispatching; events not yet run stay queued for a later
+  /// run.  A stopped run_until leaves the clock at that event's time.  A
+  /// call made while no run is active has no effect on the next run.
+  void stop() { stop_requested_ = true; }
+
   SimTime now() const override { return now_; }
   bool empty() const { return live_events_ == 0; }
   std::size_t pending_events() const { return live_events_; }
@@ -294,6 +300,7 @@ class Engine final : public Scheduler {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::size_t processed_ = 0;
+  bool stop_requested_ = false;  // stop() called during the current run
 
   // Determinism observability state.  dispatch_parent_ is maintained
   // unconditionally (two plain stores per dispatch); everything else hides

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
@@ -565,6 +566,14 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+std::string hex(std::uint64_t v) {
+  char b[24];
+  std::snprintf(b, sizeof b, "0x%016llxULL", static_cast<unsigned long long>(v));
+  return std::string(b);
+}
+
+std::string hex(double v) { return hex(std::bit_cast<std::uint64_t>(v)); }
+
 struct Pinned {
   std::uint64_t delay_s, energy_j, energy_acpi_j, energy_baytech_j;
   std::uint64_t digest_root;
@@ -608,11 +617,6 @@ void expect_pinned(int shards, const Pinned& want) {
       fnv1a(telemetry::to_prometheus(r.telemetry->metrics)),
       fnv1a(r.telemetry->chrome_trace_json),
       fnv1a(fault_text)};
-  auto hex = [](std::uint64_t v) {
-    char b[24];
-    std::snprintf(b, sizeof b, "0x%016llxULL", static_cast<unsigned long long>(v));
-    return std::string(b);
-  };
   EXPECT_EQ(hex(got.delay_s), hex(want.delay_s)) << "delay_s = " << r.delay_s;
   EXPECT_EQ(hex(got.energy_j), hex(want.energy_j)) << "energy_j = " << r.energy_j;
   EXPECT_EQ(hex(got.energy_acpi_j), hex(want.energy_acpi_j))
@@ -630,37 +634,81 @@ void expect_pinned(int shards, const Pinned& want) {
 TEST(PinnedOutputs, EveryLayerOnOneShard) {
   expect_pinned(1, {0x40192926802d9e05ULL, 0x4095d82d8bd79ac0ULL,
                      0x4071c66666666667ULL, 0x4089355204402644ULL,
-                     0x01d34e4812cd6d21ULL,
+                     0x15cb57c4f617ddfeULL,
                      9, 126,
-                     0x78ec81247f83440cULL, 0xa11e526af4685274ULL,
+                     0x0520080866ab2843ULL, 0xa11e526af4685274ULL,
                      0x1fe19a9110bb292cULL});
 }
 
 TEST(PinnedOutputs, EveryLayerOnTwoShards) {
   expect_pinned(2, {0x40192976b68d11c4ULL, 0x409543d562411860ULL,
-                     0x408aa9999999999aULL, 0x4088ad935542fc10ULL,
+                     0x408aa9999999999aULL, 0x4088b5935542fc10ULL,
                      0x11ed2ac724202377ULL,
                      11, 126,
                      0xae0aa55d65411b07ULL, 0x1bf84e2242a633d4ULL,
                      0x1fe19a9110bb292cULL});
 }
 
-// A watchdog restart still pending when the last rank finishes fires during
-// the meters' Baytech grace run, after the fault report has been assembled.
-// It must not write into freed per-shard state.
+// Every run stops dispatching at its completion instant, on one engine as
+// on shards: after the last rank finishes only the meters' grace run to
+// t_end + 61 s remains, so each engine completes at most the Baytech
+// windows of the 300 s discharge, the run and the grace.  Ending the run
+// at completion must not move the measurements: the 1-shard constants
+// were recorded with the batch tail still running.
+double baytech_windows(const std::vector<telemetry::MetricSample>& metrics) {
+  for (const auto& m : metrics) {
+    if (m.name == "baytech_windows_total") return m.value;
+  }
+  ADD_FAILURE() << "no baytech_windows_total";
+  return 0;
+}
+
+TEST(ShardedRunner, MeteredRunsEndAtCompletionOnAnyShardCount) {
+  for (int shards : {1, 2}) {
+    core::RunConfig cfg;
+    cfg.shards = shards;
+    cfg.use_meters = true;
+    cfg.telemetry.enabled = true;
+    const auto r = core::run_workload(apps::make_ft(kScale), cfg);
+    ASSERT_FALSE(r.failed) << r.failure;
+    ASSERT_TRUE(r.telemetry.has_value());
+    const double bound = std::ceil((300 + r.delay_s + 61) / 60);
+    if (shards == 1) {
+      EXPECT_LE(baytech_windows(r.telemetry->metrics), bound);
+      EXPECT_EQ(hex(r.delay_s), "0x40186b3f19231a3fULL") << r.delay_s;
+      EXPECT_EQ(hex(r.energy_j), "0x40961326c31df800ULL") << r.energy_j;
+      EXPECT_EQ(hex(r.energy_acpi_j), "0x4072000000000000ULL") << r.energy_acpi_j;
+      EXPECT_EQ(hex(r.energy_baytech_j), "0x4089da78bbaf5234ULL")
+          << r.energy_baytech_j;
+    } else {
+      ASSERT_EQ(r.telemetry->shard_metrics.size(), 2u);
+      for (const auto& part : r.telemetry->shard_metrics) {
+        EXPECT_LE(baytech_windows(part), bound);
+      }
+    }
+  }
+}
+
+// A watchdog restart still pending when the last rank finishes is dropped
+// when the watchdog stops at completion, on any shard count: it never
+// restarts the stopped daemon or records a recovery after the report is
+// assembled.
 TEST(ShardedRunner, WatchdogRestartPendingAtCompletionIsHarmless) {
-  core::RunConfig cfg;
-  cfg.shards = 2;
-  cfg.daemon = core::CpuspeedParams::v1_2_1();
-  cfg.use_meters = true;
-  cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
-  cfg.faults.resilience.watchdog = true;  // detects at 6.0 s, restarts at 6.5 s
-  const auto r = core::run_workload(apps::make_ft(kScale), cfg);
-  EXPECT_FALSE(r.failed) << r.failure;
-  EXPECT_LT(r.delay_s, 6.5);
-  ASSERT_TRUE(r.fault_report.has_value());
-  EXPECT_EQ(r.fault_report->detections, 1);
-  EXPECT_EQ(r.fault_report->daemon_restarts, 1);
+  for (int shards : {1, 2}) {
+    core::RunConfig cfg;
+    cfg.shards = shards;
+    cfg.daemon = core::CpuspeedParams::v1_2_1();
+    cfg.use_meters = true;
+    cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
+    cfg.faults.resilience.watchdog = true;  // detects at 6.0 s, restarts at 6.5 s
+    const auto r = core::run_workload(apps::make_ft(kScale), cfg);
+    EXPECT_FALSE(r.failed) << r.failure;
+    EXPECT_LT(r.delay_s, 6.5);
+    ASSERT_TRUE(r.fault_report.has_value());
+    EXPECT_EQ(r.fault_report->detections, 1) << shards << " shards";
+    EXPECT_EQ(r.fault_report->daemon_restarts, 1) << shards << " shards";
+    EXPECT_EQ(r.fault_report->recoveries, 0) << shards << " shards";
+  }
 }
 
 TEST(ShardedRunner, CampaignFingerprintIsReproducibleWithShardsInTheBase) {

@@ -217,6 +217,108 @@ TEST(Engine, RunUntilIgnoresCancelledEntriesAtBoundary) {
   EXPECT_EQ(e.now(), 100);
 }
 
+// --- stop() ----------------------------------------------------------------
+
+TEST(Engine, StopFromCallbackEndsRunAfterThatEvent) {
+  sim::Engine e;
+  std::vector<int> order;
+  e.schedule_at(10, [&] { order.push_back(1); });
+  e.schedule_at(20, [&] {
+    order.push_back(2);
+    e.schedule_at(20, [&] { order.push_back(4); });  // same time, later seq
+    e.stop();
+  });
+  e.schedule_at(20, [&] { order.push_back(3); });
+  e.schedule_at(30, [&] { order.push_back(5); });
+  EXPECT_EQ(e.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(e.now(), 20);
+  EXPECT_EQ(e.pending_events(), 3u);
+  // The rest stays queued and a later run dispatches it in (t, seq) order.
+  EXPECT_EQ(e.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(e.now(), 30);
+}
+
+TEST(Engine, StopEndsRunUntilWithoutAdvancingTheClock) {
+  sim::Engine e;
+  std::vector<int> order;
+  e.schedule_at(10, [&] {
+    order.push_back(1);
+    e.stop();
+  });
+  e.schedule_at(50, [&] { order.push_back(2); });
+  e.schedule_at(200, [&] { order.push_back(3); });
+  EXPECT_EQ(e.run_until(100), 1u);
+  EXPECT_EQ(e.now(), 10);  // events <= 100 remain, so the clock stays put
+  EXPECT_EQ(e.run_until(100), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(e.now(), 100);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Engine, StopFromPeriodicCallbackKeepsTheRecurrence) {
+  sim::Engine e;
+  int fires = 0;
+  e.schedule_every(10, [&] {
+    if (++fires == 2) e.stop();
+  });
+  e.schedule_at(100, [&] {});
+  EXPECT_EQ(e.run_until(35), 2u);
+  EXPECT_EQ(e.now(), 20);
+  EXPECT_EQ(e.run_until(35), 1u);
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(e.now(), 35);
+}
+
+TEST(Engine, StopDoesNotLeakIntoTheNextRun) {
+  sim::Engine e;
+  int ran = 0;
+  // Called while no run is active: no effect.
+  e.stop();
+  e.schedule_at(10, [&] { ++ran; });
+  e.schedule_at(20, [&] { ++ran; });
+  EXPECT_EQ(e.run(), 2u);
+  // Called by the last event of a run: the request ends with that run.
+  e.schedule_at(30, [&] {
+    ++ran;
+    e.stop();
+  });
+  EXPECT_EQ(e.run(), 1u);
+  e.schedule_at(40, [&] { ++ran; });
+  e.schedule_at(50, [&] { ++ran; });
+  EXPECT_EQ(e.run(), 2u);
+  // Called by an event whose callback then throws: dropped with the run.
+  e.schedule_at(60, [&] {
+    e.stop();
+    throw std::runtime_error("boom");
+  });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  e.schedule_at(70, [&] { ++ran; });
+  e.schedule_at(80, [&] { ++ran; });
+  EXPECT_EQ(e.run(), 2u);
+  EXPECT_EQ(ran, 7);
+}
+
+TEST(Engine, StopEndsOnlyTheInnermostRun) {
+  sim::Engine e;
+  std::vector<int> order;
+  e.schedule_at(10, [&] {
+    order.push_back(1);
+    e.run_until(20);  // nested: runs the t=15 event, which stops it
+    order.push_back(3);
+  });
+  e.schedule_at(15, [&] {
+    order.push_back(2);
+    e.stop();
+  });
+  e.schedule_at(30, [&] { order.push_back(4); });
+  EXPECT_EQ(e.run(), 2u);  // the nested run dispatched the t=15 event
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(e.events_processed(), 3u);
+}
+
 // --- periodic events (schedule_every) -------------------------------------
 
 TEST(Engine, ScheduleEveryFiresAtFixedCadence) {
