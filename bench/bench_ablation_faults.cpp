@@ -27,45 +27,51 @@ int main(int argc, char** argv) {
                                    .daemon(daemon)
                                    .build();
 
-  std::vector<std::pair<std::string, std::function<void(core::RunConfig&)>>> scenarios;
-  scenarios.emplace_back("daemon, healthy", [](core::RunConfig&) {});
-  scenarios.emplace_back("daemon, armed, no faults", [](core::RunConfig& c) {
-    c.faults.resilience.watchdog = true;
-    c.faults.resilience.mpi_timeout_s = 120;
-  });
-  scenarios.emplace_back("straggler hazard", [](core::RunConfig& c) {
-    fault::HazardModel hazard;
-    hazard.kind = fault::FaultKind::Straggler;
-    hazard.mtbf_s = 2.0;
-    hazard.duration_s = 0.5;
-    hazard.magnitude = 0.5;
-    c.faults.hazards.push_back(hazard);
-    c.faults.horizon_s = 60;
-  });
-  for (bool watchdog : {false, true}) {
-    scenarios.emplace_back(
-        watchdog ? "stuck DVS + watchdog" : "stuck DVS, unguarded",
-        [watchdog, ranks](core::RunConfig& c) {
-          for (int n = 0; n < ranks; ++n) {
-            c.faults.events.push_back(fault::stuck_dvs(0.3, n, 1.0));
-          }
-          c.faults.resilience.watchdog = watchdog;
-          c.faults.resilience.watchdog_params.check_interval_s = 0.25;
-          c.faults.resilience.watchdog_params.stuck_checks_before_fallback = 2;
-        });
-  }
-  for (bool ckpt : {false, true}) {
-    scenarios.emplace_back(
-        ckpt ? "node crash + C/R" : "node crash, no C/R",
-        [ckpt](core::RunConfig& c) {
-          c.faults.events.push_back(fault::node_crash(0.6, 0, /*boot_delay_s=*/0.5));
-          c.faults.resilience.mpi_timeout_s = 5;
-          if (ckpt) {
-            c.faults.resilience.checkpoint_interval_s = 0.5;
-            c.faults.resilience.checkpoint_cost_s = 0.05;
-          }
-        });
-  }
+  // Each scenario edits the base config.  The list is built in one
+  // initializer (no growth by emplace_back): GCC 12 reports a false
+  // -Warray-bounds on the inlined reallocation of the empty vector.
+  const auto stuck_dvs = [ranks](bool watchdog) {
+    return [watchdog, ranks](core::RunConfig& c) {
+      for (int n = 0; n < ranks; ++n) {
+        c.faults.events.push_back(fault::stuck_dvs(0.3, n, 1.0));
+      }
+      c.faults.resilience.watchdog = watchdog;
+      c.faults.resilience.watchdog_params.check_interval_s = 0.25;
+      c.faults.resilience.watchdog_params.stuck_checks_before_fallback = 2;
+    };
+  };
+  const auto node_crash = [](bool ckpt) {
+    return [ckpt](core::RunConfig& c) {
+      c.faults.events.push_back(fault::node_crash(0.6, 0, /*boot_delay_s=*/0.5));
+      c.faults.resilience.mpi_timeout_s = 5;
+      if (ckpt) {
+        c.faults.resilience.checkpoint_interval_s = 0.5;
+        c.faults.resilience.checkpoint_cost_s = 0.05;
+      }
+    };
+  };
+  const std::vector<std::pair<std::string, std::function<void(core::RunConfig&)>>> scenarios = {
+      {"daemon, healthy", [](core::RunConfig&) {}},
+      {"daemon, armed, no faults",
+       [](core::RunConfig& c) {
+         c.faults.resilience.watchdog = true;
+         c.faults.resilience.mpi_timeout_s = 120;
+       }},
+      {"straggler hazard",
+       [](core::RunConfig& c) {
+         fault::HazardModel hazard;
+         hazard.kind = fault::FaultKind::Straggler;
+         hazard.mtbf_s = 2.0;
+         hazard.duration_s = 0.5;
+         hazard.magnitude = 0.5;
+         c.faults.hazards.push_back(hazard);
+         c.faults.horizon_s = 60;
+       }},
+      {"stuck DVS, unguarded", stuck_dvs(false)},
+      {"stuck DVS + watchdog", stuck_dvs(true)},
+      {"node crash, no C/R", node_crash(false)},
+      {"node crash + C/R", node_crash(true)},
+  };
 
   campaign::ExperimentSpec spec;
   spec.workload(workload)

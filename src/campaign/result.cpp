@@ -172,19 +172,26 @@ std::string CampaignResult::tsv() const {
     std::snprintf(buf, sizeof buf, "\t%a", v);
     out += buf;
   };
+  // Separate appends rather than `"\t" + std::to_string(...)`: GCC 12 at -O3
+  // reports a false -Wrestrict inside that operator+.
   for (const auto& c : cells) {
     out += c.workload;
     for (const auto& l : c.labels) out += "\t" + l;
-    out += "\t" + std::to_string(c.runs);
-    out += "\t" + std::to_string(c.failures);
+    out += '\t';
+    out += std::to_string(c.runs);
+    out += '\t';
+    out += std::to_string(c.failures);
     for (double v : {c.delay.median, c.delay.q1, c.delay.q3, c.delay.min, c.delay.max,
                      c.delay.mean, c.energy.median, c.energy.q1, c.energy.q3,
                      c.energy.min, c.energy.max, c.energy.mean}) {
       hex(v);
     }
-    out += "\t" + std::to_string(c.result.dvs_transitions);
-    out += "\t" + std::to_string(c.result.net_collisions);
-    out += "\t" + std::to_string(c.result.messages);
+    out += '\t';
+    out += std::to_string(c.result.dvs_transitions);
+    out += '\t';
+    out += std::to_string(c.result.net_collisions);
+    out += '\t';
+    out += std::to_string(c.result.messages);
     hex(c.result.mean_utilization);
     out += c.result.failed ? "\t1" : "\t0";
     out += "\t";

@@ -93,8 +93,7 @@ void Cpu::finish_work() {
   ++stats_.work_completed;
   active_.reset();
   if (!work_queue_.empty()) {
-    active_ = work_queue_.front();
-    work_queue_.pop_front();
+    active_ = work_queue_.pop_front();
     if (!transitioning_ && !halted()) start_segment();
   } else {
     set_state(base_state());

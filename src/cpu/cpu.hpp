@@ -20,12 +20,12 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "cpu/operating_point.hpp"
 #include "sim/callback.hpp"
+#include "sim/fifo.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
@@ -317,7 +317,7 @@ class Cpu {
   bool dvs_stuck_ = false;
   double efficiency_ = 1.0;
   std::optional<ActiveWork> active_;
-  std::deque<ActiveWork> work_queue_;  // FIFO backlog (e.g. isend protocol work)
+  sim::Fifo<ActiveWork> work_queue_;  // FIFO backlog (e.g. isend protocol work)
   int wait_depth_ = 0;
 
   // accounting

@@ -18,10 +18,10 @@ Network::Network(sim::Scheduler& engine, int nodes, NetworkParams params, sim::R
   for (const auto& [field, message] : validate_params(params_)) {
     throw std::invalid_argument(field + ": " + message);
   }
-  links_.reserve(nodes);
-  for (int i = 0; i < nodes; ++i) {
-    links_.push_back(std::make_unique<sim::Event>(engine_));
-    links_.back()->set();  // links start up
+  links_ = std::vector<std::optional<sim::Event>>(static_cast<std::size_t>(nodes));
+  for (auto& link : links_) {
+    link.emplace(engine_);
+    link->set();  // links start up
   }
 }
 
@@ -80,8 +80,7 @@ sim::SimDuration Network::uncontended_time(std::int64_t bytes) const {
 
 void Network::release(Port& port) {
   if (!port.waiters.empty()) {
-    auto h = port.waiters.front();
-    port.waiters.pop_front();
+    auto h = port.waiters.pop_front();
     // Hand the (still busy) port to the next waiter, FIFO.
     engine_.schedule_in(0, [h] { h.resume(); }, "net.port_handoff");
   } else {

@@ -23,13 +23,13 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
+#include "sim/fifo.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
@@ -141,7 +141,7 @@ class Network {
   /// Single-server FIFO resource (one per egress / ingress port).
   struct Port {
     bool busy = false;
-    std::deque<std::coroutine_handle<>> waiters;
+    sim::Fifo<std::coroutine_handle<>> waiters;
   };
 
   struct PortAcquire {
@@ -169,7 +169,9 @@ class Network {
   sim::InlineFunction<void(int, int)> nic_activity_;
   std::vector<Port> egress_;
   std::vector<Port> ingress_;
-  std::vector<std::unique_ptr<sim::Event>> links_;  // signaled = link up
+  // signaled = link up; one block for all nodes (Event is not movable, so
+  // the vector is sized once and never grows)
+  std::vector<std::optional<sim::Event>> links_;
   double bandwidth_factor_ = 1.0;
   double collision_boost_ = 0.0;
   int in_flight_ = 0;

@@ -314,7 +314,14 @@ std::string JsonValue::write() const {
       }
       return buf;
     }
-    case Type::String: return "\"" + json_escape(str_) + "\"";
+    // Quoted strings here are built by appends: `"\"" + std::string&&`
+    // trips a false GCC 12 -Wrestrict at -O3.
+    case Type::String: {
+      std::string out = "\"";
+      out += json_escape(str_);
+      out += '"';
+      return out;
+    }
     case Type::Array: {
       std::string out = "[";
       for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -328,7 +335,9 @@ std::string JsonValue::write() const {
       std::string out = "{";
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out += ",";
-        out += "\"" + json_escape(members_[i].first) + "\":";
+        out += '"';
+        out += json_escape(members_[i].first);
+        out += "\":";
         out += members_[i].second.write();
       }
       out += "}";

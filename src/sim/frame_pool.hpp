@@ -7,8 +7,12 @@
 // event counts, ordering, or RNG draws (memory addresses never feed the
 // digests).
 //
-// Layout: 32 buckets at 64-byte granularity (up to 2048 bytes).  Larger
-// requests fall through to ::operator new/delete.  Each thread owns its
+// Layout: 128 buckets at 16-byte granularity (up to 2048 bytes), so a
+// block wastes at most 15 bytes: the MPI layer's per-message objects
+// (RequestState, SendMsg, RecvPost) and the small Op frames are under 150
+// bytes, where 64-byte classes wasted up to 56 bytes each and spread a
+// 4096-rank working set over more cache lines and pages.  Larger requests
+// fall through to ::operator new/delete.  Each thread owns its
 // lists outright — no locks; blocks freed on a different thread than they
 // were allocated on simply migrate to the freeing thread's pool.
 //
@@ -36,9 +40,14 @@ namespace pcd::sim {
 
 namespace framepool_detail {
 
-inline constexpr std::size_t kGranule = 64;
-inline constexpr std::size_t kBuckets = 32;
+inline constexpr std::size_t kGranule = 16;
+inline constexpr std::size_t kBuckets = 128;
 inline constexpr std::size_t kMaxPooled = kGranule * kBuckets;  // 2048 bytes
+
+/// Size class of a pooled request: bytes rounded up to kGranule, minus one.
+constexpr std::size_t bucket_index(std::size_t bytes) noexcept {
+  return (bytes + kGranule - 1) / kGranule - 1;
+}
 
 #ifndef PCD_FRAME_POOL_DISABLED
 
@@ -79,7 +88,7 @@ inline void* pool_alloc(std::size_t bytes) {
   using namespace framepool_detail;
   if (bytes == 0) bytes = 1;
   if (bytes > kMaxPooled) return ::operator new(bytes);
-  const std::size_t b = (bytes + kGranule - 1) / kGranule - 1;
+  const std::size_t b = bucket_index(bytes);
   Pool* p = tls_pool();
   if (p != nullptr && p->heads[b] != nullptr) {
     void* r = p->heads[b];
@@ -90,7 +99,7 @@ inline void* pool_alloc(std::size_t bytes) {
 #endif
 }
 
-inline void pool_free(void* ptr, std::size_t bytes) noexcept {
+inline void pool_free(void* ptr, [[maybe_unused]] std::size_t bytes) noexcept {
   if (ptr == nullptr) return;
 #ifdef PCD_FRAME_POOL_DISABLED
   ::operator delete(ptr);
@@ -106,7 +115,7 @@ inline void pool_free(void* ptr, std::size_t bytes) noexcept {
     ::operator delete(ptr);
     return;
   }
-  const std::size_t b = (bytes + kGranule - 1) / kGranule - 1;
+  const std::size_t b = bucket_index(bytes);
   *static_cast<void**>(ptr) = p->heads[b];
   p->heads[b] = ptr;
 #endif

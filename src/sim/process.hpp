@@ -21,13 +21,13 @@
 
 #include <cassert>
 #include <coroutine>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -234,10 +234,9 @@ class Event {
       auto w = std::exchange(w0_, nullptr);
       engine_->schedule_in(0, [w] { w.resume(); }, "event.set");
     }
-    if (!rest_.empty()) {
+    if (rest_) {
       auto waiters = std::move(rest_);
-      rest_.clear();
-      for (auto w : waiters) {
+      for (auto w : *waiters) {
         engine_->schedule_in(0, [w] { w.resume(); }, "event.set");
       }
     }
@@ -245,7 +244,7 @@ class Event {
 
   void reset() { signaled_ = false; }
   bool signaled() const { return signaled_; }
-  std::size_t waiter_count() const { return (w0_ ? 1 : 0) + rest_.size(); }
+  std::size_t waiter_count() const { return (w0_ ? 1 : 0) + (rest_ ? rest_->size() : 0); }
 
   auto wait() {
     struct Awaiter {
@@ -255,7 +254,8 @@ class Event {
         if (!ev->w0_) {
           ev->w0_ = h;
         } else {
-          ev->rest_.push_back(h);
+          if (!ev->rest_) ev->rest_ = std::make_unique<std::vector<std::coroutine_handle<>>>();
+          ev->rest_->push_back(h);
         }
       }
       void await_resume() const {}
@@ -265,11 +265,13 @@ class Event {
 
  private:
   Scheduler* engine_;
-  bool signaled_ = false;
   // Nearly every event (message delivered, request done) has exactly one
-  // waiter; the inline slot makes that case allocation-free.
+  // waiter; the inline slot makes that case allocation-free.  Further
+  // waiters go to an overflow vector behind a pointer, created on demand,
+  // which keeps an Event at 32 bytes (an MPI message holds five).
   std::coroutine_handle<> w0_ = nullptr;
-  std::vector<std::coroutine_handle<>> rest_;
+  std::unique_ptr<std::vector<std::coroutine_handle<>>> rest_;
+  bool signaled_ = false;
 };
 
 /// Unbounded FIFO channel between processes.  pop() suspends while empty.
@@ -307,8 +309,7 @@ class Queue {
 
     bool await_ready() {
       if (!q->items_.empty()) {
-        item = std::move(q->items_.front());
-        q->items_.pop_front();
+        item = q->items_.pop_front();
         return true;
       }
       return false;
@@ -328,7 +329,7 @@ class Queue {
 
  private:
   Scheduler* engine_;
-  std::deque<T> items_;
+  Fifo<T> items_;
   std::vector<PopAwaiter*> waiters_;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cpu/cpu.hpp"
@@ -78,6 +79,39 @@ TEST(OperatingPointTable, RejectsInvalidTables) {
   EXPECT_THROW(OperatingPointTable(std::vector<OperatingPoint>{}), std::invalid_argument);
   EXPECT_THROW(OperatingPointTable({{600, 1.0}, {600, 1.1}}), std::invalid_argument);
   EXPECT_THROW(OperatingPointTable({{600, 1.2}, {800, 1.0}}), std::invalid_argument);
+}
+
+TEST(OperatingPointTable, CopiesShareStorageAndCompareEqual) {
+  const OperatingPointTable t({{1400, 1.484}, {600, 0.956}, {1000, 1.308}});
+  OperatingPointTable copy = t;
+  EXPECT_EQ(&copy.get(0), &t.get(0));  // one storage block
+  EXPECT_EQ(copy.points(), t.points());
+  EXPECT_EQ(copy.at(1).freq_mhz, 1000);
+
+  // Separately built tables with the same points compare equal without
+  // sharing; the paper's table is one process-wide block.
+  const OperatingPointTable twin({{600, 0.956}, {1000, 1.308}, {1400, 1.484}});
+  EXPECT_EQ(twin.points(), t.points());
+  EXPECT_NE(&twin.get(0), &t.get(0));
+  EXPECT_EQ(&OperatingPointTable::pentium_m_1400().get(0),
+            &OperatingPointTable::pentium_m_1400().get(0));
+
+  // Moving is a copy: the source stays valid.
+  OperatingPointTable moved = std::move(copy);
+  EXPECT_EQ(copy.size(), 3u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.highest().freq_mhz, 1400);
+  EXPECT_EQ(moved.points(), t.points());
+
+  // Validation still runs on every table built from points.
+  EXPECT_THROW(OperatingPointTable({{800, 1.1}, {800, 1.2}}), std::invalid_argument);
+}
+
+TEST(OperatingPointTable, CpusOfOneConfigShareTheTable) {
+  sim::Engine e;
+  const auto table = OperatingPointTable::pentium_m_1400();
+  Cpu a(e, table, CpuConfig{}, sim::Rng(1));
+  Cpu b(e, table, CpuConfig{}, sim::Rng(2));
+  EXPECT_EQ(&a.table().get(0), &b.table().get(0));
 }
 
 // ---- Execution timing -------------------------------------------------------

@@ -1,13 +1,42 @@
 // Tests for the node/cluster assembly layer.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <coroutine>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <numeric>
+#include <vector>
+
 #include "machine/cluster.hpp"
+#include "mpi/comm.hpp"
+#include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 
 namespace sim = pcd::sim;
 using pcd::machine::Cluster;
 using pcd::machine::ClusterConfig;
+
+// Counting global allocator for the footprint tests below: every
+// ::operator new in this binary bumps the counter (the array and nothrow
+// forms route through this one).
+namespace {
+std::atomic<std::int64_t> g_heap_allocs{0};
+
+std::int64_t heap_allocs() { return g_heap_allocs.load(std::memory_order_relaxed); }
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes != 0 ? bytes : 1)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: GCC 12 would otherwise see `free` applied to a pointer from
+// `operator new` at every call site and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 TEST(Cluster, BuildsRequestedNodeCount) {
   sim::Engine e;
@@ -111,4 +140,60 @@ TEST(Cluster, BatteryPerNode) {
   e.run();
   EXPECT_LT(c.node(0).battery().true_remaining_mwh(), 53000.0);
   EXPECT_DOUBLE_EQ(c.node(1).battery().true_remaining_mwh(), 53000.0);
+}
+
+// ---- Memory footprint --------------------------------------------------------
+//
+// A 4096-rank run is bound by its per-rank working set, so the per-node
+// allocation count of the machine build is pinned: a node costs its Node
+// object and its CPU's per-operating-point residency counters; queues that
+// are idle (CPU work backlog, switch port waiters), the link state and the
+// operating-point table cost no allocation of their own.
+
+TEST(Footprint, ClusterAndCommBuildAllocatesAtMostFourTimesPerNode) {
+  constexpr int kNodes = 1024;
+  sim::Engine e;
+  ClusterConfig cfg;
+  cfg.nodes = kNodes;
+  std::vector<int> ids(kNodes);
+  std::iota(ids.begin(), ids.end(), 0);
+  const std::int64_t before = heap_allocs();
+  Cluster c(e, cfg);
+  pcd::mpi::Comm comm(c, ids);
+  const std::int64_t allocs = heap_allocs() - before;
+  EXPECT_LE(allocs, 4 * kNodes) << allocs << " allocations for " << kNodes << " nodes";
+}
+
+TEST(Footprint, IdleCpuAllocatesOnlyItsResidencyCounters) {
+  sim::Engine e;
+  const auto table = pcd::cpu::OperatingPointTable::pentium_m_1400();
+  const std::int64_t before = heap_allocs();
+  pcd::cpu::Cpu cpu(e, table, pcd::cpu::CpuConfig{}, sim::Rng(1));
+  EXPECT_EQ(heap_allocs() - before, 1);  // stats().op_residency_ns
+}
+
+TEST(Footprint, CpuWorkWithEmptyBacklogAllocatesNothing) {
+  sim::Engine e;
+  pcd::cpu::Cpu cpu(e, pcd::cpu::OperatingPointTable::pentium_m_1400(),
+                    pcd::cpu::CpuConfig{}, sim::Rng(1));
+  // Warm the engine's own event storage first.
+  cpu.run_onchip_cycles(1000).await_suspend(std::noop_coroutine());
+  e.run();
+  const std::int64_t before = heap_allocs();
+  for (int i = 0; i < 100; ++i) {
+    cpu.run_onchip_cycles(1000).await_suspend(std::noop_coroutine());
+    e.run();
+  }
+  EXPECT_EQ(heap_allocs() - before, 0);
+  EXPECT_EQ(cpu.stats().work_completed, 101);
+}
+
+TEST(Footprint, IdlePortsAndLinksAddNoAllocationPerNode) {
+  auto build_allocs = [](int nodes) {
+    sim::Engine e;
+    const std::int64_t before = heap_allocs();
+    pcd::net::Network net(e, nodes, pcd::net::NetworkParams{}, sim::Rng(1));
+    return heap_allocs() - before;
+  };
+  EXPECT_EQ(build_allocs(64), build_allocs(1024));
 }

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine and coroutine process layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -690,6 +693,139 @@ TEST(Event, DoubleSetIsIdempotent) {
   e.schedule_at(1, [&] { ev.set(); ev.set(); });
   e.run();
   EXPECT_EQ(out.size(), 1u);
+}
+
+TEST(Event, ManyWaitersWakeFifoAndEventIsReusableAfterReset) {
+  sim::Engine e;
+  sim::Event ev(e);
+  std::vector<int> out;
+  for (int tag = 1; tag <= 4; ++tag) sim::spawn(e, wait_event(ev, out, tag));
+  e.run();
+  EXPECT_EQ(ev.waiter_count(), 4u);  // one inline slot + three overflow
+  ev.set();
+  EXPECT_EQ(ev.waiter_count(), 0u);
+  e.run();
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
+
+  ev.reset();
+  out.clear();
+  for (int tag = 5; tag <= 7; ++tag) sim::spawn(e, wait_event(ev, out, tag));
+  e.run();
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(ev.waiter_count(), 3u);
+  e.schedule_in(10, [&] { ev.set(); });
+  e.run();
+  EXPECT_EQ(out, (std::vector<int>{5, 6, 7}));
+}
+
+TEST(Event, FitsIn32Bytes) {
+  EXPECT_LE(sizeof(sim::Event), 32u);
+}
+
+// --- Fifo -----------------------------------------------------------------
+
+TEST(Fifo, PopsInPushOrder) {
+  sim::Fifo<int> f;
+  for (int i = 0; i < 5; ++i) f.push_back(i);
+  EXPECT_EQ(f.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(f.pop_front(), i);
+  EXPECT_TRUE(f.empty());
+}
+
+TEST(Fifo, NoStorageBeforeFirstPush) {
+  sim::Fifo<int> f;
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.size(), 0u);
+  EXPECT_EQ(f.capacity(), 0u);
+  f.push_back(7);
+  EXPECT_GT(f.capacity(), 0u);
+}
+
+TEST(Fifo, DrainThenRefillReusesTheBuffer) {
+  sim::Fifo<int> f;
+  for (int i = 0; i < 8; ++i) f.push_back(i);
+  const std::size_t cap = f.capacity();
+  while (!f.empty()) f.pop_front();
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 8; ++i) f.push_back(100 * round + i);
+    for (int i = 0; i < 8; ++i) ASSERT_EQ(f.pop_front(), 100 * round + i);
+  }
+  EXPECT_EQ(f.capacity(), cap);
+}
+
+TEST(Fifo, NeverEmptyQueueStaysBounded) {
+  // Interleaved push/pop with 3 items always live: the consumed prefix must
+  // be compacted away instead of growing the buffer without bound.
+  sim::Fifo<int> f;
+  f.push_back(0);
+  f.push_back(1);
+  f.push_back(2);
+  int next_in = 3, next_out = 0;
+  for (int i = 0; i < 100000; ++i) {
+    f.push_back(next_in++);
+    ASSERT_EQ(f.pop_front(), next_out++);
+    ASSERT_EQ(f.size(), 3u);
+  }
+  EXPECT_LE(f.capacity(), 16u);
+}
+
+// --- Frame pool -------------------------------------------------------------
+
+TEST(FramePool, SizeClassesAre16Bytes) {
+  namespace fp = sim::framepool_detail;
+  EXPECT_EQ(fp::bucket_index(1), 0u);
+  EXPECT_EQ(fp::bucket_index(16), 0u);
+  EXPECT_EQ(fp::bucket_index(17), 1u);
+  EXPECT_EQ(fp::bucket_index(72), 4u);
+  EXPECT_EQ(fp::bucket_index(fp::kMaxPooled), fp::kBuckets - 1);
+}
+
+TEST(FramePool, RoundsUpWithinAClass) {
+#ifdef PCD_FRAME_POOL_DISABLED
+  GTEST_SKIP() << "frame pool is compiled out under AddressSanitizer";
+#else
+  void* p = sim::pool_alloc(17);
+  sim::pool_free(p, 17);
+  void* same = sim::pool_alloc(32);  // 17..32 share one class
+  EXPECT_EQ(same, p);
+  sim::pool_free(same, 32);
+  void* other = sim::pool_alloc(33);  // next class up
+  EXPECT_NE(other, p);
+  EXPECT_EQ(sim::pool_alloc(20), p);
+  sim::pool_free(other, 33);
+  sim::pool_free(p, 20);
+#endif
+}
+
+TEST(FramePool, ReusesBlocksLifoWithinAClass) {
+#ifdef PCD_FRAME_POOL_DISABLED
+  GTEST_SKIP() << "frame pool is compiled out under AddressSanitizer";
+#else
+  void* a = sim::pool_alloc(72);
+  void* b = sim::pool_alloc(72);
+  ASSERT_NE(a, b);
+  sim::pool_free(a, 72);
+  sim::pool_free(b, 72);
+  EXPECT_EQ(sim::pool_alloc(72), b);
+  EXPECT_EQ(sim::pool_alloc(72), a);
+  sim::pool_free(a, 72);
+  sim::pool_free(b, 72);
+#endif
+}
+
+TEST(FramePool, LargeRequestsBypassThePool) {
+#ifdef PCD_FRAME_POOL_DISABLED
+  GTEST_SKIP() << "frame pool is compiled out under AddressSanitizer";
+#else
+  namespace fp = sim::framepool_detail;
+  fp::Pool* pool = fp::tls_pool();
+  ASSERT_NE(pool, nullptr);
+  std::array<void*, fp::kBuckets> before;
+  std::copy(std::begin(pool->heads), std::end(pool->heads), before.begin());
+  void* big = sim::pool_alloc(fp::kMaxPooled + 1);
+  sim::pool_free(big, fp::kMaxPooled + 1);
+  for (std::size_t b = 0; b < fp::kBuckets; ++b) EXPECT_EQ(pool->heads[b], before[b]);
+#endif
 }
 
 // --- Queue ----------------------------------------------------------------
