@@ -5,7 +5,7 @@
 
 namespace pcd::core {
 
-CpuspeedDaemon::CpuspeedDaemon(sim::Scheduler& engine, machine::Node& node,
+CpuspeedDaemon::CpuspeedDaemon(sim::Engine& engine, machine::Node& node,
                                CpuspeedParams params, sim::SimDuration start_offset)
     : engine_(engine), node_(node), params_(params), start_offset_(start_offset) {}
 

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "machine/node.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 
 namespace pcd::core {
 
@@ -42,7 +42,7 @@ struct CpuspeedParams {
 /// One daemon instance per node, exactly like the real system service.
 class CpuspeedDaemon {
  public:
-  CpuspeedDaemon(sim::Scheduler& engine, machine::Node& node, CpuspeedParams params,
+  CpuspeedDaemon(sim::Engine& engine, machine::Node& node, CpuspeedParams params,
                  sim::SimDuration start_offset = 0);
   ~CpuspeedDaemon() { stop(); }
 
@@ -60,7 +60,7 @@ class CpuspeedDaemon {
  private:
   void tick();
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   machine::Node& node_;
   CpuspeedParams params_;
   sim::SimDuration start_offset_;

@@ -4,7 +4,7 @@
 
 namespace pcd::core {
 
-PhasePredictorDaemon::PhasePredictorDaemon(sim::Scheduler& engine, machine::Node& node,
+PhasePredictorDaemon::PhasePredictorDaemon(sim::Engine& engine, machine::Node& node,
                                            PhasePredictorParams params,
                                            sim::SimDuration start_offset)
     : engine_(engine), node_(node), params_(params), start_offset_(start_offset) {}

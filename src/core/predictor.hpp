@@ -22,7 +22,7 @@
 #include <cstdint>
 
 #include "machine/node.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 
 namespace pcd::core {
 
@@ -38,7 +38,7 @@ class PhasePredictorDaemon {
  public:
   enum class Phase { Compute, Slack, Mixed };
 
-  PhasePredictorDaemon(sim::Scheduler& engine, machine::Node& node,
+  PhasePredictorDaemon(sim::Engine& engine, machine::Node& node,
                        PhasePredictorParams params,
                        sim::SimDuration start_offset = 0);
   ~PhasePredictorDaemon() { stop(); }
@@ -64,7 +64,7 @@ class PhasePredictorDaemon {
   void tick();
   void apply(Phase phase, double utilization);
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   machine::Node& node_;
   PhasePredictorParams params_;
   sim::SimDuration start_offset_;

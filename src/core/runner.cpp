@@ -782,6 +782,9 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
   for (const auto& rig : rigs) {
     for (int i = 0; i < rig.cluster->size(); ++i) {
       result.dvs_transitions += rig.cluster->node(i).cpu().stats().transitions;
+      // A zero-length run (every rank returned at launch) had no busy time
+      // to average; report 0 rather than 0/0.
+      if (t_end == t_start) continue;
       result.mean_utilization += rig.cluster->node(i).cpu().busy_weighted_ns() /
                                  static_cast<double>(t_end - t_start) / workload.ranks;
     }

@@ -20,7 +20,7 @@ const char* to_string(CpuState s) {
   return "?";
 }
 
-Cpu::Cpu(sim::Scheduler& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng)
+Cpu::Cpu(sim::Engine& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng)
     : engine_(engine),
       table_(std::move(table)),
       config_(config),
@@ -50,7 +50,7 @@ void Cpu::begin_work(const WorkAwaitable& w, std::coroutine_handle<> h) {
 void Cpu::start_segment() {
   assert(active_.has_value() && !active_->segment_running);
   set_state(active_->kind);
-  active_->segment_start = engine_.now_cached();
+  active_->segment_start = engine_.now();
   active_->segment_freq_mhz = frequency_mhz();
   active_->segment_eff = efficiency_;
   sim::SimDuration dur;
@@ -71,7 +71,7 @@ void Cpu::start_segment() {
 void Cpu::pause_segment() {
   if (!active_.has_value() || !active_->segment_running) return;
   engine_.cancel(active_->finish_event);
-  const sim::SimDuration elapsed = engine_.now_cached() - active_->segment_start;
+  const sim::SimDuration elapsed = engine_.now() - active_->segment_start;
   if (active_->timed) {
     active_->remaining_ns = std::max<sim::SimDuration>(0, active_->remaining_ns - elapsed);
   } else {
@@ -135,7 +135,6 @@ void Cpu::begin_transition(std::size_t target) {
       (span == 0 ? 0 : static_cast<sim::SimDuration>(rng_.uniform_int(span + 1)));
   stats_.transition_stall_ns += latency;
   transition_event_ = engine_.schedule_in(latency, [this] { end_transition(); }, "cpu.end_transition");
-  sync_mirror();
 }
 
 void Cpu::end_transition() {
@@ -145,9 +144,8 @@ void Cpu::end_transition() {
   op_index_ = transition_to_;
   ++stats_.transitions;
   transitioning_ = false;
-  sync_mirror();
   if (telemetry_ != nullptr) {
-    telemetry_->record_transition({engine_.now_cached(), telemetry_node_,
+    telemetry_->record_transition({engine_.now(), telemetry_node_,
                                    table_.at(transition_from_).freq_mhz,
                                    table_.at(transition_to_).freq_mhz});
   }
@@ -200,7 +198,6 @@ void Cpu::power_off() {
   // reads 0 W only once `offline_` is set afterwards.
   set_state(CpuState::Off);
   offline_ = true;
-  sync_mirror();
 }
 
 void Cpu::power_on() {
@@ -211,7 +208,6 @@ void Cpu::power_on() {
   touch_accounting();
   offline_ = false;
   op_index_ = table_.size() - 1;
-  sync_mirror();
   if (active_.has_value()) {
     start_segment();  // resume (re-price) the work interrupted by the crash
   } else {
@@ -223,7 +219,6 @@ void Cpu::checkpoint_stall_begin() {
   if (halted()) return;
   pause_segment();
   ckpt_stall_ = true;
-  sync_mirror();
   // Mid-transition the stall state takes over when the transition ends.
   if (!transitioning_) set_state(CpuState::CkptStall);
 }
@@ -231,7 +226,6 @@ void Cpu::checkpoint_stall_begin() {
 void Cpu::checkpoint_stall_end() {
   if (!ckpt_stall_ || offline_) return;
   ckpt_stall_ = false;
-  sync_mirror();
   if (transitioning_) return;  // end_transition() resumes execution
   if (pending_target_.has_value()) {
     const std::size_t next = *pending_target_;
@@ -271,7 +265,7 @@ void Cpu::set_state(CpuState s) {
 }
 
 void Cpu::touch_accounting() {
-  const sim::SimTime now = engine_.now_cached();
+  const sim::SimTime now = engine_.now();
   const sim::SimDuration dt = now - last_touch_;
   if (dt > 0) {
     busy_weighted_accum_ns_ += static_cast<double>(dt) * busy_weight(state_);
@@ -333,14 +327,14 @@ double Cpu::mem_activity() const {
 }
 
 double Cpu::busy_weighted_ns() const {
-  const sim::SimDuration dt = engine_.now_cached() - last_touch_;
+  const sim::SimDuration dt = engine_.now() - last_touch_;
   return busy_weighted_accum_ns_ + static_cast<double>(dt) * busy_weight(state_);
 }
 
 double Cpu::retired_sensitive_cycles() const {
   double cycles = retired_cycles_accum_;
   if (state_ == CpuState::OnChip || state_ == CpuState::CommProc) {
-    const sim::SimDuration dt = engine_.now_cached() - last_touch_;
+    const sim::SimDuration dt = engine_.now() - last_touch_;
     cycles += static_cast<double>(dt) * table_.get(op_index_).freq_mhz * efficiency_ * 1e-3;
   }
   return cycles;

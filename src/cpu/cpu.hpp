@@ -25,8 +25,8 @@
 
 #include "cpu/operating_point.hpp"
 #include "sim/callback.hpp"
+#include "sim/engine.hpp"
 #include "sim/fifo.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -88,7 +88,7 @@ struct CpuStats {
 
 class Cpu {
  public:
-  Cpu(sim::Scheduler& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng);
+  Cpu(sim::Engine& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng);
 
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -152,7 +152,7 @@ class Cpu {
   /// Requests arriving mid-transition coalesce to the latest target.
   void set_frequency_mhz(int freq_mhz);
 
-  sim::Scheduler& scheduler() const { return engine_; }
+  sim::Engine& engine() const { return engine_; }
   int frequency_mhz() const { return table_.get(op_index_).freq_mhz; }
   std::size_t op_index() const { return op_index_; }
   bool transitioning() const { return transitioning_; }
@@ -190,10 +190,7 @@ class Cpu {
   /// (the paper's user-space daemon writing /proc with no error checking);
   /// the operating point stays pinned.  Dropped writes are counted in
   /// stats().dvs_requests_dropped.
-  void set_dvs_stuck(bool stuck) {
-    dvs_stuck_ = stuck;
-    sync_mirror();
-  }
+  void set_dvs_stuck(bool stuck) { dvs_stuck_ = stuck; }
   bool dvs_stuck() const { return dvs_stuck_; }
 
   // ---- observability ----
@@ -226,34 +223,6 @@ class Cpu {
   /// operating-point change so it can integrate the elapsed interval at the
   /// old power level (the node power model subscribes here).
   void set_change_listener(sim::InlineFunction<void()> cb) { listener_ = std::move(cb); }
-
-  // ---- SoA state mirror ----
-  //
-  // Write-through mirror of the DVS-relevant state into external
-  // structure-of-arrays lanes (power::NodeStateArena), so cluster-wide
-  // sweeps can test frequency / transition / outage state over dense
-  // arrays instead of chasing N Cpu objects.  The mirror is passive: the
-  // Cpu keeps its own state authoritative and re-syncs the lanes after
-  // every mutation.
-
-  /// Flag bits written to StateMirror::flags (must match the
-  /// power::NodeStateArena::k* constants).
-  static constexpr std::uint8_t kMirrorTransitioning = 1;
-  static constexpr std::uint8_t kMirrorOffline = 2;
-  static constexpr std::uint8_t kMirrorCkptStall = 4;
-  static constexpr std::uint8_t kMirrorDvsStuck = 8;
-
-  struct StateMirror {
-    std::int32_t* freq_mhz = nullptr;
-    std::uint8_t* flags = nullptr;
-  };
-
-  /// Binds (or, with a default-constructed mirror, detaches) the lane
-  /// pointers and writes the current state through immediately.
-  void bind_mirror(StateMirror m) {
-    mirror_ = m;
-    sync_mirror();
-  }
 
   /// Attaches the telemetry hub: every *completed* transition is reported
   /// with the exact instant the new operating point became active.  Null
@@ -291,16 +260,8 @@ class Cpu {
   void touch_accounting();
   double busy_weight(CpuState s) const;
   void notify() { if (listener_) listener_(); }
-  void sync_mirror() {
-    if (mirror_.freq_mhz == nullptr) return;
-    *mirror_.freq_mhz = table_.get(op_index_).freq_mhz;
-    *mirror_.flags = static_cast<std::uint8_t>(
-        (transitioning_ ? kMirrorTransitioning : 0) |
-        (offline_ ? kMirrorOffline : 0) | (ckpt_stall_ ? kMirrorCkptStall : 0) |
-        (dvs_stuck_ ? kMirrorDvsStuck : 0));
-  }
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   OperatingPointTable table_;
   CpuConfig config_;
   sim::Rng rng_;
@@ -325,7 +286,6 @@ class Cpu {
   double busy_weighted_accum_ns_ = 0;
   double retired_cycles_accum_ = 0;
   CpuStats stats_;
-  StateMirror mirror_;
   sim::InlineFunction<void()> listener_;
   telemetry::Hub* telemetry_ = nullptr;
   int telemetry_node_ = -1;

@@ -30,18 +30,9 @@ Cluster::Cluster(sim::Engine& engine, const ClusterConfig& config)
 }
 
 void Cluster::set_all_cpuspeed(int mhz) {
-  transition_all(mhz, telemetry::DvsCause::External, "psetcpuspeed");
-}
-
-void Cluster::transition_all(int mhz, telemetry::DvsCause cause, const char* detail) {
-  const int n = static_cast<int>(nodes_.size());
-  for (int i = 0; i < n; ++i) {
-    // Dense no-op test over the arena lanes; a skipped node is one whose
-    // full set_cpuspeed call would log nothing, draw nothing, and change
-    // no state (see NodeStateArena::can_skip_transition).
-    if (arena_.can_skip_transition(i, mhz)) continue;
-    nodes_[static_cast<std::size_t>(i)]->set_cpuspeed(
-        mhz, cause, std::numeric_limits<double>::quiet_NaN(), detail);
+  for (auto& n : nodes_) {
+    n->set_cpuspeed(mhz, telemetry::DvsCause::External,
+                    std::numeric_limits<double>::quiet_NaN(), "psetcpuspeed");
   }
 }
 

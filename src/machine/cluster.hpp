@@ -43,22 +43,14 @@ class Cluster {
   power::BaytechStrip& baytech() { return *baytech_; }
   const ClusterConfig& config() const { return config_; }
 
-  /// The cluster-owned structure-of-arrays node state (power integrators,
-  /// frequency/transition mirrors); every node's cpu/power model is a view
-  /// over one lane.
+  /// The cluster-owned structure-of-arrays power state; every node's power
+  /// model is a view over one lane.
   power::NodeStateArena& arena() { return arena_; }
   const power::NodeStateArena& arena() const { return arena_; }
 
-  /// EXTERNAL control: "psetcpuspeed <mhz>" — set every node statically.
-  /// (One transition_all sweep under the External cause.)
+  /// EXTERNAL control: "psetcpuspeed <mhz>" — set every node statically,
+  /// in node order, through Node::set_cpuspeed under the External cause.
   void set_all_cpuspeed(int mhz);
-
-  /// Batch kernel: applies a cluster-wide gear shift in one sweep over the
-  /// arena lanes.  Nodes already at `mhz` with nothing pending are skipped
-  /// by a dense lane test; every other node goes through the full
-  /// Node::set_cpuspeed path in node order, so telemetry decisions, RNG
-  /// draws, and event scheduling are exactly those of the per-node loop.
-  void transition_all(int mhz, telemetry::DvsCause cause, const char* detail);
 
   /// Wires the telemetry hub through the whole machine: node DVS decision
   /// logging, CPU transition events, ACPI/Baytech meter counters, and

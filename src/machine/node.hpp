@@ -10,7 +10,7 @@
 #include "cpu/cpu.hpp"
 #include "power/meters.hpp"
 #include "power/node_power.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "telemetry/hub.hpp"
 
@@ -28,7 +28,7 @@ class Node {
   /// `arena`/`lane` select the node's backing lane in a cluster-owned
   /// power::NodeStateArena; without them the node's power model owns a
   /// private one-lane arena (standalone construction keeps working).
-  Node(sim::Scheduler& engine, int id, const NodeConfig& config, sim::Rng rng,
+  Node(sim::Engine& engine, int id, const NodeConfig& config, sim::Rng rng,
        power::NodeStateArena* arena = nullptr, int lane = 0)
       : id_(id),
         cpu_(engine, config.operating_points, config.cpu, rng.split()),
@@ -36,7 +36,6 @@ class Node {
         battery_(engine, power_, config.battery, rng.split()),
         requested_mhz_(cpu_.frequency_mhz()) {
     battery_.set_depleted([this] { handle_battery_depleted(); });
-    power_.mirror_requested_mhz(requested_mhz_);
   }
 
   Node(const Node&) = delete;
@@ -60,11 +59,10 @@ class Node {
                     double utilization = std::numeric_limits<double>::quiet_NaN(),
                     std::string detail = {}) {
     if (telemetry_ != nullptr && mhz != cpu_.frequency_mhz()) {
-      telemetry_->record_decision({cpu_.scheduler().now(), id_, cpu_.frequency_mhz(),
+      telemetry_->record_decision({cpu_.engine().now(), id_, cpu_.frequency_mhz(),
                                    mhz, cause, utilization, std::move(detail)});
     }
     requested_mhz_ = mhz;
-    power_.mirror_requested_mhz(mhz);
     cpu_.set_frequency_mhz(mhz);
   }
 
@@ -77,7 +75,6 @@ class Node {
   void power_on() {
     cpu_.power_on();
     requested_mhz_ = cpu_.frequency_mhz();  // BIOS default, nothing requested yet
-    power_.mirror_requested_mhz(requested_mhz_);
   }
 
   /// Attaches (or detaches, with null) the telemetry hub to this node: DVS
@@ -93,7 +90,7 @@ class Node {
     if (cpu_.offline()) return;
     cpu_.power_off();
     if (telemetry_ != nullptr) {
-      telemetry_->record_fault({cpu_.scheduler().now(), id_, "battery_depleted",
+      telemetry_->record_fault({cpu_.engine().now(), id_, "battery_depleted",
                                telemetry::FaultPhase::Detected,
                                "smart battery empty: node lost power"});
     }

@@ -56,7 +56,7 @@ struct CommStats {
 class CommBase {
  public:
   struct RequestState {
-    explicit RequestState(sim::Scheduler& e) : done(e) {}
+    explicit RequestState(sim::Engine& e) : done(e) {}
     sim::Event done;
     std::int64_t bytes = 0;
   };
@@ -187,7 +187,7 @@ class Comm final : public CommBase {
 
  private:
   struct SendMsg {
-    explicit SendMsg(sim::Scheduler& e) : recv_posted(e), delivered(e) {}
+    explicit SendMsg(sim::Engine& e) : recv_posted(e), delivered(e) {}
     int src = 0;
     int tag = 0;
     std::int64_t bytes = 0;
@@ -196,7 +196,7 @@ class Comm final : public CommBase {
     sim::Event delivered;
   };
   struct RecvPost {
-    explicit RecvPost(sim::Scheduler& e) : matched(e) {}
+    explicit RecvPost(sim::Engine& e) : matched(e) {}
     int src = kAnySource;
     int tag = kAnyTag;
     std::shared_ptr<SendMsg> msg;
@@ -212,7 +212,7 @@ class Comm final : public CommBase {
   void note_match(int src, int dst, int tag, std::int64_t bytes);
 
   machine::Cluster& cluster_;
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   std::vector<int> node_ids_;
   sim::DigestStream* digest_ = nullptr;
   int rank_base_ = 0;  // added to src/dst in message-log entries (set_trace)

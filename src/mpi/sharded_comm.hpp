@@ -89,13 +89,13 @@ class ShardedComm final : public CommBase {
   // Sender-shard state: the coroutine parks on `acked` (Event on the
   // sender's engine) until the receiving shard posts the delivery ack.
   struct XSendState {
-    explicit XSendState(sim::Scheduler& e) : acked(e) {}
+    explicit XSendState(sim::Engine& e) : acked(e) {}
     sim::Event acked;
   };
   // Receiver-shard view of one in-flight cross-shard message.  Created at
   // announce arrival; `delivered` is an Event on the receiving engine.
   struct XMsg {
-    explicit XMsg(sim::Scheduler& e) : delivered(e) {}
+    explicit XMsg(sim::Engine& e) : delivered(e) {}
     int src = 0;
     int dst = 0;
     int tag = 0;
@@ -109,7 +109,7 @@ class ShardedComm final : public CommBase {
     sim::Event delivered;
   };
   struct XRecvPost {
-    explicit XRecvPost(sim::Scheduler& e) : matched(e) {}
+    explicit XRecvPost(sim::Engine& e) : matched(e) {}
     int src = 0;
     int tag = 0;
     std::shared_ptr<XMsg> msg;

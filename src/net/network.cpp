@@ -6,7 +6,7 @@
 
 namespace pcd::net {
 
-Network::Network(sim::Scheduler& engine, int nodes, NetworkParams params, sim::Rng rng,
+Network::Network(sim::Engine& engine, int nodes, NetworkParams params, sim::Rng rng,
                  sim::InlineFunction<void(int, int)> nic_activity)
     : engine_(engine),
       params_(params),

@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "sim/callback.hpp"
+#include "sim/engine.hpp"
 #include "sim/fifo.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -63,7 +63,7 @@ class Network {
  public:
   /// `nic_activity(node, delta)` is invoked with +1/-1 as transfers begin /
   /// end wire occupancy on a node (drives NIC power).  May be empty.
-  Network(sim::Scheduler& engine, int nodes, NetworkParams params, sim::Rng rng,
+  Network(sim::Engine& engine, int nodes, NetworkParams params, sim::Rng rng,
           sim::InlineFunction<void(int node, int delta)> nic_activity = {});
 
   Network(const Network&) = delete;
@@ -163,7 +163,7 @@ class Network {
   sim::Process transfer_proc(int src, int dst, std::int64_t bytes, double speed_ratio,
                              std::coroutine_handle<> h);
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   NetworkParams params_;
   sim::Rng rng_;
   sim::InlineFunction<void(int, int)> nic_activity_;

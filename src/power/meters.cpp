@@ -9,7 +9,7 @@ namespace {
 constexpr double kJoulesPerMwh = 3.6;  // 1 mWh = 3.6 J (paper §4.2)
 }
 
-AcpiBattery::AcpiBattery(sim::Scheduler& engine, NodePowerModel& node,
+AcpiBattery::AcpiBattery(sim::Engine& engine, NodePowerModel& node,
                          AcpiBatteryParams params, sim::Rng rng)
     : engine_(engine),
       node_(node),
@@ -110,7 +110,7 @@ void AcpiBattery::attach_telemetry(telemetry::Hub* hub, int node_id) {
                                         telemetry::label("node", node_id));
 }
 
-BaytechStrip::BaytechStrip(sim::Scheduler& engine, std::vector<NodePowerModel*> outlets,
+BaytechStrip::BaytechStrip(sim::Engine& engine, std::vector<NodePowerModel*> outlets,
                            BaytechParams params)
     : engine_(engine), outlets_(std::move(outlets)), params_(params) {}
 

@@ -16,7 +16,7 @@
 
 #include "power/node_power.hpp"
 #include "sim/callback.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "telemetry/hub.hpp"
 
@@ -40,7 +40,7 @@ enum class SensorFault {
 /// ACPI smart battery attached to one node.
 class AcpiBattery {
  public:
-  AcpiBattery(sim::Scheduler& engine, NodePowerModel& node, AcpiBatteryParams params,
+  AcpiBattery(sim::Engine& engine, NodePowerModel& node, AcpiBatteryParams params,
               sim::Rng rng);
   ~AcpiBattery() { stop_polling(); }
 
@@ -88,7 +88,7 @@ class AcpiBattery {
   void refresh_tick();
   double quantize(double mwh) const;
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   NodePowerModel& node_;
   AcpiBatteryParams params_;
   sim::Rng rng_;  // private stream for Garbage readings (drawn only then)
@@ -124,7 +124,7 @@ struct BaytechRecord {
 /// building power (used by the measurement protocol to flip nodes to DC).
 class BaytechStrip {
  public:
-  BaytechStrip(sim::Scheduler& engine, std::vector<NodePowerModel*> outlets,
+  BaytechStrip(sim::Engine& engine, std::vector<NodePowerModel*> outlets,
                BaytechParams params = {});
   ~BaytechStrip() { stop_polling(); }
 
@@ -152,7 +152,7 @@ class BaytechStrip {
  private:
   void tick();
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   std::vector<NodePowerModel*> outlets_;
   BaytechParams params_;
   std::vector<double> joules_at_window_start_;

@@ -28,7 +28,7 @@ NodePowerParams NodePowerParams::pentium_iii_server() {
   return p;
 }
 
-NodePowerModel::NodePowerModel(sim::Scheduler& engine, cpu::Cpu& cpu,
+NodePowerModel::NodePowerModel(sim::Engine& engine, cpu::Cpu& cpu,
                                NodePowerParams params, NodeStateArena* arena,
                                int lane)
     : engine_(engine),
@@ -43,9 +43,6 @@ NodePowerModel::NodePowerModel(sim::Scheduler& engine, cpu::Cpu& cpu,
   arena_ = arena;
   lane_ = lane;
   arena_->bind(lane_, this, engine.now());
-  // The CPU writes its DVS-relevant state through to the lane so batch
-  // sweeps (transition_all) can test for no-ops without touching objects.
-  cpu_.bind_mirror({arena_->freq_lane(lane_), arena_->flags_lane(lane_)});
   cpu_.set_change_listener([this] {
     accrue();  // integrate the closing interval at the old draw...
     arena_->dirty_[static_cast<std::size_t>(lane_)] = 1;  // ...then mark stale
@@ -55,7 +52,6 @@ NodePowerModel::NodePowerModel(sim::Scheduler& engine, cpu::Cpu& cpu,
 
 NodePowerModel::~NodePowerModel() {
   cpu_.set_change_listener({});
-  cpu_.bind_mirror({});
   arena_->unbind(lane_);
 }
 
@@ -71,7 +67,7 @@ double NodePowerModel::lane_total() const {
 
 void NodePowerModel::note_step_slow() const {
   const std::uint64_t rec[3] = {static_cast<std::uint64_t>(node_id_),
-                                static_cast<std::uint64_t>(engine_.now_cached()),
+                                static_cast<std::uint64_t>(engine_.now()),
                                 std::bit_cast<std::uint64_t>(lane_total())};
   digest_->fold_record(rec, 3);
 }

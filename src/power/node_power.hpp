@@ -19,7 +19,7 @@
 #include "cpu/cpu.hpp"
 #include "power/cpu_power.hpp"
 #include "power/state_arena.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 
 namespace pcd::power {
 
@@ -62,7 +62,7 @@ class NodePowerModel {
  public:
   /// View over `lane` of `arena`; with arena == nullptr the model owns a
   /// private one-lane arena (standalone use keeps working unchanged).
-  NodePowerModel(sim::Scheduler& engine, cpu::Cpu& cpu, NodePowerParams params,
+  NodePowerModel(sim::Engine& engine, cpu::Cpu& cpu, NodePowerParams params,
                  NodeStateArena* arena = nullptr, int lane = 0);
   ~NodePowerModel();
 
@@ -92,13 +92,6 @@ class NodePowerModel {
   const NodeStateArena& arena() const { return *arena_; }
   int lane() const { return lane_; }
 
-  /// Write-through for machine::Node's requested-frequency bookkeeping, so
-  /// NodeStateArena::can_skip_transition sees what strategies last asked
-  /// for without touching the Node object.
-  void mirror_requested_mhz(int mhz) {
-    arena_->requested_mhz_[static_cast<std::size_t>(lane_)] = mhz;
-  }
-
   /// Determinism observability: while set, every *simulation-driven*
   /// integration step (CPU state change, NIC flow change) folds one record
   /// (node, t, cumulative joules) into the stream.  Pure reads also accrue
@@ -109,7 +102,7 @@ class NodePowerModel {
  private:
   friend class NodeStateArena;
 
-  void accrue() const { arena_->accrue_lane(lane_, engine_.now_cached()); }
+  void accrue() const { arena_->accrue_lane(lane_, engine_.now()); }
   void note_step() const {
     if (digest_ != nullptr) note_step_slow();
   }
@@ -120,7 +113,7 @@ class NodePowerModel {
   void refresh_watts() const;
   double lane_total() const;
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   cpu::Cpu& cpu_;
   NodePowerParams params_;
   CpuPowerModel cpu_model_;

@@ -14,9 +14,6 @@ NodeStateArena::NodeStateArena(int nodes) {
   joules_.assign(n * kComponents, 0.0);
   dirty_.assign(n, 1);
   nic_flows_.assign(n, 0);
-  freq_mhz_.assign(n, 0);
-  requested_mhz_.assign(n, 0);
-  flags_.assign(n, 0);
   views_.assign(n, nullptr);
 }
 

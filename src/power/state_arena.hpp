@@ -1,11 +1,9 @@
-// Structure-of-arrays backing store for per-node power/DVS state.
+// Structure-of-arrays backing store for per-node power state.
 //
 // Every node's integrator state — last-accrue tick, cached per-component
-// draw, cumulative per-component joules, NIC flow count — plus mirrors of
-// the DVS-relevant CPU state (current frequency, requested frequency,
-// transition/offline/checkpoint/stuck flags) lives in contiguous lanes
-// owned at the cluster layer.  cpu::Cpu and power::NodePowerModel are thin
-// views over their lane: the public APIs and the exact piecewise-constant
+// draw, cumulative per-component joules, NIC flow count — lives in
+// contiguous lanes owned at the cluster layer.  power::NodePowerModel is a
+// thin view over its lane: the public API and the exact piecewise-constant
 // integration semantics are unchanged, but cluster-wide operations walk N
 // dense lanes instead of N scattered heap objects.
 //
@@ -39,12 +37,6 @@ class NodeStateArena {
   /// cpu, memory, disk, nic, other.
   static constexpr int kComponents = 5;
 
-  // Flag bits mirrored from cpu::Cpu (must match cpu::Cpu::kMirror*).
-  static constexpr std::uint8_t kTransitioning = 1;
-  static constexpr std::uint8_t kOffline = 2;
-  static constexpr std::uint8_t kCkptStall = 4;
-  static constexpr std::uint8_t kDvsStuck = 8;
-
   explicit NodeStateArena(int nodes);
 
   NodeStateArena(const NodeStateArena&) = delete;
@@ -67,25 +59,8 @@ class NodeStateArena {
   /// as summing NodePowerModel::energy_joules() node by node.
   double total_joules() const;
 
-  /// True when applying `mhz` to this lane is a complete no-op: already at
-  /// that frequency, nothing requested differently, and no transition /
-  /// outage / checkpoint stall that the full set_cpuspeed path would have
-  /// to coalesce into.  (A stuck driver at the same frequency drops
-  /// nothing, so kDvsStuck does not block the skip.)
-  bool can_skip_transition(int lane, int mhz) const {
-    return freq_mhz_[static_cast<std::size_t>(lane)] == mhz &&
-           requested_mhz_[static_cast<std::size_t>(lane)] == mhz &&
-           (flags_[static_cast<std::size_t>(lane)] &
-            (kTransitioning | kOffline | kCkptStall)) == 0;
-  }
+  // ---- lane accessors ----
 
-  // ---- lane accessors (views and mirrors write through these) ----
-
-  std::int32_t* freq_lane(int lane) { return &freq_mhz_[static_cast<std::size_t>(lane)]; }
-  std::uint8_t* flags_lane(int lane) { return &flags_[static_cast<std::size_t>(lane)]; }
-  int freq_mhz(int lane) const { return freq_mhz_[static_cast<std::size_t>(lane)]; }
-  int requested_mhz(int lane) const { return requested_mhz_[static_cast<std::size_t>(lane)]; }
-  std::uint8_t flags(int lane) const { return flags_[static_cast<std::size_t>(lane)]; }
   int nic_flows(int lane) const { return nic_flows_[static_cast<std::size_t>(lane)]; }
   sim::SimTime last_accrue(int lane) const { return last_[static_cast<std::size_t>(lane)]; }
   bool dirty(int lane) const { return dirty_[static_cast<std::size_t>(lane)] != 0; }
@@ -120,9 +95,6 @@ class NodeStateArena {
   std::vector<double> joules_;              // cumulative    [lane*5 + c]
   std::vector<std::uint8_t> dirty_;         // watts cache stale?
   std::vector<std::int32_t> nic_flows_;     // live transfers touching node
-  std::vector<std::int32_t> freq_mhz_;      // mirror: current operating point
-  std::vector<std::int32_t> requested_mhz_; // mirror: last strategy request
-  std::vector<std::uint8_t> flags_;         // mirror: k* bits above
   std::vector<NodePowerModel*> views_;      // bound view per lane (may be null)
 };
 

@@ -2,7 +2,7 @@
 
 namespace pcd::power {
 
-ThermalModel::ThermalModel(sim::Scheduler& engine, const NodePowerModel& node,
+ThermalModel::ThermalModel(sim::Engine& engine, const NodePowerModel& node,
                            ThermalParams params, double sample_s)
     : engine_(engine),
       node_(node),

@@ -19,7 +19,7 @@
 #include <cmath>
 
 #include "power/node_power.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 
 namespace pcd::power {
 
@@ -34,7 +34,7 @@ struct ThermalParams {
 /// on a fixed cadence and advances the RC model exactly per sample.
 class ThermalModel {
  public:
-  ThermalModel(sim::Scheduler& engine, const NodePowerModel& node,
+  ThermalModel(sim::Engine& engine, const NodePowerModel& node,
                ThermalParams params = {}, double sample_s = 0.25);
   ~ThermalModel() { stop(); }
 
@@ -60,7 +60,7 @@ class ThermalModel {
  private:
   void tick();
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   const NodePowerModel& node_;
   ThermalParams params_;
   sim::SimDuration sample_interval_;

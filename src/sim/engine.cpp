@@ -445,29 +445,19 @@ bool Engine::step() {
   return true;
 }
 
-bool Engine::next_event_time(SimTime* out) {
+std::optional<SimTime> Engine::next_event_time() {
   prune_runs();
   prune_heap();
-  bool found = false;
-  SimTime t = 0;
-  if (!heap_.empty()) {
-    t = heap_.front().t;
-    found = true;
-  }
+  std::optional<SimTime> t;
+  if (!heap_.empty()) t = heap_.front().t;
   for (const RunLane& lane : runs_) {
-    if (lane.head < lane.entries.size() &&
-        (!found || lane.entries[lane.head].t < t)) {
+    if (lane.head < lane.entries.size() && (!t || lane.entries[lane.head].t < *t)) {
       t = lane.entries[lane.head].t;
-      found = true;
     }
   }
   const std::uint32_t w = wheel_min();
-  if (w != kNil && (!found || node(w).t < t)) {
-    t = node(w).t;
-    found = true;
-  }
-  if (found) *out = t;
-  return found;
+  if (w != kNil && (!t || node(w).t < *t)) t = node(w).t;
+  return t;
 }
 
 // ---- run loops ------------------------------------------------------------
@@ -502,8 +492,7 @@ std::size_t Engine::run_until(SimTime t) {
   std::size_t n = 0;
   throw_pending();
   stop_requested_ = false;
-  SimTime next = 0;
-  while (next_event_time(&next) && next <= t) {
+  for (auto next = next_event_time(); next && *next <= t; next = next_event_time()) {
     if (!step()) break;
     ++n;
     // Exceptions (from the callback or a rethrown orphan) propagate before

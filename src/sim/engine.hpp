@@ -30,27 +30,43 @@
 
 #include "sim/callback.hpp"
 #include "sim/provenance.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace pcd::sim {
 
-class Engine final : public Scheduler {
+/// Handle to a scheduled event; can be used to cancel it before it fires.
+/// A default-constructed id is never a live event (`valid()` is false and
+/// `cancel` rejects it explicitly).  The generation tag makes ids
+/// single-use: once the event fires or is cancelled, the slot's generation
+/// advances and stale ids can no longer cancel an unrelated newer event.
+struct EventId {
+  std::uint32_t slot = 0;
+  std::uint32_t gen = 0;
+
+  bool valid() const { return gen != 0; }
+  friend bool operator==(EventId, EventId) = default;
+};
+
+/// Invoked on a registered coroutine frame's handle just before the engine
+/// destroys it at teardown, so external owners can drop references first.
+using FrameDetachFn = void (*)(std::coroutine_handle<>);
+
+class Engine {
  public:
   using Callback = InlineFunction<void()>;
 
-  Engine() { now_src_ = &now_; }
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  ~Engine() override;
+  ~Engine();
 
   /// Schedules `cb` at absolute time `t` (must be >= now()).  `site` is a
   /// scheduling-site label for determinism provenance; it must point at a
   /// string with static storage duration (the engine stores the pointer).
-  EventId schedule_at(SimTime t, Callback cb, const char* site = "") override;
+  EventId schedule_at(SimTime t, Callback cb, const char* site = "");
 
   /// Schedules `cb` at now() + dt (dt must be >= 0).
-  EventId schedule_in(SimDuration dt, Callback cb, const char* site = "") override;
+  EventId schedule_in(SimDuration dt, Callback cb, const char* site = "");
 
   /// Schedules `cb` to fire at now() + first_delay and then every `period`
   /// after the previous fire, until cancelled.  Each occurrence draws a
@@ -59,7 +75,7 @@ class Engine final : public Scheduler {
   /// rescheduled itself with schedule_in as its last statement — but the
   /// steady state never touches the heap or the binary event heap.
   EventId schedule_every(SimDuration first_delay, SimDuration period, Callback cb,
-                         const char* site = "") override;
+                         const char* site = "");
   EventId schedule_every(SimDuration period, Callback cb, const char* site = "") {
     return schedule_every(period, period, std::move(cb), site);
   }
@@ -68,7 +84,7 @@ class Engine final : public Scheduler {
   /// event already ran or was already cancelled.  Cancelling a periodic
   /// event — including from inside its own callback — stops the recurrence
   /// and returns true.
-  bool cancel(EventId id) override;
+  bool cancel(EventId id);
 
   /// Runs until no live events remain (or `max_events` have been
   /// processed).  Returns the number of events processed.  Rethrows the
@@ -87,23 +103,19 @@ class Engine final : public Scheduler {
   /// call made while no run is active has no effect on the next run.
   void stop() { stop_requested_ = true; }
 
-  SimTime now() const override { return now_; }
+  SimTime now() const { return now_; }
   bool empty() const { return live_events_ == 0; }
   std::size_t pending_events() const { return live_events_; }
   std::size_t events_processed() const { return processed_; }
 
   /// Time of the earliest live event, or no value when the engine is idle.
-  /// Used by ShardedEngine to derive the next conservative window end; also
-  /// handy for drivers that interleave engines manually.
-  std::optional<SimTime> peek_next_time() {
-    SimTime t;
-    if (!next_event_time(&t)) return std::nullopt;
-    return t;
-  }
+  /// Used by run_until and by ShardedEngine to derive the next conservative
+  /// window end; also handy for drivers that interleave engines manually.
+  std::optional<SimTime> next_event_time();
 
   /// Records an exception that escaped a detached coroutine.  The next call
   /// to run()/run_until() rethrows it.
-  void post_orphan_exception(std::exception_ptr ex) override;
+  void post_orphan_exception(std::exception_ptr ex);
 
   /// Coroutine frame registry: frames register on spawn and unregister on
   /// completion (O(1) slot free, no scan); ~Engine destroys any
@@ -112,8 +124,8 @@ class Engine final : public Scheduler {
   /// the engine destroys the frame, so external owners can drop their
   /// references first.
   std::uint32_t register_frame(std::coroutine_handle<> h,
-                               FrameDetachFn detach = nullptr) override;
-  void unregister_frame(std::uint32_t frame_slot) override;
+                               FrameDetachFn detach = nullptr);
+  void unregister_frame(std::uint32_t frame_slot);
 
   /// Destroys all still-suspended frames now rather than in ~Engine.  Call
   /// this before tearing down model objects the frames' locals reference:
@@ -235,7 +247,6 @@ class Engine final : public Scheduler {
   bool step();  // runs one event; returns false if no live events remain
   void dispatch_oneshot(HeapEntry e);
   void dispatch_wheel(std::uint32_t slot);
-  bool next_event_time(SimTime* out);
   void note_dispatch(const EventNode& n, std::uint64_t draws_before);
   void note_dispatch_slow(const EventNode& n, std::uint64_t draws_before);
 

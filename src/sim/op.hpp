@@ -9,7 +9,7 @@
 // composes naturally inside rank processes with no heap-allocated join
 // state per call.  The awaiting coroutine owns the Op frame (RAII).
 //
-// Scheduler propagation: the child's promise learns the scheduler from its parent
+// Engine propagation: the child's promise learns the engine from its parent
 // at await time, so sim::delay() and friends work at any nesting depth.
 #pragma once
 
@@ -19,8 +19,8 @@
 #include <optional>
 #include <utility>
 
+#include "sim/engine.hpp"
 #include "sim/frame_pool.hpp"
-#include "sim/scheduler.hpp"
 
 namespace pcd::sim {
 
@@ -30,7 +30,7 @@ class [[nodiscard]] Op;
 namespace detail {
 
 struct OpPromiseBase {
-  Scheduler* engine_ptr = nullptr;
+  Engine* engine_ptr = nullptr;
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 
@@ -42,7 +42,7 @@ struct OpPromiseBase {
     pool_free(p, bytes);
   }
 
-  Scheduler* engine() const { return engine_ptr; }
+  Engine* engine() const { return engine_ptr; }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

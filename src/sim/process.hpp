@@ -8,7 +8,7 @@
 //   }
 //   sim::spawn(engine, rank_main(node, ...));
 //
-// Lifetime model: the coroutine frame is owned by the scheduler from spawn()
+// Lifetime model: the coroutine frame is owned by the engine from spawn()
 // until completion (it self-destroys at final suspend).  Process is a
 // move-only handle linked to the frame by a back-pointer in the promise:
 // completion copies the done flag and any exception into the handle, so the
@@ -27,9 +27,9 @@
 #include <utility>
 #include <vector>
 
+#include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 #include "sim/frame_pool.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace pcd::sim {
@@ -43,7 +43,7 @@ class Process {
   };
 
   struct promise_type {
-    Scheduler* engine_ptr = nullptr;
+    Engine* engine_ptr = nullptr;
     Process* owner = nullptr;  // the live handle, if any (kept current on move)
     std::shared_ptr<State> shared;  // created only by watch()
     std::exception_ptr exception;
@@ -57,7 +57,7 @@ class Process {
       pool_free(p, bytes);
     }
 
-    Scheduler* engine() const { return engine_ptr; }
+    Engine* engine() const { return engine_ptr; }
 
     Process get_return_object() {
       return Process(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -71,7 +71,7 @@ class Process {
         // wake joiners through the engine queue (preserving FIFO ordering at
         // the current timestamp), then self-destroy.
         promise_type& p = h.promise();
-        Scheduler* engine = p.engine_ptr;
+        Engine* engine = p.engine_ptr;
         std::exception_ptr ex = p.exception;
         auto waiters = std::move(p.waiters);
         if (p.owner != nullptr) {
@@ -157,7 +157,7 @@ class Process {
   }
 
  private:
-  friend Process spawn(Scheduler& engine, Process proc);
+  friend Process spawn(Engine& engine, Process proc);
 
   explicit Process(std::coroutine_handle<promise_type> h) : handle_(h) {
     handle_.promise().owner = this;
@@ -193,7 +193,7 @@ class Process {
 /// Launches a process: the coroutine body starts running at the engine's
 /// current time (as a queued event, so spawn order = run order).  Returns a
 /// handle usable for joining; the handle may be dropped for fire-and-forget.
-inline Process spawn(Scheduler& engine, Process proc) {
+inline Process spawn(Engine& engine, Process proc) {
   assert(proc.handle_ && !proc.started_ && "process already spawned");
   auto h = proc.handle_;
   h.promise().engine_ptr = &engine;
@@ -209,7 +209,7 @@ struct DelayAwaiter {
   bool await_ready() const { return dt <= 0; }
   template <typename Promise>
   void await_suspend(std::coroutine_handle<Promise> h) {
-    Scheduler* engine = h.promise().engine();
+    Engine* engine = h.promise().engine();
     engine->schedule_in(dt, [h]() mutable { h.resume(); }, "process.delay");
   }
   void await_resume() const {}
@@ -221,7 +221,7 @@ inline DelayAwaiter delay(SimDuration dt) { return DelayAwaiter{dt}; }
 /// on an already-set event does not suspend.  reset() re-arms it.
 class Event {
  public:
-  explicit Event(Scheduler& engine) : engine_(&engine) {}
+  explicit Event(Engine& engine) : engine_(&engine) {}
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
 
@@ -264,7 +264,7 @@ class Event {
   }
 
  private:
-  Scheduler* engine_;
+  Engine* engine_;
   // Nearly every event (message delivered, request done) has exactly one
   // waiter; the inline slot makes that case allocation-free.  Further
   // waiters go to an overflow vector behind a pointer, created on demand,
@@ -282,7 +282,7 @@ class Event {
 template <typename T>
 class Queue {
  public:
-  explicit Queue(Scheduler& engine) : engine_(&engine) {}
+  explicit Queue(Engine& engine) : engine_(&engine) {}
   Queue(const Queue&) = delete;
   Queue& operator=(const Queue&) = delete;
 
@@ -328,7 +328,7 @@ class Queue {
   PopAwaiter pop() { return PopAwaiter{this, std::nullopt, nullptr}; }
 
  private:
-  Scheduler* engine_;
+  Engine* engine_;
   Fifo<T> items_;
   std::vector<PopAwaiter*> waiters_;
 };

@@ -186,7 +186,7 @@ ShardedEngine::RunStats ShardedEngine::run(
     SimTime next = kNoLimit;
     bool any = false;
     for (auto& e : engines_) {
-      if (auto t = e->peek_next_time()) {
+      if (auto t = e->next_event_time()) {
         any = true;
         next = std::min(next, *t);
       }

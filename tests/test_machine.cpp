@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <numeric>
 #include <vector>
@@ -140,6 +141,93 @@ TEST(Cluster, BatteryPerNode) {
   e.run();
   EXPECT_LT(c.node(0).battery().true_remaining_mwh(), 53000.0);
   EXPECT_DOUBLE_EQ(c.node(1).battery().true_remaining_mwh(), 53000.0);
+}
+
+// set_all_cpuspeed is exactly the node-order loop of Node::set_cpuspeed under
+// the External cause, whatever state each node is in when it is called.
+TEST(Cluster, SetAllCpuspeedMatchesAPerNodeLoopInEveryNodeState) {
+  constexpr int kTarget = 800;
+  struct Outcome {
+    std::vector<pcd::telemetry::DvsDecision> decisions;
+    std::vector<pcd::cpu::CpuStats> stats;
+    std::vector<int> freq_mhz;
+    std::vector<int> requested_mhz;
+  };
+  auto run = [](bool batch) {
+    sim::Engine e;
+    ClusterConfig cfg;
+    cfg.nodes = 8;
+    Cluster c(e, cfg);
+    pcd::telemetry::Hub hub;
+    c.attach_telemetry(&hub);
+    // Nodes 0, 1, 2, 4 and 6 start at the target; the others at boot speed.
+    for (int i : {0, 1, 2, 4, 6}) c.node(i).set_cpuspeed(kTarget);
+    e.run();
+    // Node 0 stays at the target, idle; node 5 at boot speed, idle.
+    c.node(1).set_cpuspeed(1000);     // mid-transition away from the target
+    c.node(7).set_cpuspeed(kTarget);  // mid-transition to the target
+    c.node(2).power_off();            // off, at the target
+    c.node(3).cpu().set_dvs_stuck(true);
+    c.node(6).cpu().set_dvs_stuck(true);  // stuck, at the target
+    c.node(4).cpu().checkpoint_stall_begin();
+    c.node(4).set_cpuspeed(1000);  // stalled at the target, 1000 pending
+    if (batch) {
+      c.set_all_cpuspeed(kTarget);
+    } else {
+      for (int i = 0; i < c.size(); ++i) {
+        c.node(i).set_cpuspeed(kTarget, pcd::telemetry::DvsCause::External,
+                               std::numeric_limits<double>::quiet_NaN(), "psetcpuspeed");
+      }
+    }
+    e.schedule_in(sim::kMillisecond, [&] { c.node(4).cpu().checkpoint_stall_end(); });
+    e.run();
+    Outcome out;
+    out.decisions = hub.decisions().entries();
+    for (int i = 0; i < c.size(); ++i) {
+      out.stats.push_back(c.node(i).cpu().stats());
+      out.freq_mhz.push_back(c.node(i).cpu().frequency_mhz());
+      out.requested_mhz.push_back(c.node(i).requested_mhz());
+    }
+    return out;
+  };
+  const Outcome batch = run(true);
+  const Outcome loop = run(false);
+
+  ASSERT_EQ(batch.decisions.size(), loop.decisions.size());
+  for (std::size_t i = 0; i < batch.decisions.size(); ++i) {
+    const auto& a = batch.decisions[i];
+    const auto& b = loop.decisions[i];
+    EXPECT_EQ(a.t, b.t) << i;
+    EXPECT_EQ(a.node, b.node) << i;
+    EXPECT_EQ(a.from_mhz, b.from_mhz) << i;
+    EXPECT_EQ(a.to_mhz, b.to_mhz) << i;
+    EXPECT_EQ(a.cause, b.cause) << i;
+    EXPECT_EQ(a.has_utilization(), b.has_utilization()) << i;
+    EXPECT_EQ(a.detail, b.detail) << i;
+  }
+  for (std::size_t n = 0; n < batch.stats.size(); ++n) {
+    EXPECT_EQ(batch.stats[n].transitions, loop.stats[n].transitions) << n;
+    EXPECT_EQ(batch.stats[n].dvs_requests_dropped, loop.stats[n].dvs_requests_dropped) << n;
+    EXPECT_EQ(batch.stats[n].transition_stall_ns, loop.stats[n].transition_stall_ns) << n;
+  }
+  EXPECT_EQ(batch.freq_mhz, loop.freq_mhz);
+  EXPECT_EQ(batch.requested_mhz, loop.requested_mhz);
+
+  // The mixed states really were mixed: the stuck node kept its boot speed
+  // and counted the lost write, the powered-off node dropped it, the node
+  // leaving the target came back, and the stalled node's pending request
+  // was replaced by the target.
+  EXPECT_EQ(batch.freq_mhz[3], 1400);
+  EXPECT_EQ(batch.stats[3].dvs_requests_dropped, 1);
+  EXPECT_EQ(batch.stats[2].dvs_requests_dropped, 1);
+  EXPECT_EQ(batch.stats[6].dvs_requests_dropped, 0);
+  EXPECT_EQ(batch.stats[1].transitions, 3);
+  EXPECT_EQ(batch.stats[4].transitions, 1);
+  EXPECT_EQ(batch.requested_mhz[1], kTarget);
+  EXPECT_EQ(batch.freq_mhz[1], kTarget);
+  EXPECT_EQ(batch.freq_mhz[4], kTarget);
+  EXPECT_EQ(batch.freq_mhz[5], kTarget);
+  EXPECT_EQ(batch.freq_mhz[7], kTarget);
 }
 
 // ---- Memory footprint --------------------------------------------------------

@@ -689,6 +689,27 @@ TEST(ShardedRunner, MeteredRunsEndAtCompletionOnAnyShardCount) {
   }
 }
 
+sim::Process return_at_launch(apps::AppContext&, int) { co_return; }
+
+// A run whose ranks all return at launch lasts no time at all; its mean
+// utilization is 0, not 0/0.
+TEST(ShardedRunner, ZeroDelayRunReportsZeroUtilization) {
+  for (int ranks : {1, 4}) {
+    for (int shards : {1, 2}) {
+      apps::Workload w;
+      w.name = "empty";
+      w.ranks = ranks;
+      w.make_rank = return_at_launch;
+      core::RunConfig cfg;
+      cfg.shards = shards;
+      const auto r = core::run_workload(w, cfg);
+      ASSERT_FALSE(r.failed) << r.failure;
+      EXPECT_EQ(r.delay_s, 0) << ranks << " ranks, " << shards << " shards";
+      EXPECT_EQ(r.mean_utilization, 0) << ranks << " ranks, " << shards << " shards";
+    }
+  }
+}
+
 // A watchdog restart still pending when the last rank finishes is dropped
 // when the watchdog stops at completion, on any shard count: it never
 // restarts the stopped daemon or records a recovery after the report is
