@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
-#include "core/predictor.hpp"
+#include "core/daemon.hpp"
 
 using namespace pcd;
 

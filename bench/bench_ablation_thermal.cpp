@@ -40,10 +40,10 @@ ThermalResult run_with_thermal(const apps::Workload& workload,
         engine, cluster.node(i).power(), power::ThermalParams{}));
     thermals.back()->start();
   }
-  std::vector<std::unique_ptr<core::CpuspeedDaemon>> daemons;
+  std::vector<std::unique_ptr<core::DvsDaemon>> daemons;
   if (config.daemon) {
     for (int i = 0; i < cluster.size(); ++i) {
-      daemons.push_back(std::make_unique<core::CpuspeedDaemon>(
+      daemons.push_back(std::make_unique<core::DvsDaemon>(
           engine, cluster.node(i), *config.daemon));
       daemons.back()->start();
     }

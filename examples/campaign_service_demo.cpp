@@ -62,7 +62,7 @@ int main() {
                     double(warm.cache_hits + warm.cache_misses),
                 warm.result.wall_s > 0 ? cold.result.wall_s / warm.result.wall_s
                                        : 0.0);
-    svc.drain();  // persists the cache index for the next open
+    svc.drain();  // finishes every request and fsyncs the cache log
   }
 
   std::printf("\n== recovery + admission control ==\n");
@@ -72,9 +72,9 @@ int main() {
     tight.max_queue = 1;
     service::CampaignService svc(tight);
     const auto cs = svc.cache_stats();
-    std::printf("reopened cache: %lld entries recovered (%s), 0 corrupt\n",
+    std::printf("reopened cache: %lld entries recovered, %lld corrupt\n",
                 static_cast<long long>(cs.recovered),
-                cs.index_used ? "index fast path" : "full scan");
+                static_cast<long long>(cs.corrupt));
     // Three tickets against one worker + one queue slot: the third sheds.
     auto t1 = svc.submit(small_fig5(0.02));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));  // worker takes #1

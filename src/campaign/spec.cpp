@@ -33,18 +33,6 @@ Axis Axis::seeds(const std::vector<std::uint64_t>& seeds) {
   return a;
 }
 
-Axis Axis::daemons(std::vector<std::pair<std::string, core::CpuspeedParams>> params) {
-  Axis a;
-  a.name = "daemon";
-  for (auto& [label, p] : params) {
-    AxisValue v;
-    v.label = label;
-    v.apply = [p](core::RunConfig& c) { c.daemon = p; };
-    a.values.push_back(std::move(v));
-  }
-  return a;
-}
-
 Axis Axis::strategies(
     std::string name,
     std::vector<std::pair<std::string, std::function<void(core::RunConfig&)>>> values) {

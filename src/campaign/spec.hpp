@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "apps/workload.hpp"
-#include "core/cpuspeed.hpp"
 #include "core/runner.hpp"
 
 namespace pcd::campaign {
@@ -46,10 +45,6 @@ struct Axis {
   /// Base-seed axis.  Most campaigns instead keep seeds identical across
   /// cells (paired comparisons) and let trials perturb them.
   static Axis seeds(const std::vector<std::uint64_t>& seeds);
-
-  /// CPUSPEED daemon parameter sets (e.g. v1.1 vs v1.2.1).
-  static Axis daemons(
-      std::vector<std::pair<std::string, core::CpuspeedParams>> params);
 
   /// Arbitrary labelled strategies or config mutations.
   static Axis strategies(

@@ -31,6 +31,7 @@
 #include <stdexcept>
 #include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -98,8 +99,7 @@ struct Rig {
   std::unique_ptr<telemetry::DeterminismCollector> det;
   std::unique_ptr<machine::Cluster> cluster;
   std::unique_ptr<telemetry::Hub> hub;
-  std::vector<std::unique_ptr<CpuspeedDaemon>> daemons;
-  std::vector<std::unique_ptr<PhasePredictorDaemon>> predictors;
+  std::vector<std::unique_ptr<DvsDaemon>> daemons;
   std::vector<fault::DaemonHooks> daemon_hooks;  // per node, with a fault plan
   fault::FaultReport fault_report;
   std::unique_ptr<fault::CheckpointService> ckpt;
@@ -134,31 +134,17 @@ struct Rig {
   }
 };
 
-// Per-node hooks through which the fault layer wedges, watches, restarts
-// and disables the DVS daemons (CPUSPEED or predictor).
-template <typename Daemon>
-std::vector<fault::DaemonHooks> daemon_hooks(
-    const std::vector<std::unique_ptr<Daemon>>& daemons, double interval_s) {
-  std::vector<fault::DaemonHooks> out;
-  for (const auto& owned : daemons) {
-    Daemon* d = owned.get();
-    out.push_back({[d] { return d->polls(); }, [d] { d->start(); }, [d] { d->stop(); },
-                   interval_s});
-  }
-  return out;
-}
-
 // One daemon per node, started at a random offset into its first interval
 // so the fleet does not poll in lockstep.
-template <typename Daemon, typename Params>
-void start_daemons(Rig& rig, const Params& params,
-                   std::vector<std::unique_ptr<Daemon>>& out) {
+void start_daemons(Rig& rig, const DaemonParams& params) {
+  const double interval_s = std::visit([](const auto& p) { return p.interval_s; }, params);
   auto stagger_rng = rig.cluster->rng_stream();
   for (int i = 0; i < rig.cluster->size(); ++i) {
-    const auto offset = static_cast<sim::SimDuration>(
-        stagger_rng.uniform(0.0, params.interval_s) * 1e9);
-    out.push_back(std::make_unique<Daemon>(*rig.engine, rig.cluster->node(i), params, offset));
-    Daemon* d = out.back().get();
+    const auto offset =
+        static_cast<sim::SimDuration>(stagger_rng.uniform(0.0, interval_s) * 1e9);
+    rig.daemons.push_back(
+        std::make_unique<DvsDaemon>(*rig.engine, rig.cluster->node(i), params, offset));
+    DvsDaemon* d = rig.daemons.back().get();
     d->start();
     rig.stoppers.push_back([d] { d->stop(); });
   }
@@ -245,8 +231,8 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan pa
     cluster.set_all_cpuspeed(config.static_mhz);  // EXTERNAL: psetcpuspeed
     engine.run_until(engine.now() + sim::kMillisecond);  // settle transitions
   }
-  if (config.daemon.has_value()) start_daemons(rig, *config.daemon, rig.daemons);
-  if (config.predictor.has_value()) start_daemons(rig, *config.predictor, rig.predictors);
+  if (config.daemon.has_value()) start_daemons(rig, *config.daemon);
+  if (config.predictor.has_value()) start_daemons(rig, *config.predictor);
 
   // --- fault layer (src/fault) ---
   //
@@ -256,10 +242,12 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan pa
   const fault::FaultPlan& plan = config.faults;
   if (plan.active()) {
     const auto& res = plan.resilience;
-    if (config.daemon.has_value()) {
-      rig.daemon_hooks = daemon_hooks(rig.daemons, config.daemon->interval_s);
-    } else if (config.predictor.has_value()) {
-      rig.daemon_hooks = daemon_hooks(rig.predictors, config.predictor->interval_s);
+    // Per-node hooks through which the fault layer wedges, watches,
+    // restarts and disables the DVS daemons.
+    for (const auto& owned : rig.daemons) {
+      DvsDaemon* d = owned.get();
+      rig.daemon_hooks.push_back({[d] { return d->polls(); }, [d] { d->start(); },
+                                  [d] { d->stop(); }, d->interval_s()});
     }
     if (res.checkpoint_interval_s > 0) {
       rig.ckpt = std::make_unique<fault::CheckpointService>(

@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "apps/workload.hpp"
-#include "core/cpuspeed.hpp"
-#include "core/predictor.hpp"
+#include "core/daemon.hpp"
 #include "fault/plan.hpp"
 #include "fault/report.hpp"
 #include "machine/cluster.hpp"

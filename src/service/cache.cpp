@@ -203,23 +203,6 @@ ResultCache::~ResultCache() {
   if (log_fd_ >= 0) ::close(log_fd_);
 }
 
-void ResultCache::recover() {
-  std::ifstream in(log_path(), std::ios::binary);
-  if (!in) return;
-  std::string log((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  in.close();
-  if (recover_via_index(log)) {
-    stats_.index_used = true;
-  } else {
-    entries_.clear();
-    index_.clear();
-    stats_.recovered = 0;
-    scan_log(log);
-  }
-  stats_.entries = static_cast<std::int64_t>(entries_.size());
-}
-
 // Record layout (see header): "PCDC1 <key> <len> <digest>\n<payload>\n".
 // Returns the byte length of the whole record, or 0 when the bytes at
 // `off` are not one intact, digest-verified record.  `framed` reports
@@ -228,7 +211,6 @@ void ResultCache::recover() {
 namespace {
 struct Record {
   std::uint64_t key = 0;
-  std::uint64_t digest = 0;
   std::size_t payload_off = 0;
   std::size_t payload_len = 0;
 };
@@ -255,14 +237,18 @@ std::size_t parse_record(const std::string& log, std::size_t off, Record* rec,
   *framed = true;
   if (fnv1a(log.data() + payload_off, len) != digest) return 0;
   rec->key = key;
-  rec->digest = digest;
   rec->payload_off = payload_off;
   rec->payload_len = len;
   return end + 1 - off;
 }
 }  // namespace
 
-void ResultCache::scan_log(const std::string& log) {
+void ResultCache::recover() {
+  std::ifstream in(log_path(), std::ios::binary);
+  if (!in) return;
+  std::string log((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+  in.close();
   std::size_t pos = 0;
   while (pos < log.size()) {
     Record rec;
@@ -278,48 +264,13 @@ void ResultCache::scan_log(const std::string& log) {
         // Leave the file as-is; in-memory state is still only the verified
         // prefix, and the next open re-truncates.
       }
-      log_size_ = pos;
-      return;
+      break;
     }
     entries_[rec.key] = log.substr(rec.payload_off, rec.payload_len);
-    index_[rec.key] = IndexEntry{pos, rec.payload_len, rec.digest};
-    ++stats_.recovered;
     pos += n;
   }
-  log_size_ = pos;
-}
-
-bool ResultCache::recover_via_index(const std::string& log) {
-  std::ifstream in(index_path());
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  unsigned long long log_bytes = 0, count = 0;
-  if (std::sscanf(line.c_str(), "PCDIDX1 %llu %llu", &log_bytes, &count) != 2) {
-    return false;
-  }
-  // Fast path only for the exact log the index described: any append or
-  // torn tail since the drain invalidates it.
-  if (log_bytes != log.size()) return false;
-  for (unsigned long long i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) return false;
-    unsigned long long key = 0, off = 0, len = 0, digest = 0;
-    if (std::sscanf(line.c_str(), "%16llx %llu %llu %16llx", &key, &off, &len,
-                    &digest) != 4) {
-      return false;
-    }
-    Record rec;
-    bool framed = false;
-    if (parse_record(log, off, &rec, &framed) == 0 || rec.key != key ||
-        rec.payload_len != len || rec.digest != digest) {
-      return false;
-    }
-    entries_[key] = log.substr(rec.payload_off, rec.payload_len);
-    index_[key] = IndexEntry{off, len, digest};
-    ++stats_.recovered;
-  }
-  log_size_ = log.size();
-  return true;
+  stats_.entries = static_cast<std::int64_t>(entries_.size());
+  stats_.recovered = stats_.entries;
 }
 
 std::optional<campaign::CellResult> ResultCache::lookup(std::uint64_t key) {
@@ -334,7 +285,6 @@ std::optional<campaign::CellResult> ResultCache::lookup(std::uint64_t key) {
     // Verified-on-disk but undecodable (e.g. written by a newer codec):
     // treat as a miss so the cell is recomputed and re-inserted.
     entries_.erase(it);
-    index_.erase(key);
     stats_.entries = static_cast<std::int64_t>(entries_.size());
     ++stats_.misses;
     return std::nullopt;
@@ -357,11 +307,9 @@ void ResultCache::insert(std::uint64_t key, const campaign::CellResult& cell) {
     record += '\n';
     // One write so a crash can only tear the tail, then make it durable.
     if (::write(log_fd_, record.data(), record.size()) ==
-        static_cast<ssize_t>(record.size())) {
-      index_[key] = IndexEntry{log_size_, payload.size(),
-                               fnv1a(payload.data(), payload.size())};
-      log_size_ += record.size();
-      if (sync_) ::fsync(log_fd_);
+            static_cast<ssize_t>(record.size()) &&
+        sync_) {
+      ::fsync(log_fd_);
     }
   }
   entries_[key] = std::move(payload);
@@ -369,22 +317,9 @@ void ResultCache::insert(std::uint64_t key, const campaign::CellResult& cell) {
   ++stats_.inserts;
 }
 
-void ResultCache::persist_index() {
+void ResultCache::sync() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (dir_.empty()) return;
   if (log_fd_ >= 0) ::fsync(log_fd_);
-  const std::string tmp = index_path() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return;
-    out << "PCDIDX1 " << log_size_ << " " << index_.size() << "\n";
-    for (const auto& [key, e] : index_) {
-      out << hex16(key) << " " << e.offset << " " << e.len << " "
-          << hex16(e.digest) << "\n";
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, index_path(), ec);
 }
 
 CacheStats ResultCache::stats() const {

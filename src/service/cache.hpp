@@ -12,17 +12,6 @@
 // *tail*: recovery scans the log, keeps every verified record, and
 // truncates the file at the first malformed / short / digest-mismatched
 // byte.  Everything before that point is provably intact.
-//
-// A graceful drain additionally writes an index file
-//
-//   PCDIDX1 <log-bytes> <entries>\n
-//   <key:16hex> <offset> <payload-bytes> <digest:16hex>\n ...
-//
-// recording where every record sits in a log of exactly <log-bytes>.  The
-// next open uses it as a fast path (seek + verify instead of a full parse)
-// — but only when the log's size still matches; any mismatch (crash after
-// more appends, torn tail) falls back to the full scan.  The log is always
-// the source of truth; the index is a checksummed accelerator.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +29,10 @@ struct CacheStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   std::int64_t inserts = 0;
-  std::int64_t recovered = 0;  // records accepted from the log at open
+  std::int64_t recovered = 0;  // entries recovered from the log at open
+                               // (the last verified record of each key)
   std::int64_t corrupt = 0;    // framed records whose digest did not verify
   std::int64_t torn_bytes = 0; // bytes truncated off the log tail at open
-  bool index_used = false;     // open took the index fast path
 
   double hit_ratio() const {
     const std::int64_t n = hits + misses;
@@ -69,9 +58,9 @@ class ResultCache {
   /// one write + fsync (last record wins at recovery).
   void insert(std::uint64_t key, const campaign::CellResult& cell);
 
-  /// Graceful-drain hook: writes the index file for the next open's fast
-  /// path.  No-op without a cache dir.
-  void persist_index();
+  /// Graceful-drain hook: fsyncs the log (the only flush when `sync` is
+  /// off).  No-op without a cache dir.
+  void sync();
 
   CacheStats stats() const;
 
@@ -81,27 +70,15 @@ class ResultCache {
   static bool decode(const std::string& payload, campaign::CellResult* out);
 
  private:
-  /// Where one record's payload sits in the log (for the drain-time index).
-  struct IndexEntry {
-    std::uint64_t offset = 0;  // record start (header) in the log
-    std::uint64_t len = 0;     // payload bytes
-    std::uint64_t digest = 0;  // FNV-1a of the payload
-  };
-
   void recover();
-  bool recover_via_index(const std::string& log);
-  void scan_log(const std::string& log);
 
   std::string log_path() const { return dir_ + "/results.log"; }
-  std::string index_path() const { return dir_ + "/results.idx"; }
 
   mutable std::mutex mu_;
   std::string dir_;
   bool sync_;
   int log_fd_ = -1;
-  std::uint64_t log_size_ = 0;  // verified log bytes (recovery + appends)
   std::map<std::uint64_t, std::string> entries_;  // key -> encoded payload
-  std::map<std::uint64_t, IndexEntry> index_;     // key -> last record
   CacheStats stats_;
 };
 

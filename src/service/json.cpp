@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "telemetry/export.hpp"
+
 namespace pcd::service {
 
 namespace {
@@ -273,31 +275,6 @@ std::optional<JsonValue> json_parse(const std::string& s, JsonError* err) {
   return Parser(s).parse(err);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonValue::write() const {
   switch (type_) {
     case Type::Null: return "null";
@@ -318,7 +295,7 @@ std::string JsonValue::write() const {
     // trips a false GCC 12 -Wrestrict at -O3.
     case Type::String: {
       std::string out = "\"";
-      out += json_escape(str_);
+      out += telemetry::json_escape(str_);
       out += '"';
       return out;
     }
@@ -336,7 +313,7 @@ std::string JsonValue::write() const {
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out += ",";
         out += '"';
-        out += json_escape(members_[i].first);
+        out += telemetry::json_escape(members_[i].first);
         out += "\":";
         out += members_[i].second.write();
       }

@@ -140,9 +140,6 @@ struct JsonError {
 /// surrogate is a violation).  Returns nullopt and fills `err` on failure.
 std::optional<JsonValue> json_parse(const std::string& s, JsonError* err = nullptr);
 
-/// JSON string escaping of `s` (no surrounding quotes).
-std::string json_escape(const std::string& s);
-
 /// Exact double round-trip helpers: C99 hex-float text (`%a`), used where
 /// bit-identical persistence matters (the result cache).  parse_hex_double
 /// returns false on malformed input.

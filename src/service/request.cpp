@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "apps/npb.hpp"
-#include "core/cpuspeed.hpp"
+#include "core/daemon.hpp"
 #include "sim/provenance.hpp"
 
 namespace pcd::service {

@@ -152,7 +152,6 @@ std::string SocketServer::handle_line(const std::string& line,
     cache.set("recovered", JsonValue::of(cs.recovered));
     cache.set("corrupt", JsonValue::of(cs.corrupt));
     cache.set("torn_bytes", JsonValue::of(cs.torn_bytes));
-    cache.set("index_used", JsonValue::of(cs.index_used));
     cache.set("hit_ratio", JsonValue::of(cs.hit_ratio()));
     out.set("cache", std::move(cache));
     return out.write();

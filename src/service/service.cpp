@@ -497,7 +497,7 @@ void CampaignService::drain() {
     stopping_ = true;
   }
   stop_workers();
-  cache_.persist_index();
+  cache_.sync();
 }
 
 void CampaignService::shutdown_now() {

@@ -141,12 +141,12 @@ class CampaignService {
   void cancel(Ticket t);
 
   /// Graceful drain: stop admitting, finish everything accepted, stop the
-  /// workers, persist the cache index.  Idempotent.
+  /// workers, fsync the cache log.  Idempotent.
   void drain();
 
   /// Immediate stop: stop admitting, cancel queued and in-flight requests,
   /// join the workers.  The cache log is already durable (per-append
-  /// fsync); no index is written.  Idempotent.
+  /// fsync, unless `cache_sync` is off).  Idempotent.
   void shutdown_now();
 
   CacheStats cache_stats() const { return cache_.stats(); }

@@ -12,23 +12,20 @@
 // until completion (it self-destroys at final suspend).  Process is a
 // move-only handle linked to the frame by a back-pointer in the promise:
 // completion copies the done flag and any exception into the handle, so the
-// common fire-and-forget spawn allocates nothing beyond the frame itself —
-// the shared_ptr control block of the old design exists only if someone
-// calls watch().  Frames still suspended when the engine is destroyed are
-// cleaned up by ~Engine (the back-pointer is detached first, so dropped or
-// held handles never dangle).
+// common fire-and-forget spawn allocates nothing beyond the frame itself.
+// Frames still suspended when the engine is destroyed are cleaned up by
+// ~Engine (the back-pointer is detached first, so dropped or held handles
+// never dangle).
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/fifo.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/time.hpp"
 
@@ -36,16 +33,9 @@ namespace pcd::sim {
 
 class Process {
  public:
-  /// Snapshot view handed out by watch(); allocated lazily on first use.
-  struct State {
-    bool done = false;
-    std::exception_ptr exception;
-  };
-
   struct promise_type {
     Engine* engine_ptr = nullptr;
     Process* owner = nullptr;  // the live handle, if any (kept current on move)
-    std::shared_ptr<State> shared;  // created only by watch()
     std::exception_ptr exception;
     std::vector<std::coroutine_handle<>> waiters;
     std::uint32_t frame_slot = 0;
@@ -67,9 +57,9 @@ class Process {
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
-        // Publish completion into the owning handle and any watch() state,
-        // wake joiners through the engine queue (preserving FIFO ordering at
-        // the current timestamp), then self-destroy.
+        // Publish completion into the owning handle, wake joiners through
+        // the engine queue (preserving FIFO ordering at the current
+        // timestamp), then self-destroy.
         promise_type& p = h.promise();
         Engine* engine = p.engine_ptr;
         std::exception_ptr ex = p.exception;
@@ -78,10 +68,6 @@ class Process {
           p.owner->done_ = true;
           p.owner->exception_ = ex;
           p.owner->handle_ = nullptr;
-        }
-        if (p.shared) {
-          p.shared->done = true;
-          p.shared->exception = ex;
         }
         if (engine != nullptr) engine->unregister_frame(p.frame_slot);
         h.destroy();
@@ -140,20 +126,6 @@ class Process {
       }
     };
     return Awaiter{this};
-  }
-
-  /// A copyable completion handle (e.g. to hand to several watchers).  This
-  /// is the only path that materializes shared state.
-  std::shared_ptr<const State> watch() const {
-    if (handle_) {
-      promise_type& p = handle_.promise();
-      if (!p.shared) p.shared = std::make_shared<State>();
-      return p.shared;
-    }
-    auto st = std::make_shared<State>();
-    st->done = done_;
-    st->exception = exception_;
-    return st;
   }
 
  private:
@@ -272,65 +244,6 @@ class Event {
   std::coroutine_handle<> w0_ = nullptr;
   std::unique_ptr<std::vector<std::coroutine_handle<>>> rest_;
   bool signaled_ = false;
-};
-
-/// Unbounded FIFO channel between processes.  pop() suspends while empty.
-///
-/// Items are handed directly to suspended poppers (never re-queued), so a
-/// popper that was woken by a push can never have "its" item stolen by a
-/// concurrent non-suspending pop at the same timestamp.
-template <typename T>
-class Queue {
- public:
-  explicit Queue(Engine& engine) : engine_(&engine) {}
-  Queue(const Queue&) = delete;
-  Queue& operator=(const Queue&) = delete;
-
-  void push(T value) {
-    if (!waiters_.empty()) {
-      PopAwaiter* w = waiters_.front();
-      waiters_.erase(waiters_.begin());
-      w->item = std::move(value);
-      auto h = w->handle;
-      engine_->schedule_in(0, [h] { h.resume(); }, "queue.push");
-      return;
-    }
-    items_.push_back(std::move(value));
-  }
-
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
-  std::size_t waiter_count() const { return waiters_.size(); }
-
-  struct PopAwaiter {
-    Queue* q;
-    std::optional<T> item;
-    std::coroutine_handle<> handle;
-
-    bool await_ready() {
-      if (!q->items_.empty()) {
-        item = q->items_.pop_front();
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      q->waiters_.push_back(this);
-    }
-    T await_resume() {
-      assert(item.has_value());
-      return std::move(*item);
-    }
-  };
-
-  /// Awaitable pop: resumes with the front item once one is available.
-  PopAwaiter pop() { return PopAwaiter{this, std::nullopt, nullptr}; }
-
- private:
-  Engine* engine_;
-  Fifo<T> items_;
-  std::vector<PopAwaiter*> waiters_;
 };
 
 }  // namespace pcd::sim

@@ -7,7 +7,9 @@ namespace pcd::telemetry {
 
 namespace {
 
-std::string escape(const std::string& s) {
+// Prometheus label-value escaping: backslash, double quote and newline.
+// The CSV exports quote their text fields the same way.
+std::string escape_label(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -19,6 +21,20 @@ std::string escape(const std::string& s) {
     }
   }
   return out;
+}
+
+// Appends every part to `out`: events carrying free-form strings are built
+// this way, never through a fixed-size buffer.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (out += ... += parts);
+}
+
+// printf "%.<digits>f" of `v`.
+std::string fixed(double v, int digits) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
+  return buf;
 }
 
 std::string fmt_value(double v) {
@@ -37,7 +53,7 @@ std::string prom_series(const std::string& name, const Labels& labels,
     for (const auto& [k, v] : labels) {
       if (!first) line += ',';
       first = false;
-      line += k + "=\"" + escape(v) + "\"";
+      line += k + "=\"" + escape_label(v) + "\"";
     }
     if (!extra_label.empty()) {
       if (!first) line += ',';
@@ -54,7 +70,8 @@ std::string prom_series(const std::string& name, const Labels& labels,
 namespace {
 
 // HELP text escaping per the exposition format: only backslash and
-// newline (label values additionally escape double quotes, see escape()).
+// newline (label values additionally escape double quotes, see
+// escape_label()).
 std::string escape_help(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -69,6 +86,31 @@ std::string escape_help(const std::string& s) {
 }
 
 }  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
 
 std::string to_prometheus(const std::vector<MetricSample>& samples) {
   std::string out;
@@ -155,12 +197,13 @@ std::string to_chrome_json(const TelemetrySnapshot& snapshot,
                   ",\"cycles\":" + fmt_value(r.cycles);
         }
         args += '}';
-        std::snprintf(buf, sizeof buf,
-                      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
-                      "\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":%s}",
-                      escape(name).c_str(), trace::to_string(r.cat), us(r.begin),
-                      us(r.end - r.begin), rank_pid(rank), rank, args.c_str());
-        events.push_back({us(r.begin), buf});
+        std::string json;
+        append(json, "{\"name\":\"", json_escape(name), "\",\"cat\":\"",
+               trace::to_string(r.cat), "\",\"ph\":\"X\",\"ts\":", fixed(us(r.begin), 3),
+               ",\"dur\":", fixed(us(r.end - r.begin), 3),
+               ",\"pid\":", std::to_string(rank_pid(rank)),
+               ",\"tid\":", std::to_string(rank), ",\"args\":", args, "}");
+        events.push_back({us(r.begin), std::move(json)});
       }
     }
     // Message edges as Perfetto flow events: an arrow from the send instant
@@ -199,25 +242,26 @@ std::string to_chrome_json(const TelemetrySnapshot& snapshot,
                        ",\"to_mhz\":" + std::to_string(d.to_mhz) +
                        ",\"cause\":\"" + to_string(d.cause) + "\"";
     if (d.has_utilization()) args += ",\"utilization\":" + fmt_value(d.utilization);
-    if (!d.detail.empty()) args += ",\"detail\":\"" + escape(d.detail) + "\"";
+    if (!d.detail.empty()) append(args, ",\"detail\":\"", json_escape(d.detail), "\"");
     args += '}';
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"decision %s\",\"cat\":\"dvs_decision\",\"ph\":\"i\","
-                  "\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"s\":\"t\",\"args\":%s}",
-                  to_string(d.cause), us(d.t), d.node, args.c_str());
-    events.push_back({us(d.t), buf});
+    std::string json;
+    append(json, "{\"name\":\"decision ", to_string(d.cause),
+           "\",\"cat\":\"dvs_decision\",\"ph\":\"i\",\"ts\":", fixed(us(d.t), 3),
+           ",\"pid\":1,\"tid\":", std::to_string(d.node), ",\"s\":\"t\",\"args\":", args,
+           "}");
+    events.push_back({us(d.t), std::move(json)});
   }
 
   for (const auto& f : snapshot.faults) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"fault %s %s\",\"cat\":\"fault\",\"ph\":\"i\","
-                  "\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"s\":\"%s\","
-                  "\"args\":{\"kind\":\"%s\",\"phase\":\"%s\",\"detail\":\"%s\"}}",
-                  escape(f.kind).c_str(), to_string(f.phase), us(f.t),
-                  f.node < 0 ? 0 : f.node, f.node < 0 ? "g" : "t",
-                  escape(f.kind).c_str(), to_string(f.phase),
-                  escape(f.detail).c_str());
-    events.push_back({us(f.t), buf});
+    const std::string kind = json_escape(f.kind);
+    std::string json;
+    append(json, "{\"name\":\"fault ", kind, " ", to_string(f.phase),
+           "\",\"cat\":\"fault\",\"ph\":\"i\",\"ts\":", fixed(us(f.t), 3),
+           ",\"pid\":1,\"tid\":", std::to_string(f.node < 0 ? 0 : f.node),
+           ",\"s\":\"", f.node < 0 ? "g" : "t", "\",\"args\":{\"kind\":\"", kind,
+           "\",\"phase\":\"", to_string(f.phase), "\",\"detail\":\"",
+           json_escape(f.detail), "\"}}");
+    events.push_back({us(f.t), std::move(json)});
   }
 
   for (std::size_t node = 0; node < snapshot.series.size(); ++node) {
@@ -238,17 +282,14 @@ std::string to_chrome_json(const TelemetrySnapshot& snapshot,
   // from each event's scheduling parent.
   if (determinism != nullptr && !determinism->events.empty()) {
     for (const auto& e : determinism->events) {
-      std::snprintf(buf, sizeof buf,
-                    "{\"name\":\"%s\",\"cat\":\"engine\",\"ph\":\"X\","
-                    "\"ts\":%.3f,\"dur\":0.001,\"pid\":2,\"tid\":0,"
-                    "\"args\":{\"seq\":%llu,\"parent\":%llu,\"index\":%llu,"
-                    "\"rng_draws\":%llu}}",
-                    escape(e.site).c_str(), us(e.t),
-                    static_cast<unsigned long long>(e.seq),
-                    static_cast<unsigned long long>(e.parent),
-                    static_cast<unsigned long long>(e.index),
-                    static_cast<unsigned long long>(e.rng_draws));
-      events.push_back({us(e.t), buf});
+      std::string json;
+      append(json, "{\"name\":\"", json_escape(e.site),
+             "\",\"cat\":\"engine\",\"ph\":\"X\",\"ts\":", fixed(us(e.t), 3),
+             ",\"dur\":0.001,\"pid\":2,\"tid\":0,\"args\":{\"seq\":",
+             std::to_string(e.seq), ",\"parent\":", std::to_string(e.parent),
+             ",\"index\":", std::to_string(e.index),
+             ",\"rng_draws\":", std::to_string(e.rng_draws), "}}");
+      events.push_back({us(e.t), std::move(json)});
       if (e.parent == 0) continue;
       const auto pit = determinism->chain.find(e.parent);
       if (pit == determinism->chain.end()) continue;
@@ -364,26 +405,22 @@ std::string series_csv(const TelemetrySnapshot& snapshot) {
 
 std::string faults_csv(const TelemetrySnapshot& snapshot) {
   std::string out = "t_s,node,kind,phase,detail\n";
-  char line[384];
   for (const auto& f : snapshot.faults) {
-    std::snprintf(line, sizeof line, "%.9f,%d,%s,%s,\"%s\"\n", sim::to_seconds(f.t),
-                  f.node, escape(f.kind).c_str(), to_string(f.phase),
-                  escape(f.detail).c_str());
-    out += line;
+    append(out, fixed(sim::to_seconds(f.t), 9), ",", std::to_string(f.node), ",",
+           escape_label(f.kind), ",", to_string(f.phase), ",\"", escape_label(f.detail),
+           "\"\n");
   }
   return out;
 }
 
 std::string decisions_csv(const TelemetrySnapshot& snapshot) {
   std::string out = "t_s,node,from_mhz,to_mhz,cause,utilization,detail\n";
-  char line[384];
   for (const auto& d : snapshot.decisions) {
-    std::snprintf(line, sizeof line, "%.9f,%d,%d,%d,%s,%s,\"%s\"\n",
-                  sim::to_seconds(d.t), d.node, d.from_mhz, d.to_mhz,
-                  to_string(d.cause),
-                  d.has_utilization() ? fmt_value(d.utilization).c_str() : "",
-                  escape(d.detail).c_str());
-    out += line;
+    append(out, fixed(sim::to_seconds(d.t), 9), ",", std::to_string(d.node), ",",
+           std::to_string(d.from_mhz), ",", std::to_string(d.to_mhz), ",",
+           to_string(d.cause), ",",
+           d.has_utilization() ? fmt_value(d.utilization) : std::string(), ",\"",
+           escape_label(d.detail), "\"\n");
   }
   return out;
 }

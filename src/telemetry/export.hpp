@@ -14,6 +14,12 @@
 
 namespace pcd::telemetry {
 
+/// JSON string escaping of `s` (no surrounding quotes): double quote,
+/// backslash and every control character.  Every JSON document the project
+/// writes (Chrome traces, flight-recorder dumps, service responses) escapes
+/// its strings through this one function.
+std::string json_escape(const std::string& s);
+
 /// Prometheus text exposition format (one # TYPE line per family).
 std::string to_prometheus(const std::vector<MetricSample>& samples);
 std::string to_prometheus(const MetricsRegistry& registry);

@@ -3,24 +3,9 @@
 #include <bit>
 #include <cstdio>
 
+#include "telemetry/export.hpp"
+
 namespace pcd::telemetry {
-
-namespace {
-
-std::string escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += *s;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t entries) {
   if (entries < 2) entries = 2;
@@ -40,7 +25,7 @@ std::vector<sim::EventProvenance> FlightRecorder::entries() const {
 
 std::string FlightRecorder::dump_json(const std::string& reason,
                                       sim::SimTime now) const {
-  std::string out = "{\"reason\":\"" + escape(reason.c_str()) + "\"";
+  std::string out = "{\"reason\":\"" + json_escape(reason) + "\"";
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 ",\"t_ns\":%llu,\"recorded\":%llu,\"retained\":%zu,\"state\":{",
@@ -59,12 +44,13 @@ std::string FlightRecorder::dump_json(const std::string& reason,
   for (const sim::EventProvenance& p : entries()) {
     if (!first) out += ',';
     first = false;
-    std::snprintf(buf, sizeof buf,
-                  "{\"index\":%llu,\"seq\":%llu,\"parent\":%llu,\"site\":\"%s\","
-                  "\"t_ns\":%llu,\"rng_draws\":%llu}",
+    std::snprintf(buf, sizeof buf, "{\"index\":%llu,\"seq\":%llu,\"parent\":%llu,",
                   static_cast<unsigned long long>(p.index),
                   static_cast<unsigned long long>(p.seq),
-                  static_cast<unsigned long long>(p.parent), escape(p.site).c_str(),
+                  static_cast<unsigned long long>(p.parent));
+    out += buf;
+    out += "\"site\":\"" + json_escape(p.site) + "\"";
+    std::snprintf(buf, sizeof buf, ",\"t_ns\":%llu,\"rng_draws\":%llu}",
                   static_cast<unsigned long long>(p.t),
                   static_cast<unsigned long long>(p.rng_draws));
     out += buf;

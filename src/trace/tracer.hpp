@@ -61,15 +61,12 @@ struct MessageEvent {
 
 class Tracer {
  public:
-  Tracer(sim::Engine& engine, int ranks, bool enabled = true)
-      : engine_(engine), records_(ranks), iter_marks_(ranks), comm_depth_(ranks, 0),
-        enabled_(enabled) {}
+  Tracer(sim::Engine& engine, int ranks)
+      : engine_(engine), records_(ranks), iter_marks_(ranks), comm_depth_(ranks, 0) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool e) { enabled_ = e; }
   int ranks() const { return static_cast<int>(records_.size()); }
 
   /// Point-in-time energy reading for one rank's node.  The profiler
@@ -99,7 +96,6 @@ class Tracer {
     Scope(Tracer& tracer, int rank, Cat cat, const char* label, int peer,
           std::int64_t bytes)
         : tracer_(&tracer), rank_(rank) {
-      if (!tracer_->enabled_) return;
       if (is_comm(cat)) {
         counted_comm_ = true;
         if (tracer_->comm_depth_[rank]++ > 0) return;  // nested comm: suppress
@@ -166,17 +162,17 @@ class Tracer {
 
   /// Marks an outer-iteration boundary on a rank.
   void mark_iteration(int rank) {
-    if (enabled_) iter_marks_[rank].push_back(engine_.now());
+    iter_marks_[rank].push_back(engine_.now());
   }
 
   // ---- message log (send→recv causal edges) ----
   //
   // The MPI layer reports every p2p message as it moves through the
   // protocol; the log is pure recording and never feeds back into the
-  // simulation.  Returns -1 (and the updates no-op) when tracing is off.
+  // simulation.  Updates to sequence id -1 (a message no tracer logged)
+  // no-op.
 
   std::int64_t log_send(int src, int dst, int tag, std::int64_t bytes) {
-    if (!enabled_) return -1;
     messages_.push_back({src, dst, tag, bytes, engine_.now(), 0, 0});
     return static_cast<std::int64_t>(messages_.size()) - 1;
   }
@@ -186,7 +182,6 @@ class Tracer {
   /// sending shard.
   std::int64_t log_send_at(int src, int dst, int tag, std::int64_t bytes,
                            sim::SimTime t_send) {
-    if (!enabled_) return -1;
     messages_.push_back({src, dst, tag, bytes, t_send, 0, 0});
     return static_cast<std::int64_t>(messages_.size()) - 1;
   }
@@ -243,7 +238,6 @@ class Tracer {
   std::vector<std::vector<sim::SimTime>> iter_marks_;
   std::vector<MessageEvent> messages_;
   std::vector<int> comm_depth_;
-  bool enabled_;
   Probe* probe_ = nullptr;
 };
 

@@ -15,7 +15,7 @@
 #include "campaign/pool.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sweeps.hpp"
-#include "core/predictor.hpp"
+#include "core/daemon.hpp"
 #include "core/runner.hpp"
 #include "core/strategies.hpp"
 #include "fault/plan.hpp"

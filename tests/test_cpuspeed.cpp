@@ -1,14 +1,14 @@
 // Unit tests for the CPUSPEED daemon against synthetic utilization loads.
 #include <gtest/gtest.h>
 
-#include "core/cpuspeed.hpp"
+#include "core/daemon.hpp"
 #include "machine/node.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 
 namespace sim = pcd::sim;
-using pcd::core::CpuspeedDaemon;
 using pcd::core::CpuspeedParams;
+using pcd::core::DvsDaemon;
 using pcd::machine::Node;
 using pcd::machine::NodeConfig;
 
@@ -46,7 +46,7 @@ struct DaemonFixture {
 
 TEST(Cpuspeed, StepsDownOnModerateUtilization) {
   DaemonFixture f;
-  CpuspeedDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
+  DvsDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
   daemon.start();
   sim::spawn(f.engine, f.duty_load(0.5, 30.0));  // below usage threshold
   f.engine.run_until(sim::from_seconds(9.0));
@@ -62,7 +62,7 @@ TEST(Cpuspeed, JumpsToMaxAboveMaxThreshold) {
   DaemonFixture f;
   f.node.set_cpuspeed(600);
   f.engine.run();
-  CpuspeedDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
+  DvsDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
   daemon.start();
   sim::spawn(f.engine, f.duty_load(1.0, 10.0));
   f.engine.run_until(sim::from_seconds(4.5));
@@ -73,7 +73,7 @@ TEST(Cpuspeed, JumpsToMaxAboveMaxThreshold) {
 
 TEST(Cpuspeed, JumpsToMinBelowMinThreshold) {
   DaemonFixture f;
-  CpuspeedDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
+  DvsDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
   daemon.start();
   // idle node: utilization ~0 < min threshold -> S = 0 immediately.
   f.engine.run_until(sim::from_seconds(2.5));
@@ -86,7 +86,7 @@ TEST(Cpuspeed, StepsUpOneLevelInBetweenBand) {
   DaemonFixture f;
   f.node.set_cpuspeed(600);
   f.engine.run();
-  CpuspeedDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
+  DvsDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
   daemon.start();
   // Utilization between usage (0.85) and max (0.95): step up one per poll.
   sim::spawn(f.engine, f.duty_load(0.9, 30.0));
@@ -100,8 +100,8 @@ TEST(Cpuspeed, StepsUpOneLevelInBetweenBand) {
 
 TEST(Cpuspeed, V11PollsTwentyTimesFaster) {
   DaemonFixture f;
-  CpuspeedDaemon d11(f.engine, f.node, CpuspeedParams::v1_1());
-  EXPECT_DOUBLE_EQ(d11.params().interval_s, 0.1);
+  DvsDaemon d11(f.engine, f.node, CpuspeedParams::v1_1());
+  EXPECT_DOUBLE_EQ(d11.interval_s(), 0.1);
   EXPECT_DOUBLE_EQ(CpuspeedParams::v1_2_1().interval_s, 2.0);
   d11.start();
   f.engine.run_until(sim::from_seconds(1.05));
@@ -112,7 +112,7 @@ TEST(Cpuspeed, V11PollsTwentyTimesFaster) {
 
 TEST(Cpuspeed, StopCancelsFutureTicks) {
   DaemonFixture f;
-  CpuspeedDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
+  DvsDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
   daemon.start();
   f.engine.run_until(sim::from_seconds(2.5));
   const auto polls = daemon.polls();
@@ -124,7 +124,7 @@ TEST(Cpuspeed, StopCancelsFutureTicks) {
 
 TEST(Cpuspeed, StartIsIdempotent) {
   DaemonFixture f;
-  CpuspeedDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
+  DvsDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
   daemon.start();
   daemon.start();
   f.engine.run_until(sim::from_seconds(2.5));
@@ -135,7 +135,7 @@ TEST(Cpuspeed, StartIsIdempotent) {
 
 TEST(Cpuspeed, SpeedChangesAreCounted) {
   DaemonFixture f;
-  CpuspeedDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
+  DvsDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1());
   daemon.start();
   f.engine.run_until(sim::from_seconds(2.5));  // idle -> jump to 600
   EXPECT_EQ(daemon.speed_changes(), 1);
@@ -147,8 +147,7 @@ TEST(Cpuspeed, SpeedChangesAreCounted) {
 
 TEST(Cpuspeed, StartOffsetDelaysFirstPoll) {
   DaemonFixture f;
-  CpuspeedDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1(),
-                        sim::from_seconds(1.0));
+  DvsDaemon daemon(f.engine, f.node, CpuspeedParams::v1_2_1(), sim::from_seconds(1.0));
   daemon.start();
   f.engine.run_until(sim::from_seconds(2.5));
   EXPECT_EQ(daemon.polls(), 0);  // first poll at 3.0 s

@@ -7,7 +7,7 @@
 #include <numeric>
 
 #include "apps/npb.hpp"
-#include "core/predictor.hpp"
+#include "core/daemon.hpp"
 #include "core/runner.hpp"
 #include "core/strategies.hpp"
 #include "machine/cluster.hpp"
@@ -105,17 +105,17 @@ TEST(Thermal, MeanIsTimeWeighted) {
   thermal.stop();
 }
 
-// ---- PhasePredictorDaemon -----------------------------------------------------
+// ---- DvsDaemon: phase-predictor policy ----------------------------------------
 
 TEST(Predictor, MixedFrequencyRespectsSlowdownBudget) {
   const auto table = cpu::OperatingPointTable::pentium_m_1400();
   // util 0.7, budget 5%: need 0.7*(1400/f - 1) <= 0.05 -> f >= 1307 -> 1400.
-  EXPECT_EQ(core::PhasePredictorDaemon::mixed_frequency(table, 0.7, 0.05), 1400);
+  EXPECT_EQ(core::DvsDaemon::mixed_frequency(table, 0.7, 0.05), 1400);
   // util 0.1: 0.1*(1400/600-1) = 0.133 > 0.05; f=800: 0.075 > 0.05;
   // f=1000: 0.04 <= 0.05 -> 1000.
-  EXPECT_EQ(core::PhasePredictorDaemon::mixed_frequency(table, 0.1, 0.05), 1000);
+  EXPECT_EQ(core::DvsDaemon::mixed_frequency(table, 0.1, 0.05), 1000);
   // Zero utilization: any frequency fits -> lowest.
-  EXPECT_EQ(core::PhasePredictorDaemon::mixed_frequency(table, 0.0, 0.05), 600);
+  EXPECT_EQ(core::DvsDaemon::mixed_frequency(table, 0.0, 0.05), 600);
 }
 
 TEST(Predictor, JumpsToLowDuringSlackAndBackOnCompute) {
@@ -125,12 +125,12 @@ TEST(Predictor, JumpsToLowDuringSlackAndBackOnCompute) {
   machine::Node node(engine, 0, nc, sim::Rng(2));
   core::PhasePredictorParams params;
   params.confirm_samples = 1;
-  core::PhasePredictorDaemon daemon(engine, node, params);
+  core::DvsDaemon daemon(engine, node, params);
   daemon.start();
   // Idle (slack) for 3 s -> lowest point.
   engine.run_until(sim::from_seconds(3.0));
   EXPECT_EQ(node.cpu().frequency_mhz(), 600);
-  EXPECT_EQ(daemon.current_phase(), core::PhasePredictorDaemon::Phase::Slack);
+  EXPECT_EQ(daemon.current_phase(), core::DvsDaemon::Phase::Slack);
   // Compute burst -> back to the top after one window (immediate rule).
   auto burn = [&]() -> sim::Process { co_await node.cpu().run_memstall(
       5 * sim::kSecond); };
@@ -147,7 +147,7 @@ TEST(Predictor, HysteresisDelaysSlackClassification) {
   machine::Node node(engine, 0, nc, sim::Rng(3));
   core::PhasePredictorParams params;
   params.confirm_samples = 3;
-  core::PhasePredictorDaemon daemon(engine, node, params);
+  core::DvsDaemon daemon(engine, node, params);
   daemon.start();
   engine.run_until(sim::from_seconds(1.2));  // 2 windows of idle
   EXPECT_EQ(node.cpu().frequency_mhz(), 1400);  // not yet confirmed

@@ -260,11 +260,12 @@ TEST(Profiler, CollectionOnlySkipsBatchAnalysis) {
   EXPECT_DOUBLE_EQ(plain.energy_j, r.energy_j);
 }
 
-TEST(Profiler, DisabledTracerLogsNoMessages) {
+// Sequence id -1 marks a message no tracer logged: updates to it no-op.
+TEST(Profiler, UnloggedMessageUpdatesAreNoOps) {
   sim::Engine e;
-  trace::Tracer tracer(e, 2, /*enabled=*/false);
-  EXPECT_EQ(tracer.log_send(0, 1, 7, 64), -1);
+  trace::Tracer tracer(e, 2);
   tracer.log_delivered(-1);  // must no-op, not crash
   tracer.log_recv_done(-1);
   EXPECT_TRUE(tracer.messages().empty());
+  EXPECT_EQ(tracer.log_send(0, 1, 7, 64), 0);
 }

@@ -1,6 +1,6 @@
 // Campaign service tests: the strict JSON layer, the SpecRequest wire
 // format and its cache-key identity, the crash-safe result cache (round
-// trip, torn-tail recovery, index fast path), and the resilient
+// trip, reopen by log scan, torn-tail recovery), and the resilient
 // CampaignService itself — admission control, deadlines, budgets,
 // cancellation, retry-to-convergence under chaos, and the acceptance
 // scenario: many concurrent clients against a fault-injecting service,
@@ -277,7 +277,7 @@ TEST(ResultCache, EncodeDecodeIsExact) {
   EXPECT_FALSE(service::ResultCache::decode("{\"workload\":\"FT\"}", &ignored));
 }
 
-TEST(ResultCache, PersistsAndReopensViaIndexFastPath) {
+TEST(ResultCache, PersistsAndReopensByScanningTheLog) {
   TempDir dir("reopen");
   {
     service::ResultCache cache(dir.path);
@@ -286,12 +286,11 @@ TEST(ResultCache, PersistsAndReopensViaIndexFastPath) {
     cache.insert(0x1111, sample_cell(2, "FT"));  // overwrite: last wins
     EXPECT_EQ(cache.stats().inserts, 3);
     EXPECT_EQ(cache.stats().entries, 2);
-    cache.persist_index();
+    cache.sync();
   }
   {
     service::ResultCache cache(dir.path);
     const auto st = cache.stats();
-    EXPECT_TRUE(st.index_used);
     EXPECT_EQ(st.recovered, 2);
     EXPECT_EQ(st.corrupt, 0);
     EXPECT_EQ(st.torn_bytes, 0);
@@ -317,7 +316,6 @@ TEST(ResultCache, TornTailIsTruncatedAtRecovery) {
   {
     service::ResultCache cache(dir.path);
     const auto st = cache.stats();
-    EXPECT_FALSE(st.index_used);  // log grew past what any index described
     EXPECT_EQ(st.recovered, 2);
     EXPECT_GT(st.torn_bytes, 0);
     EXPECT_TRUE(cache.lookup(0xaaaa).has_value());

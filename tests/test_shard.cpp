@@ -251,13 +251,7 @@ TEST(ShardedComm, CollectivesRunAcrossShardBoundaries) {
   }
   f.engines.run();
   for (std::size_t r = 0; r < procs.size(); ++r) {
-    if (auto st = procs[r].watch(); st->exception) {
-      try {
-        std::rethrow_exception(st->exception);
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << "rank " << r << " died: " << e.what();
-      }
-    }
+    EXPECT_FALSE(procs[r].failed()) << "rank " << r << " died";
   }
   EXPECT_EQ(done, std::vector<int>(8, 1));
 }
@@ -647,6 +641,26 @@ TEST(PinnedOutputs, EveryLayerOnTwoShards) {
                      11, 126,
                      0xae0aa55d65411b07ULL, 0x1bf84e2242a633d4ULL,
                      0x1fe19a9110bb292cULL});
+}
+
+// The phase-predictor policy with its fault hooks driven: a scripted wedge
+// of node 5's daemon, which the watchdog detects through the daemon's poll
+// counter and restarts.  Pins the absolute outputs on one shard.
+TEST(PinnedOutputs, PredictorWithWatchdogOneShard) {
+  core::RunConfig cfg;
+  cfg.predictor = core::PhasePredictorParams{};
+  cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
+  cfg.faults.resilience.watchdog = true;
+  cfg.determinism.digest = true;
+  const auto r = core::run_workload(apps::make_ft(kScale), cfg);
+  ASSERT_FALSE(r.failed) << r.failure;
+  ASSERT_TRUE(r.fault_report.has_value());
+  ASSERT_TRUE(r.determinism.has_value());
+  EXPECT_GE(r.fault_report->daemon_restarts, 1);
+  EXPECT_EQ(hex(r.delay_s), "0x40196939ab2da6e9ULL") << r.delay_s;
+  EXPECT_EQ(hex(r.energy_j), "0x4092ed9f1d65ced0ULL") << r.energy_j;
+  EXPECT_EQ(hex(r.determinism->digest.root()), "0xf080d49ff0f8572bULL");
+  EXPECT_EQ(r.dvs_transitions, 22);
 }
 
 // Every run stops dispatching at its completion instant, on one engine as

@@ -828,75 +828,6 @@ TEST(FramePool, LargeRequestsBypassThePool) {
 #endif
 }
 
-// --- Queue ----------------------------------------------------------------
-
-namespace {
-
-sim::Process consume_n(sim::Queue<int>& q, std::vector<int>& out, int n) {
-  for (int i = 0; i < n; ++i) {
-    out.push_back(co_await q.pop());
-  }
-}
-
-}  // namespace
-
-TEST(Queue, PopReturnsPushedItemsInOrder) {
-  sim::Engine e;
-  sim::Queue<int> q(e);
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  std::vector<int> out;
-  sim::spawn(e, consume_n(q, out, 3));
-  e.run();
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Queue, PopSuspendsUntilPush) {
-  sim::Engine e;
-  sim::Queue<int> q(e);
-  std::vector<int> out;
-  sim::spawn(e, consume_n(q, out, 2));
-  e.schedule_at(10, [&] { q.push(42); });
-  e.schedule_at(20, [&] { q.push(43); });
-  e.run();
-  EXPECT_EQ(out, (std::vector<int>{42, 43}));
-  EXPECT_EQ(e.now(), 20);
-}
-
-TEST(Queue, MultipleWaitersServedFifo) {
-  sim::Engine e;
-  sim::Queue<int> q(e);
-  std::vector<int> got_a, got_b;
-  sim::spawn(e, consume_n(q, got_a, 1));
-  sim::spawn(e, consume_n(q, got_b, 1));
-  e.run();
-  EXPECT_EQ(q.waiter_count(), 2u);
-  e.schedule_in(1, [&] { q.push(10); q.push(20); });
-  e.run();
-  EXPECT_EQ(got_a, (std::vector<int>{10}));
-  EXPECT_EQ(got_b, (std::vector<int>{20}));
-}
-
-TEST(Queue, HandoffIsNotStolenBySameTimestampPop) {
-  // Waiter W is woken by a push; a second pop arriving at the same
-  // timestamp must not steal W's item.
-  sim::Engine e;
-  sim::Queue<int> q(e);
-  std::vector<int> waiter_got, late_got;
-  sim::spawn(e, consume_n(q, waiter_got, 1));
-  e.run();  // waiter now suspended
-  e.schedule_at(5, [&] { q.push(1); });
-  e.schedule_at(5, [&] {
-    // Late popper at same time: must get the *second* item.
-    sim::spawn(e, consume_n(q, late_got, 1));
-    q.push(2);
-  });
-  e.run();
-  EXPECT_EQ(waiter_got, (std::vector<int>{1}));
-  EXPECT_EQ(late_got, (std::vector<int>{2}));
-}
-
 // --- Rng -------------------------------------------------------------------
 
 TEST(Rng, DeterministicForEqualSeeds) {

@@ -3,6 +3,7 @@
 // trace-event / CSV exporters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "service/json.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sampler.hpp"
@@ -449,6 +451,44 @@ TEST(Exporters, ProfiledRunChromeJsonParsesStrictly) {
   EXPECT_NE(json.find("\"energy_j\":"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
+}
+
+// Free-form detail strings never break an export: a tab is escaped in
+// every JSON document, and a 600-character detail survives whole (no
+// fixed-size buffer cuts it) in the Chrome trace, the flight-recorder dump
+// and both CSV logs.
+TEST(Exporters, TabsAndLongDetailsSurviveEveryExport) {
+  const std::string tab = "usage\t0.500: step down";
+  const std::string long_detail(600, 'x');
+  telemetry::Hub hub;
+  hub.record_decision({1000, 0, 1400, 800, DvsCause::DaemonThreshold, 0.5, tab});
+  hub.record_decision({2000, 1, 1400, 600, DvsCause::DaemonThreshold, 0.05, long_detail});
+  hub.record_fault({3000, 2, "stuck_dvs", telemetry::FaultPhase::Injected, tab});
+  hub.record_fault({4000, 3, "stuck_dvs", telemetry::FaultPhase::Detected, long_detail});
+  const auto snap = telemetry::make_snapshot(hub);
+
+  pcd::service::JsonError err;
+  const auto trace = pcd::service::json_parse(telemetry::to_chrome_json(snap), &err);
+  ASSERT_TRUE(trace.has_value()) << err.message << " at offset " << err.pos;
+  const auto* events = trace->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::vector<std::string> details;
+  for (const auto& ev : events->items()) {
+    if (const auto* args = ev.find("args")) details.push_back(args->str_or("detail", ""));
+  }
+  EXPECT_EQ(std::count(details.begin(), details.end(), tab), 2);
+  EXPECT_EQ(std::count(details.begin(), details.end(), long_detail), 2);
+
+  const telemetry::FlightRecorder recorder(4);
+  const auto dump = pcd::service::json_parse(recorder.dump_json(tab + long_detail, 0), &err);
+  ASSERT_TRUE(dump.has_value()) << err.message << " at offset " << err.pos;
+  EXPECT_EQ(dump->str_or("reason", ""), tab + long_detail);
+
+  // Header plus one row per entry, each row whole and newline-terminated.
+  for (const std::string& csv : {telemetry::decisions_csv(snap), telemetry::faults_csv(snap)}) {
+    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3) << csv;
+    EXPECT_NE(csv.find(",\"" + long_detail + "\"\n"), std::string::npos);
+  }
 }
 
 TEST(Exporters, PrometheusHelpAndLabelEscapingRoundTrip) {

@@ -27,13 +27,6 @@ TEST(Tracer, RecordsScopeDurations) {
   EXPECT_EQ(t.records(0)[0].cat, Cat::Compute);
 }
 
-TEST(Tracer, DisabledTracerRecordsNothing) {
-  sim::Engine e;
-  Tracer t(e, 1, /*enabled=*/false);
-  { auto s = t.scope(0, Cat::Send, "x", 1, 100); }
-  EXPECT_TRUE(t.records(0).empty());
-}
-
 TEST(Tracer, NestedCommScopesAreSuppressed) {
   sim::Engine e;
   Tracer t(e, 1);

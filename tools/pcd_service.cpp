@@ -6,8 +6,8 @@
 //
 // Serves line-delimited JSON campaign submissions (see service/server.hpp)
 // until SIGINT/SIGTERM or a client {"op":"shutdown"}; both paths drain
-// gracefully: admission stops, in-flight campaigns finish, the cache index
-// is persisted.  On startup the crash-safe result cache is recovered and a
+// gracefully: admission stops, in-flight campaigns finish, the cache log
+// is fsynced.  On startup the crash-safe result cache is recovered and a
 // one-line report of what survived is printed — CI's kill -9 test greps it.
 #include <csignal>
 #include <cstdio>
@@ -74,11 +74,10 @@ int main(int argc, char** argv) {
   pcd::service::CampaignService service(opts);
   const auto cache = service.cache_stats();
   std::printf("pcd_service: cache recovered %lld entries, %lld corrupt"
-              " (%lld torn bytes truncated%s)\n",
+              " (%lld torn bytes truncated)\n",
               static_cast<long long>(cache.recovered),
               static_cast<long long>(cache.corrupt),
-              static_cast<long long>(cache.torn_bytes),
-              cache.index_used ? ", via index" : "");
+              static_cast<long long>(cache.torn_bytes));
 
   pcd::service::SocketServer server(service, socket_path);
   server.on_shutdown([] { g_stop = 1; });
