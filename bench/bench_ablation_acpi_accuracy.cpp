@@ -17,9 +17,8 @@ int main(int argc, char** argv) {
   std::printf("%s", analysis::heading(
       "Ablation: ACPI/Baytech measurement error vs run length").c_str());
 
-  core::RunConfig cfg = core::RunConfigBuilder(bench::base_config(args))
-                            .use_meters(true)
-                            .build();
+  core::RunConfig cfg = bench::base_config(args);
+  cfg.use_meters = true;
   campaign::ExperimentSpec spec;
   for (double scale : {0.1, 0.25, 0.5, 1.0, 2.0, 4.0}) {
     spec.workload(apps::make_ft(scale), "FT scale " + analysis::fmt(scale, 2));

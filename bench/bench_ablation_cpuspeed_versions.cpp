@@ -53,9 +53,10 @@ int main(int argc, char** argv) {
       .base(daemon_base)
       .axis(campaign::Axis::numeric("usage threshold", {0.60, 0.75, 0.85, 0.95},
                                     [](core::RunConfig& c, double usage) {
-                                      c.daemon->usage_threshold = usage;
-                                      if (c.daemon->max_threshold <= usage) {
-                                        c.daemon->max_threshold = usage + 0.04;
+                                      auto& d = std::get<core::CpuspeedParams>(*c.daemon);
+                                      d.usage_threshold = usage;
+                                      if (d.max_threshold <= usage) {
+                                        d.max_threshold = usage + 0.04;
                                       }
                                     }))
       .trials(args.trials);

@@ -22,10 +22,9 @@ int main(int argc, char** argv) {
 
   core::CpuspeedParams daemon;
   daemon.interval_s = 0.2;
-  const core::RunConfig base = core::RunConfigBuilder()
-                                   .seed(args.seed)
-                                   .daemon(daemon)
-                                   .build();
+  core::RunConfig base;
+  base.seed = args.seed;
+  base.daemon = daemon;
 
   // Each scenario edits the base config.  The list is built in one
   // initializer (no growth by emplace_back): GCC 12 reports a false

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
            {"cpuspeed",
             [](core::RunConfig& c) { c.daemon = core::CpuspeedParams::v1_2_1(); }},
            {"predictor",
-            [](core::RunConfig& c) { c.predictor = core::PhasePredictorParams{}; }}}))
+            [](core::RunConfig& c) { c.daemon = core::PhasePredictorParams{}; }}}))
       .trials(args.trials);
   const auto result = bench::run(spec, args);
 

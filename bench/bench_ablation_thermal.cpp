@@ -94,8 +94,13 @@ int main(int argc, char** argv) {
   analysis::TextTable t({"schedule", "delay (s)", "mean T (C)", "peak T (C)",
                          "life factor vs no-DVS"});
 
-  const auto base = run_with_thermal(
-      ft, core::RunConfigBuilder(bench::base_config(args)).static_mhz(1400).build());
+  // Each schedule is the bench's base config with one strategy field set.
+  auto with = [&](auto set) {
+    core::RunConfig c = bench::base_config(args);
+    set(c);
+    return run_with_thermal(ft, c);
+  };
+  const auto base = with([](core::RunConfig& c) { c.static_mhz = 1400; });
   auto add = [&](const char* label, const ThermalResult& r) {
     t.add_row({label, analysis::fmt(r.delay_s, 1), analysis::fmt(r.mean_c, 1),
                analysis::fmt(r.peak_c, 1),
@@ -104,13 +109,11 @@ int main(int argc, char** argv) {
   };
   add("no DVS (1400)", base);
 
-  auto builder = [&] { return core::RunConfigBuilder(bench::base_config(args)); };
-  add("external 600", run_with_thermal(ft, builder().static_mhz(600).build()));
+  add("external 600", with([](core::RunConfig& c) { c.static_mhz = 600; }));
   add("internal 1400/600",
-      run_with_thermal(ft,
-                       builder().hooks(core::internal_phase_hooks(1400, 600)).build()));
+      with([](core::RunConfig& c) { c.hooks = core::internal_phase_hooks(1400, 600); }));
   add("cpuspeed (auto)",
-      run_with_thermal(ft, builder().daemon(core::CpuspeedParams::v1_2_1()).build()));
+      with([](core::RunConfig& c) { c.daemon = core::CpuspeedParams::v1_2_1(); }));
 
   std::printf("%s\n", t.str().c_str());
   std::printf("Paper §1: every 10 C of cooling doubles component life "

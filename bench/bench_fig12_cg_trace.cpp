@@ -15,9 +15,8 @@ int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
   std::printf("%s", analysis::heading("Figure 12: CG.C.8 performance trace").c_str());
 
-  const core::RunConfig cfg = core::RunConfigBuilder(bench::base_config(args))
-                                  .collect_trace(true)
-                                  .build();
+  core::RunConfig cfg = bench::base_config(args);
+  cfg.collect_trace = true;
   const double scale = std::min(args.scale, 0.05);  // a few hundred cycles
   const auto result = core::run_workload(apps::make_cg(scale), cfg);
 

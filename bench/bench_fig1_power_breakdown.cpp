@@ -51,11 +51,8 @@ int main(int argc, char** argv) {
 
   // Under load: run swim on the PIII node profile.
   {
-    machine::ClusterConfig cluster = bench::base_config(args).cluster;
-    cluster.node = pentium_iii_node();
-    const core::RunConfig cfg = core::RunConfigBuilder(bench::base_config(args))
-                                    .cluster(cluster)
-                                    .build();
+    core::RunConfig cfg = bench::base_config(args);
+    cfg.cluster.node = pentium_iii_node();
     auto swim = apps::make_swim(args.scale);
     // run_workload builds its own cluster from cfg.cluster.node.
     const auto result = core::run_workload(swim, cfg);

@@ -18,7 +18,8 @@ namespace {
 void run_and_report(const apps::Workload& workload, const char* label,
                     core::CpuspeedParams params, const core::RunResult& base) {
   // Build the run manually so the node stats stay inspectable.
-  const auto cfg = core::RunConfigBuilder().daemon(params).build();
+  core::RunConfig cfg;
+  cfg.daemon = params;
   const auto r = core::run_workload(workload, cfg);
   std::printf("%-28s delay %.2f energy %.2f, %lld speed changes, mean util %.2f\n",
               label, r.delay_s / base.delay_s, r.energy_j / base.energy_j,
@@ -37,7 +38,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto base_cfg = core::RunConfigBuilder().static_mhz(1400).build();
+  core::RunConfig base_cfg;
+  base_cfg.static_mhz = 1400;
   const auto base = core::run_workload(*workload, base_cfg);
   std::printf("%s baseline: %.1f s, %.0f J\n\n", workload->name.c_str(), base.delay_s,
               base.energy_j);

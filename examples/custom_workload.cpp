@@ -77,9 +77,8 @@ int main() {
   }
 
   // 3. Try internal scheduling around the marked communication phase.
-  const auto internal_cfg = core::RunConfigBuilder()
-                                .hooks(core::internal_phase_hooks(1400, 600))
-                                .build();
+  core::RunConfig internal_cfg;
+  internal_cfg.hooks = core::internal_phase_hooks(1400, 600);
   const auto internal = core::run_workload(app, internal_cfg);
   const auto& base = sweep.points.back().result;
   std::printf("internal 1400/600: delay %.3f energy %.3f (normalized)\n",

@@ -15,6 +15,7 @@
 //   ./fault_injection_demo [scale]   (default 0.15)
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "analysis/report.hpp"
 #include "apps/npb.hpp"
@@ -38,13 +39,13 @@ int main(int argc, char** argv) {
   const double scale = argc > 1 ? std::atof(argv[1]) : 0.15;
   const auto workload = apps::make_cg(scale);
 
-  const auto baseline =
-      core::run_workload(workload, core::RunConfigBuilder().build());
+  const auto baseline = core::run_workload(workload);
   print_outcome("no DVS", baseline, baseline);
 
   core::CpuspeedParams daemon_params;
   daemon_params.interval_s = 0.2;
-  const auto daemon_cfg = core::RunConfigBuilder().daemon(daemon_params).build();
+  core::RunConfig daemon_cfg;
+  daemon_cfg.daemon = daemon_params;
   const auto healthy = core::run_workload(workload, daemon_cfg);
   print_outcome("CPUSPEED daemon, healthy", healthy, baseline);
 
@@ -53,8 +54,13 @@ int main(int argc, char** argv) {
   for (int n = 0; n < workload.ranks; ++n) {
     stuck_plan.events.push_back(fault::stuck_dvs(0.3, n, 1.0));
   }
-  const auto unguarded = core::run_workload(
-      workload, core::RunConfigBuilder(daemon_cfg).faults(stuck_plan).build());
+  // Each scenario is the daemon config plus a fault plan.
+  const auto with_faults = [&](fault::FaultPlan plan) {
+    core::RunConfig c = daemon_cfg;
+    c.faults = std::move(plan);
+    return c;
+  };
+  const auto unguarded = core::run_workload(workload, with_faults(stuck_plan));
   print_outcome("stuck DVS, no watchdog", unguarded, baseline);
 
   fault::FaultPlan guarded_plan = stuck_plan;
@@ -63,11 +69,9 @@ int main(int argc, char** argv) {
   guarded_plan.resilience.watchdog_params.stuck_checks_before_fallback = 2;
   telemetry::TelemetryOptions watchdog_telemetry;
   watchdog_telemetry.enabled = true;
-  const auto guarded = core::run_workload(workload,
-                                          core::RunConfigBuilder(daemon_cfg)
-                                              .faults(guarded_plan)
-                                              .telemetry(watchdog_telemetry)
-                                              .build());
+  core::RunConfig guarded_cfg = with_faults(guarded_plan);
+  guarded_cfg.telemetry = watchdog_telemetry;
+  const auto guarded = core::run_workload(workload, guarded_cfg);
   print_outcome("stuck DVS + watchdog", guarded, baseline);
   if (guarded.fault_report) {
     std::printf("\n%s\n", guarded.fault_report->summary().c_str());
@@ -77,8 +81,7 @@ int main(int argc, char** argv) {
   fault::FaultPlan crash_plan;
   crash_plan.events.push_back(fault::node_crash(0.6, 0));
   crash_plan.resilience.mpi_timeout_s = 5;
-  const auto lost = core::run_workload(
-      workload, core::RunConfigBuilder(daemon_cfg).faults(crash_plan).build());
+  const auto lost = core::run_workload(workload, with_faults(crash_plan));
   print_outcome("node crash, no C/R", lost, baseline);
 
   // -- Scenario 3: same crash with checkpoint/restart ----------------------
@@ -86,8 +89,7 @@ int main(int argc, char** argv) {
   ckpt_plan.events.back() = fault::node_crash(0.6, 0, /*boot_delay_s=*/0.5);
   ckpt_plan.resilience.checkpoint_interval_s = 0.5;
   ckpt_plan.resilience.checkpoint_cost_s = 0.05;
-  const auto survived = core::run_workload(
-      workload, core::RunConfigBuilder(daemon_cfg).faults(ckpt_plan).build());
+  const auto survived = core::run_workload(workload, with_faults(ckpt_plan));
   print_outcome("node crash + checkpoint/restart", survived, baseline);
   if (survived.fault_report) {
     std::printf("\n%s\n", survived.fault_report->summary().c_str());

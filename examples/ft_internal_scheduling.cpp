@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
 
   // --- step 1: performance profiling (Figure 9) ---
   std::printf("step 1: profiling %s\n", ft.name.c_str());
-  const auto trace_cfg = core::RunConfigBuilder().collect_trace().build();
+  core::RunConfig trace_cfg;
+  trace_cfg.collect_trace = true;
   const auto profiled = core::run_workload(ft, trace_cfg);
   const auto& p = *profiled.profile;
   std::printf("  comm:comp = %.2f:1, imbalance %.1f%%, iteration %.2f s\n",
@@ -35,16 +36,16 @@ int main(int argc, char** argv) {
   };
 
   std::printf("step 2: internal scheduling (set_cpuspeed 600 around mpi_alltoall)\n");
-  const auto internal_cfg = core::RunConfigBuilder()
-                                .hooks(core::internal_phase_hooks(1400, 600))
-                                .build();
+  core::RunConfig internal_cfg;
+  internal_cfg.hooks = core::internal_phase_hooks(1400, 600);
   report("internal 1400/600", core::run_workload(ft, internal_cfg));
 
   std::printf("\nstep 3: compare against the other strategies\n");
-  report("external 600 MHz",
-         core::run_workload(ft, core::RunConfigBuilder().static_mhz(600).build()));
-  const auto daemon_cfg =
-      core::RunConfigBuilder().daemon(core::CpuspeedParams::v1_2_1()).build();
+  core::RunConfig external_cfg;
+  external_cfg.static_mhz = 600;
+  report("external 600 MHz", core::run_workload(ft, external_cfg));
+  core::RunConfig daemon_cfg;
+  daemon_cfg.daemon = core::CpuspeedParams::v1_2_1();
   report("cpuspeed daemon", core::run_workload(ft, daemon_cfg));
 
   std::printf("\npaper: internal saves 36%% with no noticeable delay; external@600 "

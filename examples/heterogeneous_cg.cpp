@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   auto cg = apps::make_cg(scale);
 
   // Profile: which ranks have slack (high comm-to-comp ratio)?
-  const core::RunConfig trace_cfg =
-      core::RunConfigBuilder().collect_trace(true).build();
+  core::RunConfig trace_cfg;
+  trace_cfg.collect_trace = true;
   const auto profiled = core::run_workload(cg, trace_cfg);
   const auto& p = *profiled.profile;
   std::printf("per-rank comm/comp ratios:\n");

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
               "  3. discharge ~5 minutes for stable readings\n"
               "  4. run the application, difference the reported capacities\n\n");
 
-  const auto cfg = core::RunConfigBuilder().use_meters().build();
+  core::RunConfig cfg;
+  cfg.use_meters = true;
   const auto r = core::run_workload(ft, cfg);
 
   std::printf("%s: %.1f s\n", ft.name.c_str(), r.delay_s);

@@ -23,7 +23,8 @@ void advise_and_verify(const apps::Workload& workload,
   std::printf("==== %s ====\n", workload.name.c_str());
 
   // Step 1: one profiled run at full speed.
-  const auto profile_cfg = core::RunConfigBuilder().profile().build();
+  core::RunConfig profile_cfg;
+  profile_cfg.profile = true;
   const auto baseline = core::run_workload(workload, profile_cfg);
   const auto& prof = *baseline.profiler;
 
@@ -40,12 +41,13 @@ void advise_and_verify(const apps::Workload& workload,
   }
 
   // Step 3: execute the derived schedule.
-  const auto advised_cfg =
-      core::RunConfigBuilder().hooks(core::hooks_for(schedule)).build();
+  core::RunConfig advised_cfg;
+  advised_cfg.hooks = core::hooks_for(schedule);
   const auto advised = core::run_workload(workload, advised_cfg);
 
   // Step 4: predictions and the paper's hand insertion.
-  const auto paper_cfg = core::RunConfigBuilder().hooks(paper_hooks).build();
+  core::RunConfig paper_cfg;
+  paper_cfg.hooks = paper_hooks;
   const auto hand = core::run_workload(workload, paper_cfg);
 
   std::printf("\n%-28s %10s %10s\n", "", "delay", "energy");

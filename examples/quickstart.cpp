@@ -36,27 +36,26 @@ int main(int argc, char** argv) {
   };
 
   // Baseline: no DVS (all nodes at the highest frequency).
-  const auto baseline =
-      core::run_workload(*workload, core::RunConfigBuilder().build());
+  const auto baseline = core::run_workload(*workload);
   report("baseline (1400 MHz)", baseline);
 
   // EXTERNAL: a single static frequency on every node.
   for (int mhz : {1200, 1000, 800, 600}) {
     char label[32];
     std::snprintf(label, sizeof label, "external (%d MHz)", mhz);
-    report(label, core::run_workload(
-                      *workload, core::RunConfigBuilder().static_mhz(mhz).build()));
+    core::RunConfig cfg;
+    cfg.static_mhz = mhz;
+    report(label, core::run_workload(*workload, cfg));
   }
 
   // CPUSPEED daemon.
-  const auto auto_cfg =
-      core::RunConfigBuilder().daemon(core::CpuspeedParams::v1_2_1()).build();
+  core::RunConfig auto_cfg;
+  auto_cfg.daemon = core::CpuspeedParams::v1_2_1();
   report("cpuspeed 1.2.1 (auto)", core::run_workload(*workload, auto_cfg));
 
   // INTERNAL: phase-based scheduling (the paper's FT recipe).
-  const auto internal_cfg = core::RunConfigBuilder()
-                                .hooks(core::internal_phase_hooks(1400, 600))
-                                .build();
+  core::RunConfig internal_cfg;
+  internal_cfg.hooks = core::internal_phase_hooks(1400, 600);
   report("internal (1400/600)", core::run_workload(*workload, internal_cfg));
 
   std::printf("\nNormalize against the baseline row to compare with the paper's "

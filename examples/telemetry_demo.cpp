@@ -45,11 +45,10 @@ int main(int argc, char** argv) {
   telemetry::TelemetryOptions topts;
   topts.enabled = true;            // registry + decision log + transitions
   topts.sampler.period_s = 0.050;  // Figure-1-style power sampling
-  const auto cfg = core::RunConfigBuilder()
-                       .daemon(core::CpuspeedParams::v1_2_1())
-                       .collect_trace()  // rank scopes in the Chrome trace
-                       .telemetry(topts)
-                       .build();
+  core::RunConfig cfg;
+  cfg.daemon = core::CpuspeedParams::v1_2_1();
+  cfg.collect_trace = true;  // rank scopes in the Chrome trace
+  cfg.telemetry = topts;
 
   const auto result = core::run_workload(*workload, cfg);
   std::fputs(analysis::render_run_summary(result).c_str(), stdout);

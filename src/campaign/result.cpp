@@ -218,12 +218,7 @@ std::uint64_t CampaignResult::fingerprint() const {
     return h.hash;
   }
   const std::string s = tsv();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char ch : s) {
-    h ^= ch;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return sim::digest_bytes(s.data(), s.size());
 }
 
 }  // namespace pcd::campaign

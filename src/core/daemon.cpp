@@ -9,10 +9,6 @@ DvsDaemon::DvsDaemon(sim::Engine& engine, machine::Node& node, DaemonParams para
                      sim::SimDuration start_offset)
     : engine_(engine), node_(node), params_(params), start_offset_(start_offset) {}
 
-double DvsDaemon::interval_s() const {
-  return std::visit([](const auto& p) { return p.interval_s; }, params_);
-}
-
 void DvsDaemon::start() {
   if (running_) return;
   running_ = true;

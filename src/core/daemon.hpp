@@ -69,6 +69,11 @@ struct PhasePredictorParams {
 /// The policy a daemon runs: CPUSPEED thresholds or the phase predictor.
 using DaemonParams = std::variant<CpuspeedParams, PhasePredictorParams>;
 
+/// The polling interval of either policy.
+inline double interval_of(const DaemonParams& params) {
+  return std::visit([](const auto& p) { return p.interval_s; }, params);
+}
+
 /// One daemon instance per node, exactly like the real system service.
 class DvsDaemon {
  public:
@@ -87,7 +92,7 @@ class DvsDaemon {
 
   std::int64_t polls() const { return polls_; }
   std::int64_t speed_changes() const { return speed_changes_; }
-  double interval_s() const;
+  double interval_s() const { return interval_of(params_); }
   /// The predictor's confirmed phase (always Compute under CPUSPEED).
   Phase current_phase() const { return confirmed_; }
 

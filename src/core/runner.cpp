@@ -137,7 +137,7 @@ struct Rig {
 // One daemon per node, started at a random offset into its first interval
 // so the fleet does not poll in lockstep.
 void start_daemons(Rig& rig, const DaemonParams& params) {
-  const double interval_s = std::visit([](const auto& p) { return p.interval_s; }, params);
+  const double interval_s = interval_of(params);
   auto stagger_rng = rig.cluster->rng_stream();
   for (int i = 0; i < rig.cluster->size(); ++i) {
     const auto offset =
@@ -232,7 +232,6 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan pa
     engine.run_until(engine.now() + sim::kMillisecond);  // settle transitions
   }
   if (config.daemon.has_value()) start_daemons(rig, *config.daemon);
-  if (config.predictor.has_value()) start_daemons(rig, *config.predictor);
 
   // --- fault layer (src/fault) ---
   //
@@ -445,11 +444,6 @@ std::string describe(const std::vector<ConfigIssue>& issues) {
 
 std::vector<ConfigIssue> RunConfig::validate() const {
   std::vector<ConfigIssue> issues;
-  if (daemon.has_value() && predictor.has_value()) {
-    issues.push_back({"daemon/predictor",
-                      "CPUSPEED daemon and phase predictor are mutually "
-                      "exclusive strategies; configure at most one"});
-  }
   if (slice_s <= 0) {
     issues.push_back({"slice_s", "compute-phase slice must be positive, got " +
                                      std::to_string(slice_s)});
@@ -458,12 +452,8 @@ std::vector<ConfigIssue> RunConfig::validate() const {
     issues.push_back({"static_mhz", "static frequency cannot be negative, got " +
                                         std::to_string(static_mhz)});
   }
-  if (daemon.has_value() && daemon->interval_s <= 0) {
+  if (daemon.has_value() && interval_of(*daemon) <= 0) {
     issues.push_back({"daemon.interval_s", "daemon polling interval must be positive"});
-  }
-  if (predictor.has_value() && predictor->interval_s <= 0) {
-    issues.push_back({"predictor.interval_s",
-                      "predictor polling interval must be positive"});
   }
   for (const auto& e : faults.events) {
     if (e.at_s < 0) {
@@ -513,14 +503,6 @@ std::vector<ConfigIssue> RunConfig::validate() const {
     }
   }
   return issues;
-}
-
-RunConfig RunConfigBuilder::build() const {
-  auto issues = cfg_.validate();
-  if (!issues.empty()) {
-    throw std::invalid_argument("invalid RunConfig: " + describe(issues));
-  }
-  return cfg_;
 }
 
 RunResult run_workload(const apps::Workload& workload, const RunConfig& config) {

@@ -30,7 +30,7 @@ namespace pcd::core {
 
 /// One structured configuration problem found by RunConfig::validate().
 struct ConfigIssue {
-  std::string field;    // e.g. "daemon/predictor", "slice_s"
+  std::string field;    // e.g. "daemon.interval_s", "slice_s"
   std::string message;  // human-readable explanation
 };
 
@@ -44,12 +44,10 @@ struct RunConfig {
   /// (0 = leave at the boot default, i.e. full speed).
   int static_mhz = 0;
 
-  /// CPUSPEED strategy: run one daemon per node with these parameters.
-  std::optional<CpuspeedParams> daemon;
-
-  /// Phase-predictor strategy (future-work extension): one predicting
-  /// daemon per node.  Mutually exclusive with `daemon`.
-  std::optional<PhasePredictorParams> predictor;
+  /// Daemon strategy: run one DvsDaemon per node with this policy —
+  /// CpuspeedParams for CPUSPEED, PhasePredictorParams for the phase
+  /// predictor (future-work extension).
+  std::optional<DaemonParams> daemon;
 
   /// INTERNAL strategy: hooks invoked from inside the application at the
   /// paper's insertion points.
@@ -141,8 +139,8 @@ struct RunConfig {
 
   /// Checks the configuration for contradictions and returns every problem
   /// found (empty = valid).  `run_workload` calls this and refuses to start
-  /// on a non-empty list, so a daemon+predictor conflict or a negative
-  /// slice is a structured error instead of undefined behaviour.
+  /// on a non-empty list, so a zero daemon interval or a negative slice is
+  /// a structured error instead of undefined behaviour.
   std::vector<ConfigIssue> validate() const;
 };
 
@@ -185,63 +183,9 @@ struct RunResult {
 };
 
 /// Executes one measured run.  Throws std::invalid_argument (with the
-/// rendered issue list) when `config.validate()` is non-empty.
+/// rendered issue list) when `config.validate()` is non-empty.  Repeated
+/// trials and sweeps are campaigns (campaign/: run_trials, sweep_static,
+/// ExperimentSpec).
 RunResult run_workload(const apps::Workload& workload, const RunConfig& config = {});
-
-/// Fluent RunConfig construction with eager validation: setters record the
-/// intent, `build()` runs RunConfig::validate() and throws
-/// std::invalid_argument with the full structured issue list on any
-/// contradiction (daemon+predictor, negative slice, ...).  `issues()`
-/// exposes the same list without throwing, for callers that want to
-/// surface errors instead of raising.
-///
-/// Repeated-trial and sweep execution live in campaign/ (run_trials,
-/// sweep_static, ExperimentSpec): every multi-run shape is a campaign.
-class RunConfigBuilder {
- public:
-  RunConfigBuilder() = default;
-  explicit RunConfigBuilder(RunConfig base) : cfg_(std::move(base)) {}
-
-  RunConfigBuilder& seed(std::uint64_t s) { cfg_.seed = s; return *this; }
-  RunConfigBuilder& static_mhz(int mhz) { cfg_.static_mhz = mhz; return *this; }
-  RunConfigBuilder& daemon(CpuspeedParams p) { cfg_.daemon = p; return *this; }
-  RunConfigBuilder& predictor(PhasePredictorParams p) { cfg_.predictor = p; return *this; }
-  RunConfigBuilder& hooks(apps::DvsHooks h) { cfg_.hooks = std::move(h); return *this; }
-  RunConfigBuilder& collect_trace(bool on = true) { cfg_.collect_trace = on; return *this; }
-  RunConfigBuilder& profile(bool on = true) { cfg_.profile = on; return *this; }
-  RunConfigBuilder& profile_analysis(bool on = true) {
-    cfg_.profile_analysis = on;
-    return *this;
-  }
-  RunConfigBuilder& telemetry(telemetry::TelemetryOptions t) { cfg_.telemetry = std::move(t); return *this; }
-  RunConfigBuilder& use_meters(bool on = true) { cfg_.use_meters = on; return *this; }
-  RunConfigBuilder& determinism(telemetry::DeterminismOptions d) {
-    cfg_.determinism = d;
-    return *this;
-  }
-  RunConfigBuilder& faults(fault::FaultPlan plan) { cfg_.faults = std::move(plan); return *this; }
-  RunConfigBuilder& cancel(const std::atomic<bool>* token) { cfg_.cancel = token; return *this; }
-  RunConfigBuilder& wall_deadline_s(double s) { cfg_.wall_deadline_s = s; return *this; }
-  RunConfigBuilder& cluster(machine::ClusterConfig c) { cfg_.cluster = std::move(c); return *this; }
-  RunConfigBuilder& slice_s(double s) { cfg_.slice_s = s; return *this; }
-  RunConfigBuilder& shards(int n) { cfg_.shards = n; return *this; }
-
-  /// Mutable access to the cluster/topology template, so call sites can
-  /// adjust node counts or network parameters without abandoning the fluent
-  /// chain:  RunConfigBuilder(base).shards(4).topology().nodes = 64;
-  /// followed by more setters via a fresh reference.  The const overload
-  /// supports inspection before build().
-  machine::ClusterConfig& topology() { return cfg_.cluster; }
-  const machine::ClusterConfig& topology() const { return cfg_.cluster; }
-
-  /// The issues `build()` would throw on (empty = valid).
-  std::vector<ConfigIssue> issues() const { return cfg_.validate(); }
-
-  /// Validates and returns the finished config; throws on any issue.
-  RunConfig build() const;
-
- private:
-  RunConfig cfg_;
-};
 
 }  // namespace pcd::core

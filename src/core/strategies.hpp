@@ -1,8 +1,8 @@
 // The three distributed DVS scheduling strategies (paper §3) as library
 // building blocks:
 //   - CPUSPEED DAEMON: core::DvsDaemon (core/daemon.hpp); enabled via
-//     RunConfig::daemon (RunConfig::predictor runs its phase-predictor
-//     policy).
+//     RunConfig::daemon, whose DaemonParams pick the CPUSPEED or the
+//     phase-predictor policy.
 //   - EXTERNAL: sweep static frequencies (black-box profiling), build the
 //     energy-delay crescendo, select an operating point with a fused metric.
 //   - INTERNAL: DvsHooks factories matching the paper's source insertions

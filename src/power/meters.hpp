@@ -53,7 +53,6 @@ class AcpiBattery {
   void disconnect_ac();
   /// Reconnect building power; discharge stops.
   void connect_ac();
-  bool on_ac() const { return on_ac_; }
 
   /// Begins the 15–20 s ACPI refresh loop (the refresh period and its phase
   /// are drawn once per battery).  Idempotent.
@@ -68,7 +67,6 @@ class AcpiBattery {
 
   /// Fault hooks ------------------------------------------------------
   void set_sensor_fault(SensorFault f) { sensor_fault_ = f; }
-  SensorFault sensor_fault() const { return sensor_fault_; }
   /// Sudden capacity loss (cell failure): only `remaining_fraction` of the
   /// current true charge survives.
   void fail_capacity(double remaining_fraction);
@@ -137,7 +135,6 @@ class BaytechStrip {
   /// Fault hook: while set, the SNMP management unit stops answering —
   /// windows elapse but no records are appended (a gap in the log).
   void set_dropout(bool d) { dropout_ = d; }
-  bool dropout() const { return dropout_; }
 
   const std::vector<BaytechRecord>& records() const { return records_; }
 

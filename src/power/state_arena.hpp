@@ -62,7 +62,6 @@ class NodeStateArena {
   // ---- lane accessors ----
 
   int nic_flows(int lane) const { return nic_flows_[static_cast<std::size_t>(lane)]; }
-  sim::SimTime last_accrue(int lane) const { return last_[static_cast<std::size_t>(lane)]; }
   bool dirty(int lane) const { return dirty_[static_cast<std::size_t>(lane)] != 0; }
   /// Cached per-component draw (kComponents doubles).  Valid when !dirty().
   const double* watts(int lane) const {

@@ -6,39 +6,17 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
 #include "service/json.hpp"
+#include "sim/provenance.hpp"
 
 namespace pcd::service {
 
 namespace {
-
-std::uint64_t fnv1a(const char* p, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(p[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return buf;
-}
-
-bool parse_hex16(const std::string& s, std::uint64_t* out) {
-  if (s.size() != 16) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end == s.c_str() + 16;
-}
 
 JsonValue summary_json(const campaign::Summary& s) {
   JsonValue v = JsonValue::object();
@@ -235,7 +213,7 @@ std::size_t parse_record(const std::string& log, std::size_t off, Record* rec,
   const std::size_t end = payload_off + static_cast<std::size_t>(len);
   if (log[end] != '\n') return 0;
   *framed = true;
-  if (fnv1a(log.data() + payload_off, len) != digest) return 0;
+  if (sim::digest_bytes(log.data() + payload_off, len) != digest) return 0;
   rec->key = key;
   rec->payload_off = payload_off;
   rec->payload_len = len;
@@ -301,7 +279,7 @@ void ResultCache::insert(std::uint64_t key, const campaign::CellResult& cell) {
     const int hn = std::snprintf(header, sizeof header,
                                  "PCDC1 %016" PRIx64 " %zu %016" PRIx64 "\n",
                                  key, payload.size(),
-                                 fnv1a(payload.data(), payload.size()));
+                                 sim::digest_bytes(payload.data(), payload.size()));
     std::string record(header, static_cast<std::size_t>(hn));
     record += payload;
     record += '\n';

@@ -1,6 +1,7 @@
 #include "service/json.hpp"
 
 #include <cctype>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -337,6 +338,19 @@ bool parse_hex_double(const std::string& s, double* out) {
   if (end != s.c_str() + s.size()) return false;
   *out = v;
   return true;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
+  return buf;
+}
+
+bool parse_hex16(const std::string& s, std::uint64_t* out) {
+  if (s.size() != 16) return false;
+  char* end = nullptr;
+  *out = std::strtoull(s.c_str(), &end, 16);
+  return end == s.c_str() + 16;
 }
 
 }  // namespace pcd::service

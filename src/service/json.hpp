@@ -58,7 +58,6 @@ class JsonValue {
   }
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::Null; }
   bool is_bool() const { return type_ == Type::Bool; }
   bool is_number() const { return type_ == Type::Number; }
   bool is_string() const { return type_ == Type::String; }
@@ -145,5 +144,10 @@ std::optional<JsonValue> json_parse(const std::string& s, JsonError* err = nullp
 /// returns false on malformed input.
 std::string hex_double(double v);
 bool parse_hex_double(const std::string& s, double* out);
+
+/// 16-digit lowercase hex of a 64-bit value (digest roots, fingerprints);
+/// parse_hex16 accepts exactly 16 hex digits.
+std::string hex16(std::uint64_t v);
+bool parse_hex16(const std::string& s, std::uint64_t* out);
 
 }  // namespace pcd::service

@@ -174,16 +174,18 @@ std::uint64_t SpecRequest::cell_key(const std::string& workload_label,
   }
   // Canonical identity record.  Hex-float doubles so the text (and the key)
   // is exact; the daemon version tag stands in for its parameter set (the
-  // factories are the only source of those parameters).
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "pcd-cell-v1|wl=%s|scale=%a|trials=%d|seed=%" PRIu64
-                "|dig=%d|slice=%a|strat=%s|mhz=%d|daemon=%s",
-                workload_label.c_str(), scale, trials, seed, digests ? 1 : 0,
-                slice_s, strategy_label.c_str(),
-                strat != nullptr ? strat->static_mhz : 0,
-                strat != nullptr ? strat->daemon.c_str() : "");
-  return sim::digest_cstr(buf);
+  // factories are the only source of those parameters).  The labels come
+  // from the client with no length limit, so the record is appended, never
+  // formatted into a fixed buffer that would cut off the fields after them.
+  char nums[128];
+  std::snprintf(nums, sizeof nums,
+                "|scale=%a|trials=%d|seed=%" PRIu64 "|dig=%d|slice=%a|strat=", scale,
+                trials, seed, digests ? 1 : 0, slice_s);
+  std::string id = "pcd-cell-v1|wl=" + workload_label + nums + strategy_label;
+  id += "|mhz=" + std::to_string(strat != nullptr ? strat->static_mhz : 0);
+  id += "|daemon=";
+  if (strat != nullptr) id += strat->daemon;
+  return sim::digest_bytes(id.data(), id.size());
 }
 
 }  // namespace pcd::service

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -13,12 +12,6 @@
 namespace pcd::service {
 
 namespace {
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return buf;
-}
 
 /// Sends the whole buffer; MSG_NOSIGNAL so a vanished client is an error
 /// return, not a SIGPIPE.

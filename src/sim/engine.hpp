@@ -153,10 +153,6 @@ class Engine {
   void set_determinism(const DeterminismHooks& hooks) { det_ = hooks; }
   void clear_determinism() { det_ = DeterminismHooks{}; }
 
-  /// Seq of the event whose callback is currently executing (0 outside any
-  /// dispatch).  New events record this as their causal parent.
-  std::uint64_t dispatching_seq() const { return dispatch_parent_; }
-
   /// Debug hook: swaps the allocation order of sequence numbers `seq` and
   /// `seq + 1` — the minimal scheduling-order perturbation, used to
   /// exercise divergence localization.  Pass 0 to disable.
@@ -273,7 +269,7 @@ class Engine {
   // memory traffic.  Four lanes with best-fit placement: a new event goes
   // to the fitting lane whose back is *latest* (tightest horizon band), so
   // the lanes self-organize into bands — compute-segment ends, network
-  // hops, MPI protocol steps, daemon ticks — and keep absorbing appends
+  // hops, MPI protocol steps — and keep absorbing appends
   // even late in a run when per-node DVS divergence turns the delay
   // distribution into a continuum.  An empty lane is seeded only when no
   // lane fits; each lane stays sorted because an appended event's seq is

@@ -18,6 +18,7 @@
 //     and digest checkpoints to a collector.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/time.hpp"
@@ -61,6 +62,15 @@ inline std::uint64_t digest_cstr(const char* s) {
       h = (h ^ static_cast<unsigned char>(*s)) * DigestStream::kPrime;
     }
   }
+  return h;
+}
+
+/// FNV-1a of a byte span: the result cache's record checksums and the
+/// campaign fingerprint.
+inline std::uint64_t digest_bytes(const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = DigestStream::kBasis;
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * DigestStream::kPrime;
   return h;
 }
 

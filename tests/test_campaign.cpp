@@ -101,31 +101,38 @@ TEST(Spec, EagerlyValidatesEveryCellAndNamesTheBadOne) {
   spec.workload(apps::make_ep(kTinyScale))
       .axis(campaign::Axis::strategies(
           "mode", {{"ok", nullptr},
-                   {"contradiction", [](core::RunConfig& c) {
-                      c.daemon = core::CpuspeedParams::v1_2_1();
-                      c.predictor = core::PhasePredictorParams{};
+                   {"stalled predictor", [](core::RunConfig& c) {
+                      core::PhasePredictorParams p;
+                      p.interval_s = 0;
+                      c.daemon = p;
                     }}}));
   try {
     spec.expand();
     FAIL() << "expected SpecError";
   } catch (const campaign::SpecError& e) {
     ASSERT_FALSE(e.issues().empty());
-    EXPECT_NE(std::string(e.what()).find("contradiction"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("stalled predictor"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("daemon"), std::string::npos);
   }
 }
 
-// --- RunConfig validation / builder ----------------------------------------
+// --- RunConfig validation ---------------------------------------------------
 
-TEST(Validate, DaemonPlusPredictorIsStructuredError) {
-  core::RunConfig cfg;
-  cfg.daemon = core::CpuspeedParams::v1_2_1();
-  cfg.predictor = core::PhasePredictorParams{};
-  const auto issues = cfg.validate();
-  ASSERT_FALSE(issues.empty());
-  EXPECT_EQ(issues.front().field, "daemon/predictor");
-  EXPECT_THROW(core::run_workload(apps::make_ep(kTinyScale), cfg),
-               std::invalid_argument);
+TEST(Validate, ZeroDaemonIntervalIsStructuredErrorForBothPolicies) {
+  core::CpuspeedParams cpuspeed = core::CpuspeedParams::v1_2_1();
+  cpuspeed.interval_s = 0;
+  core::PhasePredictorParams predictor;
+  predictor.interval_s = 0;
+  for (const core::DaemonParams& daemon :
+       {core::DaemonParams(cpuspeed), core::DaemonParams(predictor)}) {
+    core::RunConfig cfg;
+    cfg.daemon = daemon;
+    const auto issues = cfg.validate();
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues.front().field, "daemon.interval_s");
+    EXPECT_THROW(core::run_workload(apps::make_ep(kTinyScale), cfg),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Validate, NegativeSliceAndFrequencyAreCaught) {
@@ -136,25 +143,6 @@ TEST(Validate, NegativeSliceAndFrequencyAreCaught) {
   EXPECT_EQ(issues.size(), 2u);
   EXPECT_THROW(core::run_workload(apps::make_ep(kTinyScale), cfg),
                std::invalid_argument);
-}
-
-TEST(Builder, BuildsValidConfigsAndThrowsOnContradiction) {
-  const auto cfg = core::RunConfigBuilder()
-                       .seed(42)
-                       .static_mhz(800)
-                       .collect_trace(true)
-                       .build();
-  EXPECT_EQ(cfg.seed, 42u);
-  EXPECT_EQ(cfg.static_mhz, 800);
-  EXPECT_TRUE(cfg.collect_trace);
-
-  auto bad = core::RunConfigBuilder()
-                 .daemon(core::CpuspeedParams::v1_2_1())
-                 .predictor(core::PhasePredictorParams{});
-  EXPECT_FALSE(bad.issues().empty());
-  EXPECT_THROW(bad.build(), std::invalid_argument);
-
-  EXPECT_THROW(core::RunConfigBuilder().slice_s(-1).build(), std::invalid_argument);
 }
 
 // --- Pool -------------------------------------------------------------------

@@ -15,7 +15,6 @@
 #include "power/thermal.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
-#include "trace/export.hpp"
 
 namespace sim = pcd::sim;
 using namespace pcd;
@@ -170,7 +169,7 @@ TEST(Predictor, BeatsCpuspeedOnMixedCode) {
   const auto cs = core::run_workload(mg, cpuspeed_cfg);
 
   core::RunConfig pred_cfg;
-  pred_cfg.predictor = core::PhasePredictorParams{};
+  pred_cfg.daemon = core::PhasePredictorParams{};
   const auto pred = core::run_workload(mg, pred_cfg);
 
   const auto ed2p = [&](const core::RunResult& r) {
@@ -189,7 +188,7 @@ TEST(Predictor, SavesEnergyOnPhaseHeavyCode) {
   base_cfg.static_mhz = 1400;
   const auto base = core::run_workload(ft, base_cfg);
   core::RunConfig pred_cfg;
-  pred_cfg.predictor = core::PhasePredictorParams{};
+  pred_cfg.daemon = core::PhasePredictorParams{};
   const auto pred = core::run_workload(ft, pred_cfg);
   EXPECT_LT(pred.energy_j / base.energy_j, 0.85);
   EXPECT_LT(pred.delay_s / base.delay_s, 1.08);
@@ -223,42 +222,6 @@ TEST(Heterogeneous, IdleRankGetsLowestSpeed) {
   const auto speeds = core::select_per_rank_speeds(
       p, cpu::OperatingPointTable::pentium_m_1400());
   EXPECT_EQ(speeds[0], 600);
-}
-
-// ---- trace export -------------------------------------------------------------
-
-TEST(TraceExport, CsvContainsHeaderAndRecords) {
-  sim::Engine e;
-  trace::Tracer t(e, 2);
-  e.schedule_at(0, [&] {
-    auto s = new trace::Tracer::Scope(t.scope(1, trace::Cat::Send, "mpi_send", 0, 512));
-    e.schedule_at(1000, [s] { delete s; });
-  });
-  e.run();
-  const auto csv = trace::export_csv(t);
-  EXPECT_NE(csv.find("rank,category,label"), std::string::npos);
-  EXPECT_NE(csv.find("1,Send,mpi_send,0,1000,1000,0,512"), std::string::npos);
-}
-
-TEST(TraceExport, HistogramBucketsDurations) {
-  sim::Engine e;
-  trace::Tracer t(e, 1);
-  auto add_scope = [&](sim::SimTime start, sim::SimDuration dur) {
-    e.schedule_at(start, [&t, &e, dur] {
-      auto s = new trace::Tracer::Scope(t.scope(0, trace::Cat::Wait, "w"));
-      e.schedule_in(dur, [s] { delete s; });
-    });
-  };
-  add_scope(0, 10 * sim::kMicrosecond);
-  add_scope(sim::kSecond, 10 * sim::kMicrosecond);
-  add_scope(2 * sim::kSecond, 10 * sim::kMillisecond);
-  e.run();
-  const auto h = trace::histogram(t, 0, trace::Cat::Wait);
-  EXPECT_EQ(h.total, 3);
-  EXPECT_NEAR(h.total_s, 2 * 10e-6 + 10e-3, 1e-9);
-  EXPECT_GT(h.typical_us(), 4.0);
-  EXPECT_LT(h.typical_us(), 40.0);
-  EXPECT_EQ(trace::histogram(t, 0, trace::Cat::Compute).total, 0);
 }
 
 // ---- additional MPI collectives -----------------------------------------------
@@ -345,7 +308,7 @@ TEST(MpiExt, ReduceScatterCompletesEverywhere) {
 TEST(MpiExt, RunnerWithPredictorCountsTransitions) {
   auto ft = apps::npb_by_name("FT", 0.1).value();
   core::RunConfig cfg;
-  cfg.predictor = core::PhasePredictorParams{};
+  cfg.daemon = core::PhasePredictorParams{};
   const auto r = core::run_workload(ft, cfg);
   EXPECT_GT(r.dvs_transitions, 0);
 }

@@ -331,7 +331,7 @@ TEST(FaultRunner, WatchdogFallbackPreservesPerformanceConstraint) {
   // CPUSPEED daemon everywhere; at t=0.3 s every DVS driver wedges for 1 s.
   core::RunConfig stuck;
   stuck.daemon = core::CpuspeedParams{};
-  stuck.daemon->interval_s = 0.2;
+  std::get<core::CpuspeedParams>(*stuck.daemon).interval_s = 0.2;
   for (int n = 0; n < 8; ++n) {
     stuck.faults.events.push_back(fault::stuck_dvs(0.3, n, 1.0));
   }
@@ -382,7 +382,7 @@ TEST(FaultRunner, WatchdogFallbackDumpsTheFlightRecorder) {
   // the last causal steps plus the registered state snapshots.
   core::RunConfig cfg;
   cfg.daemon = core::CpuspeedParams{};
-  cfg.daemon->interval_s = 0.2;
+  std::get<core::CpuspeedParams>(*cfg.daemon).interval_s = 0.2;
   for (int n = 0; n < 8; ++n) {
     cfg.faults.events.push_back(fault::stuck_dvs(0.3, n, 1.0));
   }
@@ -407,7 +407,7 @@ TEST(FaultRunner, WatchdogFallbackDumpsTheFlightRecorder) {
 TEST(FaultRunner, WatchdogRestartsWedgedDaemon) {
   core::RunConfig cfg;
   cfg.daemon = core::CpuspeedParams{};
-  cfg.daemon->interval_s = 0.2;
+  std::get<core::CpuspeedParams>(*cfg.daemon).interval_s = 0.2;
   cfg.faults.events.push_back(fault::daemon_wedge(0.4, 0));
   cfg.faults.resilience.watchdog = true;
   cfg.faults.resilience.watchdog_params.check_interval_s = 0.25;

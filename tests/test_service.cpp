@@ -220,6 +220,18 @@ TEST(SpecRequest, CellKeyIsIndependentOfRequestShapeAndRobustnessKnobs) {
   EXPECT_NE(a.cell_key("FT", "full"), d.cell_key("FT", "full"));
   EXPECT_NE(a.cell_key("FT", "full"), a.cell_key("FT", "1400"));
   EXPECT_NE(a.cell_key("FT", "full"), a.cell_key("CG", "full"));
+
+  // A long client label must not cut off the fields recorded after it: two
+  // cells that differ only in static_mhz keep different keys.
+  const std::string long_label(600, 'x');
+  auto e = tiny_request({"FT"});
+  e.strategies = {{long_label, 600, ""}};
+  auto f = tiny_request({"FT"});
+  f.strategies = {{long_label, 1400, ""}};
+  EXPECT_NE(e.cell_key("FT", long_label), f.cell_key("FT", long_label));
+
+  // Keys are persisted in cache logs, so a short identity keeps its value.
+  EXPECT_EQ(a.cell_key("FT", "full"), 0x0ba1607c95133c84ULL);
 }
 
 // ---- result cache ----------------------------------------------------------

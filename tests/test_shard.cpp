@@ -286,7 +286,7 @@ TEST(ShardConfig, ValidateRejectsNonPositiveAndSingleEngineLayers) {
   core::RunConfig cfg;
   cfg.shards = 0;
   EXPECT_FALSE(cfg.validate().empty());
-  EXPECT_THROW(core::RunConfigBuilder(cfg).build(), std::invalid_argument);
+  EXPECT_THROW(core::run_workload(apps::make_ft(kScale), cfg), std::invalid_argument);
 
   // Every observation layer shards: trace, profile, meters, telemetry,
   // faults, digests, and the flight recorder are all accepted at shards > 1
@@ -314,15 +314,6 @@ TEST(ShardConfig, ValidateRejectsNonPositiveAndSingleEngineLayers) {
   EXPECT_FALSE(cfg.validate().empty());
   cfg.determinism.perturb_seq = 0;
   EXPECT_TRUE(cfg.validate().empty());
-}
-
-TEST(ShardConfig, BuilderSetsShardsAndExposesTopology) {
-  core::RunConfigBuilder b;
-  b.shards(4).topology().network.latency = sim::from_micros(20);
-  const auto cfg = b.seed(9).build();
-  EXPECT_EQ(cfg.shards, 4);
-  EXPECT_EQ(cfg.cluster.network.latency, sim::from_micros(20));
-  EXPECT_EQ(cfg.seed, 9u);
 }
 
 TEST(ShardConfig, NetworkValidationFlagsNonPositiveLatency) {
@@ -648,7 +639,7 @@ TEST(PinnedOutputs, EveryLayerOnTwoShards) {
 // counter and restarts.  Pins the absolute outputs on one shard.
 TEST(PinnedOutputs, PredictorWithWatchdogOneShard) {
   core::RunConfig cfg;
-  cfg.predictor = core::PhasePredictorParams{};
+  cfg.daemon = core::PhasePredictorParams{};
   cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
   cfg.faults.resilience.watchdog = true;
   cfg.determinism.digest = true;
