@@ -12,14 +12,14 @@
 // so the measurement covers both the per-shard hot loop and the barrier
 // protocol, not an embarrassingly parallel best case.
 //
-// A second section measures the *observability overhead* of sharded runs:
-// the same compute-bound workload is run through core::run_workload at
-// 1/2/4/8 shards with telemetry off and on (registry + decision log +
-// transition stream + sampler + exports, the per-shard collect-and-merge
-// path), emitting BM_ShardObsOff/shards:N and BM_ShardObsOn/shards:N
-// entries whose items_per_second is useful-work throughput
-// (rank-iterations per wall second).  CI gates obs-on at >= 95% of
-// obs-off from the same file via check_bench_regression.py
+// A second section measures the *observability overhead* of the runner:
+// the same compute-bound workload is run through core::run_workload on one
+// engine with telemetry off and on (registry + decision log + transition
+// stream + sampler + exports), emitting BM_ShardObsOff/shards:1 and
+// BM_ShardObsOn/shards:1 entries whose items_per_second is useful-work
+// throughput (rank-iterations per CPU second).  Only one shard: a sharded
+// run carries no observers (RunConfig::validate()).  CI gates obs-on at
+// >= 95% of obs-off from the same file via check_bench_regression.py
 // --candidate-prefix, so machine speed cancels out of the comparison.
 // Tracing/profiling is deliberately *not* part of the gated config: its
 // cost is per-trace-record and therefore proportional to useful work —
@@ -169,8 +169,7 @@ double best(const std::vector<double>& v) {
 
 // One rep: useful-work throughput (rank-iterations / CPU second) with the
 // observation stack off or on.
-double obs_rep(int shards, int ranks, int steps, bool obs,
-               std::uint64_t* events_out) {
+double obs_rep(int ranks, int steps, bool obs, std::uint64_t* events_out) {
   pcd::apps::Workload app;
   app.name = "bench.obs";
   app.ranks = ranks;
@@ -180,7 +179,6 @@ double obs_rep(int shards, int ranks, int steps, bool obs,
     return obs_rank(ctx, rank, steps);
   };
   pcd::core::RunConfig cfg;
-  cfg.shards = shards;
   cfg.static_mhz = 600;
   if (obs) {
     cfg.telemetry.enabled = true;
@@ -202,14 +200,13 @@ double obs_rep(int shards, int ranks, int steps, bool obs,
 // is the *best* rep: CPU-time noise — preemption, frequency dips, cold
 // caches — is strictly additive, so the fastest rep is the closest
 // estimate of the true cost on both sides of the 5% gate.
-void run_obs_pair(int shards, int ranks, int steps, int reps,
-                  Measurement* off, Measurement* on) {
+void run_obs_pair(int ranks, int steps, int reps, Measurement* off, Measurement* on) {
   std::vector<double> off_ips, on_ips;
-  off->shards = on->shards = shards;
+  off->shards = on->shards = 1;
   off->nodes = on->nodes = ranks;
   for (int r = 0; r < reps; ++r) {
-    off_ips.push_back(obs_rep(shards, ranks, steps, false, &off->events));
-    on_ips.push_back(obs_rep(shards, ranks, steps, true, &on->events));
+    off_ips.push_back(obs_rep(ranks, steps, false, &off->events));
+    on_ips.push_back(obs_rep(ranks, steps, true, &on->events));
   }
   off->events_per_s = best(off_ips);
   on->events_per_s = best(on_ips);
@@ -268,28 +265,23 @@ int main(int argc, char** argv) {
       static_cast<pcd::sim::SimTime>(horizon_ms * 1e6);  // ms -> ns
   const unsigned hw = std::thread::hardware_concurrency();
 
-  // Observability overhead: full-runner compute workload, obs stack off vs
-  // on, at each shard count.  64 ranks keeps every shard populated at 8.
-  // Runs FIRST: the synthetic scaling runs (especially the 100k-node one)
-  // leave the allocator with a grown, fragmented heap that measurably
-  // penalizes the allocation-heavier obs-on side of the comparison.
+  // Observability overhead: full-runner compute workload on one engine,
+  // obs stack off vs on.  Runs FIRST: the synthetic scaling runs
+  // (especially the 100k-node one) leave the allocator with a grown,
+  // fragmented heap that measurably penalizes the allocation-heavier
+  // obs-on side of the comparison.
   const int obs_ranks = 64;
   std::printf("observability overhead: %d ranks x %d iterations, "
               "best of %d interleaved reps (CPU time)\n",
               obs_ranks, obs_steps, obs_reps);
-  std::printf("%8s %14s %14s %10s\n", "shards", "off items/s", "on items/s",
-              "overhead");
-  std::vector<Measurement> obs_off, obs_on;
-  for (int shards : {1, 2, 4, 8}) {
-    Measurement off, on;
-    run_obs_pair(shards, obs_ranks, obs_steps, obs_reps, &off, &on);
-    const double overhead =
-        off.events_per_s > 0 ? 1.0 - on.events_per_s / off.events_per_s : 0.0;
-    std::printf("%8d %14.0f %14.0f %9.1f%%\n", shards, off.events_per_s,
-                on.events_per_s, overhead * 100.0);
-    obs_off.push_back(off);
-    obs_on.push_back(on);
-  }
+  std::printf("%14s %14s %10s\n", "off items/s", "on items/s", "overhead");
+  Measurement obs_off, obs_on;
+  run_obs_pair(obs_ranks, obs_steps, obs_reps, &obs_off, &obs_on);
+  const double overhead = obs_off.events_per_s > 0
+                              ? 1.0 - obs_on.events_per_s / obs_off.events_per_s
+                              : 0.0;
+  std::printf("%14.0f %14.0f %9.1f%%\n", obs_off.events_per_s, obs_on.events_per_s,
+              overhead * 100.0);
 
   std::printf("\nshard scaling: %d nodes, %.1f ms simulated, %u hardware threads\n",
               nodes, horizon_ms, hw);
@@ -336,16 +328,8 @@ int main(int argc, char** argv) {
   append_json_entry(json, big,
                     "BM_ShardHugeRun/nodes:" + std::to_string(big.nodes),
                     /*last=*/false);
-  for (const auto& m : obs_off) {
-    append_json_entry(json, m,
-                      "BM_ShardObsOff/shards:" + std::to_string(m.shards),
-                      /*last=*/false);
-  }
-  for (std::size_t i = 0; i < obs_on.size(); ++i) {
-    append_json_entry(json, obs_on[i],
-                      "BM_ShardObsOn/shards:" + std::to_string(obs_on[i].shards),
-                      /*last=*/i + 1 == obs_on.size());
-  }
+  append_json_entry(json, obs_off, "BM_ShardObsOff/shards:1", /*last=*/false);
+  append_json_entry(json, obs_on, "BM_ShardObsOn/shards:1", /*last=*/true);
   json += "  ]\n}\n";
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fputs(json.c_str(), f);

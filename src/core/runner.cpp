@@ -1,24 +1,21 @@
-// run_workload: one measured run, on one engine or on N shards alike
+// run_workload: one measured run, on one engine or on N shards
 // (DESIGN.md §3.14).
 //
 // Every shard of a run gets one *rig*: its engine, its slice of the
-// cluster, and every collector and service the run wires onto them —
-// digest collector + flight recorder, telemetry hub + sampler, the §4.2
-// meter protocol, the DVS daemons, the fault checkpoint/injector/
-// watchdogs, tracer + energy probe, ACPI reads, and the stoppers that end
-// the measurement window.  One function builds a rig and one assembly path
-// folds the rigs into a RunResult, so a single-engine run is simply the
-// one-rig case.  What depends on the clamped shard count stays explicit:
+// cluster, its DVS daemons and rank processes, and the stoppers that end
+// the measurement window.  Observers — digest collector + flight recorder,
+// telemetry hub + sampler, the §4.2 meter protocol, the fault checkpoint/
+// injector/watchdogs, tracer + energy probe — exist only on a
+// single-engine run: validate() rejects them at shards > 1, so the result
+// reads every one of them from the one rig.  What depends on the clamped
+// shard count stays explicit:
 //   - 1 shard: a plain sim::Engine, the cluster built whole, mpi::Comm, an
 //     in-engine completion watcher that stops the services and the engine
 //     at the exact completion instant, an MPI progress-watchdog coroutine,
 //     and 200k-event control batches;
 //   - N shards: sim::ShardedEngine, build_shard_clusters, mpi::ShardedComm,
-//     completion/cancel/deadline/progress checks at every barrier, and the
-//     deterministic merges — telemetry (merge_snapshots), trace (absorb +
-//     sort_messages), faults (split_plan in, merge_reports out), energy
-//     (per-lane terms re-folded in global lane order) and digests
-//     (merge_digests, per-shard parts kept for tools/pcd_diff).
+//     completion/cancel/deadline checks at every barrier, and the energy
+//     total re-folded from per-lane terms in global lane order.
 #include "core/runner.hpp"
 
 #include <algorithm>
@@ -72,14 +69,12 @@ double fold(const std::vector<double>& terms, double sum = 0) {
 // Energy probe behind scope attribution: a pure read of the exact node
 // energy integrator and the CPU's retired-cycle counter.  Both accessors
 // accrue lazily but never mutate simulation-visible state, so sampling on
-// every scope boundary keeps the run bit-identical.  Scopes carry
-// machine-wide rank ids; the cluster indexes its own nodes from rank_base.
+// every scope boundary keeps the run bit-identical.
 struct EnergyProbe final : trace::Tracer::Probe {
-  EnergyProbe(machine::Cluster& c, int base) : cluster(&c), rank_base(base) {}
+  explicit EnergyProbe(machine::Cluster& c) : cluster(&c) {}
   machine::Cluster* cluster;
-  int rank_base;
   trace::Tracer::EnergySample sample(int rank) override {
-    auto& node = cluster->node(rank - rank_base);
+    auto& node = cluster->node(rank);
     const auto e = node.power().energy_breakdown();
     return {e.total(), e.cpu, node.cpu().retired_sensitive_cycles()};
   }
@@ -95,7 +90,6 @@ struct Rig {
   Rig& operator=(const Rig&) = delete;
 
   sim::Engine* engine = nullptr;
-  int node_base = 0;  // machine-wide id of the first node (and rank)
   std::unique_ptr<telemetry::DeterminismCollector> det;
   std::unique_ptr<machine::Cluster> cluster;
   std::unique_ptr<telemetry::Hub> hub;
@@ -192,17 +186,15 @@ void add_state_providers(Rig& rig) {
 
 // Wires everything between cluster construction and launch onto one rig.
 // The order is part of the single-engine event sequence (and so of its
-// digests and outputs); keep it.  `part` is the rig's share of the fault
-// plan (the whole plan on a single engine).
-void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan part) {
+// digests and outputs); keep it.  Every observer is off on a sharded rig
+// (validate()), which leaves it the strategy setup alone.
+void build_rig(Rig& rig, const RunConfig& config, int ranks) {
   sim::Engine& engine = *rig.engine;
   machine::Cluster& cluster = *rig.cluster;
 
   if (rig.det != nullptr) {
-    // Nodes fold under their machine-wide id, so per-shard power streams
-    // name the same machine the rank numbering does.
     for (int i = 0; i < cluster.size(); ++i) {
-      cluster.node(i).power().set_digest(rig.det->power_stream(), rig.node_base + i);
+      cluster.node(i).power().set_digest(rig.det->power_stream(), i);
     }
     add_state_providers(rig);
   }
@@ -254,12 +246,9 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan pa
           &rig.fault_report, rig.hub.get());
       rig.stoppers.push_back([c = rig.ckpt.get()] { c->stop(); });
     }
-    // A sharded run gives every shard an injector even when its part is
-    // empty: finalize() folds per-node downtime and dropped-DVS-write counts
-    // into the report, and those must cover the whole machine.
     if (plan.injects()) {
       rig.injector = std::make_unique<fault::FaultInjector>(
-          engine, cluster, std::move(part), cluster.rng_stream(), &rig.fault_report);
+          engine, cluster, plan, cluster.rng_stream(), &rig.fault_report);
       rig.injector->attach_telemetry(rig.hub.get());
       if (rig.ckpt != nullptr) rig.injector->set_checkpoint_service(rig.ckpt.get());
       if (!rig.daemon_hooks.empty()) {
@@ -283,19 +272,17 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan pa
     }
   }
 
-  // --- trace/profile: the tracer spans the machine-wide rank space (a
-  // shard's rows are disjoint from every other shard's) ---
+  // --- trace/profile ---
   if (config.collect_trace || config.profile) {
     rig.tracer = std::make_unique<trace::Tracer>(engine, ranks);
     if (config.profile) {
-      rig.probe.emplace(cluster, rig.node_base);
+      rig.probe.emplace(cluster);
       rig.tracer->set_probe(&*rig.probe);
     }
   }
 
   // The sampler only *reads* cluster state, so enabling it cannot perturb
   // delay or energy; it starts here so the series covers the run window.
-  // Node labels are machine-wide (node_base).
   if (rig.hub != nullptr && config.telemetry.sample) {
     rig.sampler = std::make_unique<telemetry::TimeSeriesSampler>(
         engine, cluster.size(), config.telemetry.sampler,
@@ -312,7 +299,7 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan pa
           p.watts_other = bd.other;
           return p;
         },
-        &rig.hub->registry(), rig.node_base);
+        &rig.hub->registry());
     // Batch path: one dense dirty-lane refresh over the arena per tick; the
     // per-node breakdown() calls above then read clean cached lanes.
     rig.sampler->set_tick_prelude([cl = &cluster] { cl->arena().refresh_all(); });
@@ -324,12 +311,9 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks, fault::FaultPlan pa
 // Joins a rig's rank processes and snapshots its clock and per-lane energy
 // at the last completion.  On a single engine (`stop_at_end`) it also stops
 // the rig's services and the engine right there, so no later meter or
-// daemon event runs before the meters' grace run — the same rule a sharded
-// run keeps by ending at its completion barrier.  A shard that finishes
-// early keeps its services running instead — a single engine stops them
-// at *global* completion, so stopping one shard early would cut its
-// observation record short; run_workload stops every rig after the
-// barrier loop.
+// daemon event runs before the meters' grace run.  A shard that finishes
+// early keeps its daemons polling until *global* completion, as one engine
+// would; run_workload stops every rig after the barrier loop.
 sim::Process completion_watcher(Rig& rig, bool stop_at_end) {
   for (auto& p : rig.ranks) co_await p;
   if (rig.done) co_return;  // the run was already failed or aborted
@@ -344,9 +328,10 @@ sim::Process completion_watcher(Rig& rig, bool stop_at_end) {
 // `timeout_s` — no MPI message delivered, no CPU work unit retired, no rank
 // finished.  That is the signature of a crashed node with no
 // checkpoint/restart: the survivors block inside MPI forever while the
-// daemons keep the event queue alive.
+// daemons keep the event queue alive.  Single engine only: a sharded run
+// injects no faults, so it never arms the monitor.
 struct ProgressMonitor {
-  const std::vector<Rig>& rigs;
+  const Rig& rig;
   const mpi::CommBase& comm;
   double timeout_s;
   int ranks;
@@ -355,12 +340,10 @@ struct ProgressMonitor {
 
   auto signature() const {
     std::int64_t work = 0, done_ranks = 0;
-    for (const Rig& rig : rigs) {
-      for (int i = 0; i < rig.cluster->size(); ++i) {
-        work += rig.cluster->node(i).cpu().stats().work_completed;
-      }
-      for (const auto& p : rig.ranks) done_ranks += p.done() ? 1 : 0;
+    for (int i = 0; i < rig.cluster->size(); ++i) {
+      work += rig.cluster->node(i).cpu().stats().work_completed;
     }
+    for (const auto& p : rig.ranks) done_ranks += p.done() ? 1 : 0;
     return std::tuple{comm.stats().messages, work, done_ranks};
   }
   void reset(sim::SimTime now) {
@@ -385,8 +368,8 @@ struct ProgressMonitor {
   }
 };
 
-// Single-engine progress watchdog: polls the monitor in simulated time and
-// fails the run (structured, not a hang) at the stall instant.
+// Progress watchdog: polls the monitor in simulated time and fails the run
+// (structured, not a hang) at the stall instant.
 sim::Process progress_watchdog(Rig& rig, ProgressMonitor& monitor,
                                std::optional<std::string>* failure) {
   monitor.reset(rig.engine->now());
@@ -484,22 +467,30 @@ std::vector<ConfigIssue> RunConfig::validate() const {
        net::Network::validate_params(cluster.network, "cluster.network")) {
     issues.push_back({field, message});
   }
+  if (determinism.checkpoint_every > telemetry::DeterminismOptions::kMaxCheckpointEvery) {
+    issues.push_back({"determinism.checkpoint_every",
+                      "checkpoint interval cannot exceed 2^63 events, got " +
+                          std::to_string(determinism.checkpoint_every)});
+  }
   if (shards <= 0) {
     issues.push_back({"shards", "shard count must be positive, got " +
                                     std::to_string(shards)});
   } else if (shards > 1) {
-    // The sharded path carries the full observation stack: every collector
-    // (trace, profile, meters, telemetry, faults, digests, flight recorder)
-    // is instantiated per shard and merged deterministically at run end
-    // (DESIGN.md §3.14).  The one residual single-engine assumption is
-    // focused per-event capture / seq perturbation: dispatch ordinals are
-    // per-shard, so a machine-wide capture window is not definable.
-    if (determinism.capture() || determinism.perturb_seq != 0) {
-      issues.push_back({"determinism",
-                        "focused per-event capture and seq perturbation are "
-                        "not supported with shards > 1 (dispatch ordinals "
-                        "are per-shard); digests and the flight recorder "
-                        "shard fine"});
+    // A sharded run is bare: every observer is built and read on one
+    // engine only (DESIGN.md §3.14).
+    const std::pair<bool, const char*> observers[] = {
+        {collect_trace, "collect_trace"},
+        {profile, "profile"},
+        {use_meters, "use_meters"},
+        {telemetry.enabled, "telemetry.enabled"},
+        {faults.active(), "faults"},
+        {determinism.any(), "determinism"},
+    };
+    for (const auto& [on, field] : observers) {
+      if (on) {
+        issues.push_back({field, "observation layers are not supported with shards > 1; "
+                                 "run this configuration on one shard"});
+      }
     }
   }
   return issues;
@@ -524,26 +515,16 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
   }
   std::vector<Rig> rigs(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    Rig& rig = rigs[static_cast<std::size_t>(s)];
-    rig.engine = sharded ? &engines->shard(s) : &*solo;
-    rig.node_base = plan.global_of(s, 0);
-    // --- determinism observability (installed before anything schedules,
-    // so the digest streams cover the cluster's very first event) ---
-    //
-    // A collector's RNG install covers only the constructing (calling)
-    // thread, and stacking N of them would chain dangling restores, so at
-    // shards > 1 each collector releases it and the engine re-installs the
-    // stream on whichever thread runs the shard's windows.  Calling-thread
-    // construction draws are therefore not folded into the RNG stream at
-    // shards > 1 — the other streams still cover construction, and
-    // multi-shard digests have no 1-shard identity to hold.
-    if (!config.determinism.any()) continue;
-    rig.det = std::make_unique<telemetry::DeterminismCollector>(*rig.engine,
-                                                                config.determinism);
-    if (sharded) {
-      rig.det->release_rng();
-      engines->set_rng_digest(s, rig.det->rng_stream());
-    }
+    rigs[static_cast<std::size_t>(s)].engine = sharded ? &engines->shard(s) : &*solo;
+  }
+  // The one rig every observer lives on (validate() keeps them off sharded
+  // runs).
+  Rig& rig0 = rigs.front();
+  // --- determinism observability (installed before anything schedules, so
+  // the digest streams cover the cluster's very first event) ---
+  if (config.determinism.any()) {
+    rig0.det = std::make_unique<telemetry::DeterminismCollector>(*rig0.engine,
+                                                                 config.determinism);
   }
 
   // The paper reports total system energy of the nodes running the job
@@ -555,38 +536,21 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
     auto clusters = machine::build_shard_clusters(*engines, cc, plan);
     for (std::size_t s = 0; s < rigs.size(); ++s) rigs[s].cluster = std::move(clusters[s]);
   } else {
-    rigs[0].cluster = std::make_unique<machine::Cluster>(*solo, cc);
+    rig0.cluster = std::make_unique<machine::Cluster>(*solo, cc);
   }
-
-  // The machine-wide fault plan splits along shard boundaries: node-targeted
-  // events localize to the owning shard, cluster-wide events replicate
-  // (recording only on shard 0), pick-a-node hazards replicate with their
-  // MTBF scaled to the shard's node share.  Per-shard checkpoint services
-  // sweep in lockstep (same interval, same launch instant), so the merged
-  // checkpoint count is the max, not the sum.
-  auto fault_parts = sharded ? fault::split_plan(config.faults, plan.first)
-                             : std::vector<fault::FaultPlan>{config.faults};
-  for (std::size_t s = 0; s < rigs.size(); ++s) {
-    build_rig(rigs[s], config, workload.ranks, std::move(fault_parts[s]));
-  }
+  for (auto& rig : rigs) build_rig(rig, config, workload.ranks);
 
   std::unique_ptr<mpi::CommBase> comm;
   if (sharded) {
     std::vector<machine::Cluster*> clusters;
     for (auto& rig : rigs) clusters.push_back(rig.cluster.get());
-    auto sc = std::make_unique<mpi::ShardedComm>(*engines, clusters, plan);
-    for (int s = 0; s < shards; ++s) {
-      const Rig& rig = rigs[static_cast<std::size_t>(s)];
-      if (rig.det != nullptr) sc->set_digest(s, rig.det->mpi_stream());
-      if (rig.tracer != nullptr) sc->set_tracer(s, rig.tracer.get());
-    }
-    comm = std::move(sc);
+    comm = std::make_unique<mpi::ShardedComm>(*engines, clusters, plan);
   } else {
     std::vector<int> node_ids(workload.ranks);
     std::iota(node_ids.begin(), node_ids.end(), 0);
-    auto c = std::make_unique<mpi::Comm>(*rigs[0].cluster, node_ids, mpi::CostParams{},
-                                         rigs[0].tracer.get());
-    if (rigs[0].det != nullptr) c->set_digest(rigs[0].det->mpi_stream());
+    auto c = std::make_unique<mpi::Comm>(*rig0.cluster, node_ids, mpi::CostParams{},
+                                         rig0.tracer.get());
+    if (rig0.det != nullptr) c->set_digest(rig0.det->mpi_stream());
     comm = std::move(c);
   }
 
@@ -599,29 +563,27 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
     rig.ctx.hooks = &config.hooks;
     rig.ctx.slice_s = config.slice_s;
     rig.e_start = lane_energy_terms(*rig.cluster);
-    if (config.use_meters) {
-      for (int i = 0; i < rig.cluster->size(); ++i) {
-        rig.acpi_start.push_back(rig.cluster->node(i).battery().reported_remaining_mwh());
-      }
-      rig.acpi_end.resize(rig.acpi_start.size());
-      // The operator reads the batteries right at completion; register that
-      // read with the stoppers so it happens at exactly the end instant.
-      rig.stoppers.push_back([r = &rig] {
-        for (int i = 0; i < r->cluster->size(); ++i) {
-          r->acpi_end[static_cast<std::size_t>(i)] =
-              r->cluster->node(i).battery().reported_remaining_mwh();
-          r->cluster->node(i).battery().stop_polling();
-        }
-      });
-    }
-    // Arm the resilience/injection machinery right at launch so scripted
-    // fault times are relative to the application's start.  Shard clocks
-    // are equal here (every pre-run advance is the same on each shard), so
-    // the lockstep-checkpoint assumption behind the report merge holds.
-    if (rig.ckpt != nullptr) rig.ckpt->start();
-    if (rig.injector != nullptr) rig.injector->arm();
     rig.ranks.reserve(static_cast<std::size_t>(rig.cluster->size()));
   }
+  if (config.use_meters) {
+    for (int i = 0; i < rig0.cluster->size(); ++i) {
+      rig0.acpi_start.push_back(rig0.cluster->node(i).battery().reported_remaining_mwh());
+    }
+    rig0.acpi_end.resize(rig0.acpi_start.size());
+    // The operator reads the batteries right at completion; register that
+    // read with the stoppers so it happens at exactly the end instant.
+    rig0.stoppers.push_back([r = &rig0] {
+      for (int i = 0; i < r->cluster->size(); ++i) {
+        r->acpi_end[static_cast<std::size_t>(i)] =
+            r->cluster->node(i).battery().reported_remaining_mwh();
+        r->cluster->node(i).battery().stop_polling();
+      }
+    });
+  }
+  // Arm the resilience/injection machinery right at launch so scripted
+  // fault times are relative to the application's start.
+  if (rig0.ckpt != nullptr) rig0.ckpt->start();
+  if (rig0.injector != nullptr) rig0.injector->arm();
   for (int r = 0; r < workload.ranks; ++r) {
     Rig& rig = rigs[static_cast<std::size_t>(plan.shard_of(r))];
     rig.ranks.push_back(sim::spawn(*rig.engine, workload.make_rank(rig.ctx, r)));
@@ -630,10 +592,10 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
 
   double mpi_timeout_s = config.faults.resilience.mpi_timeout_s;
   if (mpi_timeout_s == 0) mpi_timeout_s = config.faults.injects() ? 60.0 : -1.0;
-  ProgressMonitor progress{rigs, *comm, mpi_timeout_s, workload.ranks};
+  ProgressMonitor progress{rig0, *comm, mpi_timeout_s, workload.ranks};
   std::optional<std::string> failure;
-  if (mpi_timeout_s > 0 && !sharded) {
-    sim::spawn(*solo, progress_watchdog(rigs[0], progress, &failure));
+  if (mpi_timeout_s > 0) {
+    sim::spawn(*rig0.engine, progress_watchdog(rig0, progress, &failure));
   }
 
   // Cancellation and wall-clock deadline checks run between event batches
@@ -666,15 +628,13 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
 
   std::uint64_t events = 0;
   if (sharded) {
-    progress.reset(t_start);
-    auto on_barrier = [&](sim::SimTime t) {
+    auto on_barrier = [&](sim::SimTime) {
       if ((failure = control_abort())) return false;
-      if (mpi_timeout_s > 0 && (failure = progress.stalled(t))) return false;
       return !all_done();  // stop promptly once every shard is done
     };
     events = engines->run(sim::ShardedEngine::kNoLimit, on_barrier).events;
   } else {
-    while (!rigs[0].done) {
+    while (!rig0.done) {
       if ((failure = control_abort())) break;
       if (solo->run(200'000) == 0) break;
     }
@@ -713,15 +673,10 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
   result.energy_j = e_end_total - e_start_total;
 
   if (config.faults.active()) {
-    std::vector<fault::FaultReport> reports;
-    for (auto& rig : rigs) {
-      if (rig.injector != nullptr) rig.injector->finalize();
-      reports.push_back(std::move(rig.fault_report));
-    }
-    auto merged = fault::merge_reports(std::move(reports));
-    merged.run_failed = result.failed;
-    merged.failure = result.failure;
-    result.fault_report = std::move(merged);
+    if (rig0.injector != nullptr) rig0.injector->finalize();
+    result.fault_report = std::move(rig0.fault_report);
+    result.fault_report->run_failed = result.failed;
+    result.fault_report->failure = result.failure;
   }
 
   if (config.use_meters) {
@@ -729,24 +684,16 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
     // staleness at both ends (each value is from the last 15-20 s refresh)
     // largely cancels over long runs.
     double acpi_mwh = 0;
-    for (const auto& rig : rigs) {
-      for (std::size_t i = 0; i < rig.acpi_start.size(); ++i) {
-        acpi_mwh += rig.acpi_start[i] - rig.acpi_end[i];
-      }
+    for (std::size_t i = 0; i < rig0.acpi_start.size(); ++i) {
+      acpi_mwh += rig0.acpi_start[i] - rig0.acpi_end[i];
     }
     result.energy_acpi_j = acpi_mwh * 3.6;
     // The Baytech unit reports completed one-minute windows; run the clock
     // past the next report so the window containing t_end is available.
-    // Every rank has joined, so advancing one shard alone only drains its
-    // local meter events.
-    result.energy_baytech_j = 0;
-    const sim::SimTime grace = t_end + 61 * sim::kSecond;
-    for (auto& rig : rigs) {
-      rig.engine->run_until(grace);
-      result.energy_baytech_j +=
-          rig.cluster->baytech().estimate_energy_joules(t_start, t_end);
-      rig.cluster->baytech().stop_polling();
-    }
+    rig0.engine->run_until(t_end + 61 * sim::kSecond);
+    auto& baytech = rig0.cluster->baytech();
+    result.energy_baytech_j = baytech.estimate_energy_joules(t_start, t_end);
+    baytech.stop_polling();
   }
 
   for (const auto& rig : rigs) {
@@ -763,87 +710,37 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
   result.messages = comm->stats().messages;
   result.events = static_cast<std::int64_t>(sharded ? events : solo->events_processed());
 
-  // Trace merge: per-rank rows are disjoint (each shard traced only its own
-  // ranks), messages re-sort by send time — the order one engine would have
-  // logged them in.
-  trace::Tracer* tracer = rigs[0].tracer.get();
-  std::optional<trace::Tracer> merged_tracer;
-  if (sharded && tracer != nullptr) {
-    merged_tracer.emplace(engines->shard(0), workload.ranks);
-    for (const auto& rig : rigs) merged_tracer->absorb(*rig.tracer);
-    merged_tracer->sort_messages();
-    tracer = &*merged_tracer;
-  }
+  const trace::Tracer* tracer = rig0.tracer.get();
   if (tracer != nullptr) {
     result.profile = trace::analyze(*tracer);
     result.timeline = trace::render_timeline(*tracer);
   }
   if (config.profile && config.profile_analysis && tracer != nullptr) {
-    const auto& table = rigs[0].cluster->node(0).cpu().table();
+    const auto& table = rig0.cluster->node(0).cpu().table();
     const int profile_mhz =
         config.static_mhz != 0 ? config.static_mhz : table.highest().freq_mhz;
     result.profiler = profiler::profile(*tracer, table, profile_mhz, result.delay_s,
                                         result.energy_j);
   }
 
-  if (config.determinism.any()) {
-    telemetry::RunCapture capture;
-    std::vector<telemetry::RunDigest> parts;
-    std::string flight;
-    for (auto& rig : rigs) {
-      telemetry::RunCapture part = rig.det->take_capture();
-      // Black box: a failed run dumps the last N causal steps at the failure
-      // instant (watchdog-fallback dumps are in fault_report already).
-      if (result.failed && rig.det->recorder() != nullptr) {
-        if (!flight.empty()) flight += "\n";
-        flight += rig.det->recorder()->dump_json(result.failure, rig.engine->now());
-      }
-      rig.det->detach();
-      if (sharded) {
-        parts.push_back(std::move(part.digest));
-      } else {
-        capture = std::move(part);
-      }
+  if (rig0.det != nullptr) {
+    telemetry::RunCapture capture = rig0.det->take_capture();
+    // Black box: a failed run dumps the last N causal steps at the failure
+    // instant (watchdog-fallback dumps are in fault_report already).
+    if (result.failed && rig0.det->recorder() != nullptr) {
+      capture.flight_recording =
+          rig0.det->recorder()->dump_json(result.failure, rig0.engine->now());
     }
-    if (sharded) {
-      capture.digest = telemetry::merge_digests(parts);
-      capture.shard_parts = std::move(parts);
-    }
-    capture.flight_recording = std::move(flight);
+    rig0.det->detach();
     result.determinism = std::move(capture);
   }
 
-  if (config.telemetry.enabled) {
-    telemetry::TelemetrySnapshot snap;
-    if (!sharded) {
-      write_run_metrics(rigs[0].hub->registry(), result);
-      snap = telemetry::make_snapshot(*rigs[0].hub, rigs[0].sampler.get());
-    } else {
-      // Per-shard parts plus one run-level part; each shard's
-      // raw registry is kept for the per-shard provenance views.
-      telemetry::Hub run_hub;
-      write_run_metrics(run_hub.registry(), result);
-      std::vector<telemetry::TelemetrySnapshot> snap_parts;
-      std::vector<std::vector<telemetry::MetricSample>> shard_metrics;
-      for (const auto& rig : rigs) {
-        snap_parts.push_back(telemetry::make_snapshot(*rig.hub, rig.sampler.get()));
-        shard_metrics.push_back(snap_parts.back().metrics);
-      }
-      snap_parts.push_back(telemetry::make_snapshot(run_hub, nullptr));
-      snap = telemetry::merge_snapshots(std::move(snap_parts));
-      snap.shard_metrics = std::move(shard_metrics);
-      snap.rank_shards.resize(static_cast<std::size_t>(workload.ranks));
-      for (int r = 0; r < workload.ranks; ++r) {
-        snap.rank_shards[static_cast<std::size_t>(r)] = plan.shard_of(r);
-      }
-    }
+  if (rig0.hub != nullptr) {
+    write_run_metrics(rig0.hub->registry(), result);
+    auto snap = telemetry::make_snapshot(*rig0.hub, rig0.sampler.get());
     const telemetry::RunCapture* det =
         result.determinism.has_value() ? &*result.determinism : nullptr;
     snap.chrome_trace_json = telemetry::to_chrome_json(snap, tracer, det);
-    if (sharded && tracer != nullptr) {
-      snap.chrome_trace_sharded_json =
-          telemetry::to_chrome_json(snap, tracer, det, &snap.rank_shards);
-    }
     result.telemetry = std::move(snap);
   }
 

@@ -118,23 +118,14 @@ struct RunConfig {
   /// existed.  N > 1 partitions the cluster into N per-shard engines
   /// advancing under conservative lookahead derived from
   /// Network::min_latency(); results are deterministic across repetitions
-  /// at any fixed shard count, but event interleaving (and therefore digest
-  /// roots) legitimately differs between different shard counts.  The
-  /// effective count is clamped to the workload's rank count.
+  /// at any fixed shard count, but event interleaving legitimately differs
+  /// between different shard counts.  The effective count is clamped to
+  /// the workload's rank count.
   ///
-  /// The observation layers (trace/profile/meters/telemetry/faults/digest/
-  /// flight recorder) all work at shards > 1: each shard feeds its own
-  /// collector instances from its local engine, and the driver merges them
-  /// deterministically — stable (time, source shard, posting order) — after
-  /// global completion, so the merged snapshot, exports, profiler result,
-  /// and fault report are independent of the shard count that produced
-  /// them.  Per-shard provenance lives only in explicit views
-  /// (TelemetrySnapshot::shard_metrics, to_prometheus_sharded,
-  /// chrome_trace_sharded_json, RunCapture::shard_parts).  validate()
-  /// rejects non-positive values; the one residual single-engine-only
-  /// layer is per-event capture (determinism.capture_begin/end and
-  /// determinism.perturb_seq), which is tied to the global dispatch
-  /// sequence that sharded execution deliberately abandons.
+  /// A sharded run is bare: validate() rejects non-positive values, and at
+  /// shards > 1 every observation layer — collect_trace, profile,
+  /// use_meters, telemetry.enabled, an active fault plan, and any
+  /// determinism option — with one issue naming the field.
   int shards = 1;
 
   /// Checks the configuration for contradictions and returns every problem

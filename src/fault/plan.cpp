@@ -92,52 +92,4 @@ FaultEvent daemon_wedge(double at_s, int node) {
   return e;
 }
 
-std::vector<FaultPlan> split_plan(const FaultPlan& plan,
-                                  const std::vector<std::int64_t>& first) {
-  const int shards = static_cast<int>(first.size()) - 1;
-  const auto total = static_cast<double>(first.back() - first.front());
-  std::vector<FaultPlan> parts(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    parts[static_cast<std::size_t>(s)].horizon_s = plan.horizon_s;
-    parts[static_cast<std::size_t>(s)].resilience = plan.resilience;
-  }
-  auto owner = [&](int node) {
-    int s = shards - 1;
-    while (s > 0 && node < first[static_cast<std::size_t>(s)]) --s;
-    return s;
-  };
-  for (const auto& e : plan.events) {
-    if (e.node >= 0) {
-      const int s = owner(e.node);
-      FaultEvent local = e;
-      local.node = e.node - static_cast<int>(first[static_cast<std::size_t>(s)]);
-      parts[static_cast<std::size_t>(s)].events.push_back(std::move(local));
-    } else {
-      for (int s = 0; s < shards; ++s) {
-        FaultEvent local = e;
-        local.silent = e.silent || s != 0;
-        parts[static_cast<std::size_t>(s)].events.push_back(std::move(local));
-      }
-    }
-  }
-  for (const auto& h : plan.hazards) {
-    if (h.node >= 0) {
-      const int s = owner(h.node);
-      HazardModel local = h;
-      local.node = h.node - static_cast<int>(first[static_cast<std::size_t>(s)]);
-      parts[static_cast<std::size_t>(s)].hazards.push_back(local);
-    } else {
-      for (int s = 0; s < shards; ++s) {
-        const auto count = static_cast<double>(first[static_cast<std::size_t>(s) + 1] -
-                                               first[static_cast<std::size_t>(s)]);
-        if (count <= 0) continue;
-        HazardModel local = h;
-        local.mtbf_s = h.mtbf_s * total / count;
-        parts[static_cast<std::size_t>(s)].hazards.push_back(local);
-      }
-    }
-  }
-  return parts;
-}
-
 }  // namespace pcd::fault

@@ -46,12 +46,6 @@ struct FaultEvent {
   double boot_delay_s = 30;  // NodeCrash: reboot time once recovery starts
   SensorMode sensor = SensorMode::Stale;
   std::string note;
-  /// Apply the fault but record nothing (no report entry, no telemetry).
-  /// Used by split_plan for cluster-wide events replicated to every shard:
-  /// each shard must apply the state change to its own network/batteries,
-  /// but only shard 0's copy records, so the merged report matches the
-  /// 1-shard run's.
-  bool silent = false;
 };
 
 // Scripted-event factories (the readable way to build plans).
@@ -123,19 +117,5 @@ struct FaultPlan {
            resilience.checkpoint_interval_s > 0 || resilience.mpi_timeout_s > 0;
   }
 };
-
-/// Splits one machine-wide plan into per-shard plans (DESIGN.md §3.14).
-/// `first` is the shard partition boundary vector (machine::ShardPlan::
-/// first: S+1 entries, first[s] = first global node of shard s):
-///   - a node-targeted event/hazard goes to its owning shard with the node
-///     renumbered to the shard-local index;
-///   - a cluster-wide event (node == -1) is replicated to every shard,
-///     silent everywhere but shard 0;
-///   - a pick-a-node hazard (node == -1) is replicated with its MTBF
-///     scaled by total/count(s), so each shard's local arrival rate is
-///     proportional to its node count and the machine-wide rate matches.
-/// Resilience parameters and the horizon copy to every shard.
-std::vector<FaultPlan> split_plan(const FaultPlan& plan,
-                                  const std::vector<std::int64_t>& first);
 
 }  // namespace pcd::fault

@@ -1,6 +1,5 @@
 #include "fault/report.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -48,40 +47,6 @@ std::string FaultReport::summary() const {
                   e.node, e.kind.c_str(), e.phase.c_str(), e.detail.c_str());
     out += buf;
   }
-  return out;
-}
-
-FaultReport merge_reports(std::vector<FaultReport> parts) {
-  if (parts.empty()) return {};
-  if (parts.size() == 1) return std::move(parts.front());
-  FaultReport out;
-  for (auto& p : parts) {
-    for (auto& e : p.events) out.events.push_back(std::move(e));
-    out.injected += p.injected;
-    out.cleared += p.cleared;
-    out.detections += p.detections;
-    out.recoveries += p.recoveries;
-    out.daemon_restarts += p.daemon_restarts;
-    out.fallbacks += p.fallbacks;
-    out.node_reboots += p.node_reboots;
-    out.checkpoints = std::max(out.checkpoints, p.checkpoints);
-    out.dvs_requests_dropped += p.dvs_requests_dropped;
-    out.checkpoint_stall_s += p.checkpoint_stall_s;
-    out.node_downtime_s += p.node_downtime_s;
-    out.redo_s += p.redo_s;
-    out.daemon_backoff_s += p.daemon_backoff_s;
-    if (p.run_failed && !out.run_failed) {
-      out.run_failed = true;
-      out.failure = std::move(p.failure);
-    }
-    for (auto& f : p.flight_recordings) {
-      out.flight_recordings.push_back(std::move(f));
-    }
-  }
-  std::stable_sort(out.events.begin(), out.events.end(),
-                   [](const FaultRecord& a, const FaultRecord& b) {
-                     return a.t_s < b.t_s;
-                   });
   return out;
 }
 

@@ -21,10 +21,10 @@ struct ClusterConfig {
   net::NetworkParams network;
   power::BaytechParams baytech;
   std::uint64_t seed = 0x5eed;
-  /// Global id of node 0.  A sharded run builds one Cluster per shard; the
-  /// shard's nodes carry their machine-wide ids (plan.first[s] + local), so
-  /// telemetry/fault/trace records name the same node regardless of shard
-  /// count.  Single-cluster runs leave this 0 and ids equal indices.
+  /// Global id of node 0.  build_shard_clusters gives each shard's nodes
+  /// their machine-wide ids (plan.first[s] + local); single-cluster runs
+  /// leave this 0 and ids equal indices.  Only observers read node ids,
+  /// and a sharded run has none.
   int first_node_id = 0;
 };
 

@@ -59,9 +59,7 @@ sim::Process Comm::send_proc(int rank, int dst, int tag, std::int64_t bytes,
   // The send's causal anchor is the isend call instant (spawn runs the body
   // up to the first co_await synchronously).
   const std::int64_t log_seq =
-      tracer_ != nullptr
-          ? tracer_->log_send(rank_base_ + rank, rank_base_ + dst, tag, bytes)
-          : -1;
+      tracer_ != nullptr ? tracer_->log_send(rank, dst, tag, bytes) : -1;
   auto& cpu = node(rank).cpu();
   co_await cpu.run_commproc_cycles(protocol_cycles(bytes));
 
@@ -154,20 +152,20 @@ sim::Op<> CommBase::wait_inner(int rank, const Request& req) {
 
 sim::Op<> CommBase::wait(int rank, Request req) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) sc.emplace(tr->scope(rank, trace::Cat::Wait, "mpi_wait"));
+  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Wait, "mpi_wait"));
   co_await wait_inner(rank, req);
 }
 
 sim::Op<> CommBase::waitall(int rank, std::vector<Request> reqs) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) sc.emplace(tr->scope(rank, trace::Cat::Wait, "mpi_waitall"));
+  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Wait, "mpi_waitall"));
   for (auto& r : reqs) co_await wait_inner(rank, r);
 }
 
 sim::Op<> CommBase::send(int rank, int dst, int tag, std::int64_t bytes) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Send, "mpi_send", dst, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Send, "mpi_send", dst, bytes));
   }
   auto req = isend(rank, dst, tag, bytes);
   co_await wait_inner(rank, req);
@@ -175,7 +173,7 @@ sim::Op<> CommBase::send(int rank, int dst, int tag, std::int64_t bytes) {
 
 sim::Op<std::int64_t> CommBase::recv(int rank, int src, int tag) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) sc.emplace(tr->scope(rank, trace::Cat::Recv, "mpi_recv", src));
+  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Recv, "mpi_recv", src));
   auto req = irecv(rank, src, tag);
   co_await wait_inner(rank, req);
   if (sc) sc->set_bytes(req->bytes);  // size known only once the send matched
@@ -185,8 +183,8 @@ sim::Op<std::int64_t> CommBase::recv(int rank, int src, int tag) {
 sim::Op<std::int64_t> CommBase::sendrecv(int rank, int dst, int send_tag,
                                      std::int64_t send_bytes, int src, int recv_tag) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Send, "mpi_sendrecv", dst, send_bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Send, "mpi_sendrecv", dst, send_bytes));
   }
   auto rr = irecv(rank, src, recv_tag);
   auto sr = isend(rank, dst, send_tag, send_bytes);
@@ -209,7 +207,7 @@ int coll_tag(int seq, int round) {
 sim::Op<> CommBase::barrier(int rank) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_barrier"));
+  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_barrier"));
   co_await barrier_body(rank, seq);
 }
 
@@ -230,8 +228,8 @@ sim::Op<> CommBase::barrier_body(int rank, int seq) {
 sim::Op<> CommBase::bcast(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_bcast", root, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_bcast", root, bytes));
   }
   co_await bcast_body(rank, root, bytes, seq);
 }
@@ -264,8 +262,8 @@ sim::Op<> CommBase::bcast_body(int rank, int root, std::int64_t bytes, int seq) 
 sim::Op<> CommBase::reduce(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_reduce", root, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_reduce", root, bytes));
   }
   co_await reduce_body(rank, root, bytes, seq);
 }
@@ -294,8 +292,8 @@ sim::Op<> CommBase::reduce_body(int rank, int root, std::int64_t bytes, int seq)
 
 sim::Op<> CommBase::allreduce(int rank, std::int64_t bytes) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_allreduce", -1, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_allreduce", -1, bytes));
   }
   const int seq1 = next_coll_seq(rank);
   co_await reduce_body(rank, 0, bytes, seq1);
@@ -320,9 +318,9 @@ sim::Op<> CommBase::alltoallv_body(int rank, std::vector<std::int64_t> bytes_to,
                                bool burst) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective,
-                              burst ? "mpi_alltoallv" : "mpi_alltoall"));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective,
+                                   burst ? "mpi_alltoallv" : "mpi_alltoall"));
   }
   const int p = size();
   if (burst) {
@@ -353,8 +351,8 @@ sim::Op<> CommBase::alltoallv_body(int rank, std::vector<std::int64_t> bytes_to,
 sim::Op<> CommBase::scatter(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_scatter", root, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_scatter", root, bytes));
   }
   // Linear (MPICH-1): the root sends each rank its block.
   if (rank == root) {
@@ -373,8 +371,8 @@ sim::Op<> CommBase::scatter(int rank, int root, std::int64_t bytes) {
 sim::Op<> CommBase::gather(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_gather", root, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_gather", root, bytes));
   }
   if (rank == root) {
     std::vector<Request> reqs;
@@ -391,9 +389,9 @@ sim::Op<> CommBase::gather(int rank, int root, std::int64_t bytes) {
 
 sim::Op<> CommBase::reduce_scatter(int rank, std::int64_t bytes_per_rank) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_reduce_scatter", -1,
-                              bytes_per_rank));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_reduce_scatter", -1,
+                                   bytes_per_rank));
   }
   // MPICH-1 style: reduce the full vector to rank 0, then scatter blocks.
   const int seq1 = next_coll_seq(rank);
@@ -413,8 +411,8 @@ sim::Op<> CommBase::alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to
 sim::Op<> CommBase::allgather(int rank, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_allgather", -1, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_allgather", -1, bytes));
   }
   // Ring algorithm: P-1 steps, passing blocks around.
   const int p = size();

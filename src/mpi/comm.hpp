@@ -74,11 +74,6 @@ class CommBase {
   virtual machine::Node& node(int rank) = 0;
   virtual CommStats stats() const = 0;
   trace::Tracer* tracer() { return tracer_; }
-  /// Tracer receiving `rank`'s scope records.  Single-engine transports
-  /// return the one tracer; ShardedComm overrides this to return the
-  /// owning shard's tracer, so each worker thread only ever writes its own
-  /// shard's collector (per-shard collection, merged at end of run).
-  virtual trace::Tracer* tracer_for(int /*rank*/) { return tracer_; }
 
   // ---- point-to-point (transport-specific) ----
 
@@ -172,16 +167,6 @@ class Comm final : public CommBase {
   /// tools/pcd_diff.  Null (the default) is zero-cost.
   void set_digest(sim::DigestStream* digest) { digest_ = digest; }
 
-  /// Sharded use: routes this (intra-shard) communicator's message log to
-  /// a per-shard tracer, with src/dst offset by `rank_base` so logged
-  /// edges carry machine-wide rank ids.  ShardedComm drives the inner
-  /// comms only through isend/irecv, so the blocking wrappers (which would
-  /// open scopes under local rank ids) never see this tracer.
-  void set_trace(trace::Tracer* tracer, int rank_base) {
-    tracer_ = tracer;
-    rank_base_ = rank_base;
-  }
-
   Request isend(int rank, int dst, int tag, std::int64_t bytes) override;
   Request irecv(int rank, int src = kAnySource, int tag = kAnyTag) override;
 
@@ -215,7 +200,6 @@ class Comm final : public CommBase {
   sim::Engine& engine_;
   std::vector<int> node_ids_;
   sim::DigestStream* digest_ = nullptr;
-  int rank_base_ = 0;  // added to src/dst in message-log entries (set_trace)
   std::vector<Mailbox> mailboxes_;  // indexed by destination rank
 };
 

@@ -34,8 +34,6 @@ ShardedComm::ShardedComm(sim::ShardedEngine& engines,
                                             std::move(local_ids), costs));
   }
   xmail_.resize(static_cast<std::size_t>(plan_.total()));
-  digests_.resize(static_cast<std::size_t>(plan_.shards()), nullptr);
-  tracers_.resize(static_cast<std::size_t>(plan_.shards()), nullptr);
   xstats_.resize(static_cast<std::size_t>(plan_.shards()));
   init_ranks(plan_.total());
 }
@@ -54,20 +52,6 @@ CommStats ShardedComm::stats() const {
   return total;
 }
 
-void ShardedComm::set_digest(int shard, sim::DigestStream* digest) {
-  digests_.at(static_cast<std::size_t>(shard)) = digest;
-  inner_.at(static_cast<std::size_t>(shard))->set_digest(digest);
-}
-
-void ShardedComm::set_tracer(int shard, trace::Tracer* tracer) {
-  tracers_.at(static_cast<std::size_t>(shard)) = tracer;
-  // The inner transport logs its (intra-shard) message edges to the same
-  // per-shard tracer, with src/dst lifted to machine-wide rank ids.
-  inner_.at(static_cast<std::size_t>(shard))
-      ->set_trace(tracer, static_cast<int>(plan_.first.at(
-                              static_cast<std::size_t>(shard))));
-}
-
 sim::SimDuration ShardedComm::wire_time(std::int64_t bytes) const {
   // Pure serialization at nominal port bandwidth (the latency hop is the
   // explicit lookahead L in the protocol timing).  Mirrors
@@ -76,17 +60,6 @@ sim::SimDuration ShardedComm::wire_time(std::int64_t bytes) const {
   const double wire_s =
       static_cast<double>(bytes) * 8.0 / (params.bandwidth_mbps * 1e6);
   return sim::from_seconds(wire_s);
-}
-
-void ShardedComm::note_xmatch(const XMsg& msg, sim::SimTime t) {
-  sim::DigestStream* digest =
-      digests_.at(static_cast<std::size_t>(plan_.shard_of(msg.dst)));
-  if (digest == nullptr) return;
-  const std::uint64_t rec[5] = {
-      static_cast<std::uint64_t>(t), static_cast<std::uint64_t>(msg.src),
-      static_cast<std::uint64_t>(msg.dst), static_cast<std::uint64_t>(msg.tag),
-      static_cast<std::uint64_t>(msg.bytes)};
-  digest->fold_record(rec, 5);
 }
 
 CommBase::Request ShardedComm::isend(int rank, int dst, int tag,
@@ -125,11 +98,6 @@ sim::Process ShardedComm::xsend_proc(int rank, int dst, int tag,
                                      std::int64_t bytes, Request req) {
   const int a = plan_.shard_of(rank);
   const int b = plan_.shard_of(dst);
-  // Mirror Comm::send_proc's causal anchor: the message's t_send is the
-  // isend call instant (spawn runs the body to the first co_await
-  // synchronously), captured here and shipped with the envelope so the
-  // *receiving* shard's tracer can log the edge.
-  const sim::SimTime t_send = engines_.shard(a).now();
   auto& cpu = node(rank).cpu();
   co_await cpu.run_commproc_cycles(protocol_cycles(bytes));
 
@@ -142,7 +110,6 @@ sim::Process ShardedComm::xsend_proc(int rank, int dst, int tag,
   msg->dst = dst;
   msg->tag = tag;
   msg->bytes = bytes;
-  msg->t_send = t_send;
   msg->rendezvous = bytes > costs_.eager_limit;
   msg->src_shard = a;
   msg->sender = st;
@@ -180,7 +147,6 @@ sim::Process ShardedComm::xrecv_proc(int rank, int src, int tag, Request req) {
 
   co_await msg->delivered.wait();
   co_await node(rank).cpu().run_commproc_cycles(protocol_cycles(msg->bytes));
-  if (auto* tr = tracer_for(rank)) tr->log_recv_done(msg->log_seq);
   req->bytes = msg->bytes;
   req->done.set();
 }
@@ -188,13 +154,6 @@ sim::Process ShardedComm::xrecv_proc(int rank, int src, int tag, Request req) {
 // Runs on the destination shard at announce arrival.
 void ShardedComm::on_envelope(const std::shared_ptr<XMsg>& msg) {
   msg->arrival = engine_of(msg->dst).now();
-  // Receiver-side message logging: the edge enters the receiving shard's
-  // tracer here (first event on the destination thread), stamped with the
-  // sender-side t_send carried by the envelope.
-  if (auto* tr = tracer_for(msg->dst)) {
-    msg->log_seq = tr->log_send_at(msg->src, msg->dst, msg->tag, msg->bytes,
-                                   msg->t_send);
-  }
   XMailbox& mb = xmail_.at(static_cast<std::size_t>(msg->dst));
   for (auto it = mb.recvs.begin(); it != mb.recvs.end(); ++it) {
     if ((*it)->src == msg->src && (*it)->tag == msg->tag) {
@@ -213,7 +172,6 @@ void ShardedComm::on_envelope(const std::shared_ptr<XMsg>& msg) {
 void ShardedComm::complete_match(const std::shared_ptr<XMsg>& msg) {
   sim::Engine& eng = engine_of(msg->dst);
   const sim::SimTime tm = eng.now();
-  note_xmatch(*msg, tm);
   sim::SimTime td;
   if (msg->rendezvous) {
     // Grant hop back to the sender (L), data ships and crosses (L + wire).
@@ -232,7 +190,6 @@ void ShardedComm::complete_match(const std::shared_ptr<XMsg>& msg) {
 // Runs on the destination shard at delivery time.
 void ShardedComm::deliver(const std::shared_ptr<XMsg>& msg) {
   msg->delivered.set();
-  if (auto* tr = tracer_for(msg->dst)) tr->log_delivered(msg->log_seq);
   const int b = plan_.shard_of(msg->dst);
   engines_.post(b, msg->src_shard, engine_of(msg->dst).now() + lookahead_,
                 [st = msg->sender] { st->acked.set(); }, "mpi.xshard.ack");

@@ -31,10 +31,8 @@
 //     global knowledge, and no workload in src/apps uses them.  Every
 //     collective uses exact (src, tag) envelopes.
 //
-// Determinism: cross-shard matches fold (t, src, dst, tag, bytes) into the
-// receiving shard's MPI digest stream, mirroring Comm::note_match, so the
-// per-shard RunDigests (merged by telemetry::merge_digests) cover
-// communication order across the boundary too.
+// A sharded run carries no observers (RunConfig::validate()), so this
+// transport logs no trace edges and folds no digest records.
 #pragma once
 
 #include <cstdint>
@@ -65,21 +63,6 @@ class ShardedComm final : public CommBase {
   /// are owned by their shard threads while a window runs.
   CommStats stats() const override;
 
-  /// Wires shard `s`'s MPI digest stream: the inner transport's envelope
-  /// matches and this layer's cross-shard matches both fold into it.
-  void set_digest(int shard, sim::DigestStream* digest);
-
-  /// Wires shard `s`'s tracer (sized to the TOTAL rank count, bound to the
-  /// shard's engine): scope records for ranks of shard s, the inner
-  /// transport's message log (src/dst globalized via the plan), and
-  /// cross-shard edges logged receiver-side.  Each shard thread writes
-  /// only its own tracer; the runner absorbs them into one at end of run.
-  void set_tracer(int shard, trace::Tracer* tracer);
-
-  trace::Tracer* tracer_for(int rank) override {
-    return tracers_.at(static_cast<std::size_t>(plan_.shard_of(rank)));
-  }
-
   Request isend(int rank, int dst, int tag, std::int64_t bytes) override;
   Request irecv(int rank, int src = kAnySource, int tag = kAnyTag) override;
 
@@ -100,8 +83,6 @@ class ShardedComm final : public CommBase {
     int dst = 0;
     int tag = 0;
     std::int64_t bytes = 0;
-    sim::SimTime t_send = 0;  // sender-side protocol-entry instant
-    std::int64_t log_seq = -1;  // receiver-tracer message-log index
     sim::SimTime arrival = 0;
     bool rendezvous = false;
     int src_shard = 0;
@@ -127,7 +108,6 @@ class ShardedComm final : public CommBase {
   void complete_match(const std::shared_ptr<XMsg>& msg);      // dst shard
   void deliver(const std::shared_ptr<XMsg>& msg);             // dst shard
   sim::SimDuration wire_time(std::int64_t bytes) const;
-  void note_xmatch(const XMsg& msg, sim::SimTime t);
 
   sim::Engine& engine_of(int rank) {
     return engines_.shard(plan_.shard_of(rank));
@@ -137,10 +117,8 @@ class ShardedComm final : public CommBase {
   std::vector<machine::Cluster*> clusters_;
   machine::ShardPlan plan_;
   std::vector<std::unique_ptr<Comm>> inner_;
-  std::vector<XMailbox> xmail_;              // indexed by destination rank
-  std::vector<sim::DigestStream*> digests_;  // per shard (may be null)
-  std::vector<trace::Tracer*> tracers_;      // per shard (may be null)
-  std::vector<CommStats> xstats_;            // per source shard (no sharing)
+  std::vector<XMailbox> xmail_;    // indexed by destination rank
+  std::vector<CommStats> xstats_;  // per source shard (no sharing)
   sim::SimDuration lookahead_;
 };
 

@@ -5,29 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "sim/provenance.hpp"
-
 namespace pcd::sim {
-
-namespace {
-
-// Scoped install of a shard's RNG digest sink into the executing thread's
-// telemetry slot.  Windows never nest, so plain save/restore is enough.
-class RngDigestScope {
- public:
-  explicit RngDigestScope(DigestStream* digest)
-      : prev_(RngTelemetry::digest) {
-    if (digest != nullptr) RngTelemetry::digest = digest;
-  }
-  ~RngDigestScope() { RngTelemetry::digest = prev_; }
-  RngDigestScope(const RngDigestScope&) = delete;
-  RngDigestScope& operator=(const RngDigestScope&) = delete;
-
- private:
-  DigestStream* prev_;
-};
-
-}  // namespace
 
 ShardedEngine::ShardedEngine(int shards, SimDuration lookahead,
                              ShardedEngineOptions options)
@@ -45,7 +23,6 @@ ShardedEngine::ShardedEngine(int shards, SimDuration lookahead,
   engines_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) engines_.push_back(std::make_unique<Engine>());
   outboxes_.resize(static_cast<std::size_t>(shards));
-  rng_digests_.resize(static_cast<std::size_t>(shards), nullptr);
   worker_errors_.resize(static_cast<std::size_t>(shards));
 }
 
@@ -100,10 +77,6 @@ void ShardedEngine::inject_outboxes(RunStats& stats) {
   inject_scratch_.clear();
 }
 
-void ShardedEngine::set_rng_digest(int s, DigestStream* digest) {
-  rng_digests_.at(static_cast<std::size_t>(s)) = digest;
-}
-
 void ShardedEngine::start_workers() {
   workers_.reserve(engines_.size());
   for (int s = 0; s < shards(); ++s) {
@@ -123,7 +96,6 @@ void ShardedEngine::worker_main(int s) {
       target = target_;
     }
     try {
-      RngDigestScope rng(rng_digests_[static_cast<std::size_t>(s)]);
       engines_[static_cast<std::size_t>(s)]->run_until(target);
     } catch (...) {
       worker_errors_[static_cast<std::size_t>(s)] = std::current_exception();
@@ -138,10 +110,7 @@ void ShardedEngine::worker_main(int s) {
 
 void ShardedEngine::advance_all(SimTime target) {
   if (!options_.parallel || shards() == 1) {
-    for (int s = 0; s < shards(); ++s) {
-      RngDigestScope rng(rng_digests_[static_cast<std::size_t>(s)]);
-      engines_[static_cast<std::size_t>(s)]->run_until(target);
-    }
+    for (auto& e : engines_) e->run_until(target);
     return;
   }
   if (workers_.empty()) start_workers();

@@ -45,8 +45,6 @@
 
 namespace pcd::sim {
 
-struct DigestStream;
-
 struct ShardedEngineOptions {
   /// Run windows on persistent worker threads (one per shard).  Off runs
   /// every shard on the calling thread — bit-identical results (useful for
@@ -103,14 +101,6 @@ class ShardedEngine {
   RunStats run(SimTime until = kNoLimit,
                const std::function<bool(SimTime)>& on_barrier = {});
 
-  /// Installs `digest` as shard `s`'s RNG digest sink: every Rng draw made
-  /// while that shard's window executes folds into it, on whichever thread
-  /// runs the window (RngTelemetry is thread-local, so the collector's own
-  /// constructor-time install only ever covers the driver thread — callers
-  /// pair this with DeterminismCollector::release_rng()).  Pass nullptr to
-  /// uninstall.  Must not be called while run() is in flight.
-  void set_rng_digest(int s, DigestStream* digest);
-
  private:
   struct Pending {
     SimTime t;
@@ -133,7 +123,6 @@ class ShardedEngine {
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<Outbox> outboxes_;  // indexed by source shard
-  std::vector<DigestStream*> rng_digests_;  // per-shard RNG sink (may be null)
   std::vector<Pending> inject_scratch_;
   SimTime horizon_ = 0;
 

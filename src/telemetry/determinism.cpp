@@ -30,24 +30,6 @@ std::uint64_t RunDigest::root() const {
   return r.hash;
 }
 
-RunDigest merge_digests(const std::vector<RunDigest>& parts) {
-  if (parts.empty()) return {};
-  if (parts.size() == 1) return parts.front();
-  RunDigest merged;
-  merged.checkpoint_every = parts.front().checkpoint_every;
-  for (int s = 0; s < RunDigest::kStreams; ++s) {
-    sim::DigestStream& m = merged.streams[s];
-    std::uint64_t total = 0;
-    for (const auto& p : parts) {
-      const std::uint64_t rec[2] = {p.streams[s].hash, p.streams[s].count};
-      m.fold_record(rec, 2);
-      total += p.streams[s].count;
-    }
-    m.count = total;
-  }
-  return merged;
-}
-
 std::string RunDigest::to_text() const {
   char buf[256];
   std::string out = "pcd-digest v1\n";
@@ -77,7 +59,9 @@ std::optional<RunDigest> RunDigest::parse(const std::string& text) {
   std::string line;
   if (!std::getline(in, line) || line != "pcd-digest v1") return std::nullopt;
   RunDigest d;
-  int streams_seen = 0;
+  int stream_lines[kStreams] = {0, 0, 0, 0};
+  int root_lines = 0;
+  std::uint64_t root_read = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     char name[16];
@@ -87,13 +71,12 @@ std::optional<RunDigest> RunDigest::parse(const std::string& text) {
       d.checkpoint_every = h;
     } else if (std::sscanf(line.c_str(), "stream %15s %" SCNx64 " %" SCNu64, name,
                            &h, &n) == 3) {
-      for (int s = 0; s < kStreams; ++s) {
-        if (std::strcmp(name, stream_name(s)) == 0) {
-          d.streams[s].hash = h;
-          d.streams[s].count = n;
-          ++streams_seen;
-        }
-      }
+      int s = 0;
+      while (s < kStreams && std::strcmp(name, stream_name(s)) != 0) ++s;
+      if (s == kStreams) return std::nullopt;  // unknown stream name
+      d.streams[s].hash = h;
+      d.streams[s].count = n;
+      ++stream_lines[s];
     } else if (std::sscanf(line.c_str(),
                            "checkpoint %" SCNu64 " %" SCNx64 " %" SCNu64 " %" SCNx64
                            " %" SCNu64 " %" SCNx64 " %" SCNu64 " %" SCNx64
@@ -102,13 +85,17 @@ std::optional<RunDigest> RunDigest::parse(const std::string& text) {
                            &c.count[1], &c.hash[2], &c.count[2], &c.hash[3],
                            &c.count[3]) == 9) {
       d.checkpoints.push_back(c);
-    } else if (line.rfind("root ", 0) == 0) {
-      // informational; recomputed from the streams
+    } else if (std::sscanf(line.c_str(), "root %" SCNx64, &h) == 1) {
+      root_read = h;
+      ++root_lines;
     } else {
       return std::nullopt;  // unknown record: refuse rather than mis-compare
     }
   }
-  if (streams_seen != kStreams) return std::nullopt;
+  for (const int n_lines : stream_lines) {
+    if (n_lines != 1) return std::nullopt;
+  }
+  if (root_lines != 1 || root_read != d.root()) return std::nullopt;
   return d;
 }
 
@@ -211,14 +198,7 @@ DeterminismCollector::DeterminismCollector(sim::Engine& engine,
   engine_.set_seq_perturbation(opts_.perturb_seq);
   prev_rng_digest_ = sim::RngTelemetry::digest;
   sim::RngTelemetry::digest = &digest_.streams[RunDigest::kRng];
-  rng_installed_ = true;
   attached_ = true;
-}
-
-void DeterminismCollector::release_rng() {
-  if (!rng_installed_) return;
-  rng_installed_ = false;
-  sim::RngTelemetry::digest = prev_rng_digest_;
 }
 
 void DeterminismCollector::detach() {
@@ -226,7 +206,7 @@ void DeterminismCollector::detach() {
   attached_ = false;
   engine_.clear_determinism();
   engine_.set_seq_perturbation(0);
-  release_rng();
+  sim::RngTelemetry::digest = prev_rng_digest_;
 }
 
 void DeterminismCollector::on_event(const sim::EventProvenance& p) {

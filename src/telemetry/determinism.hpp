@@ -35,8 +35,10 @@ struct DeterminismOptions {
   /// hash fold per event dispatch / RNG draw / power step / MPI match).
   bool digest = false;
 
-  /// Events per digest checkpoint; rounded up to a power of two.
+  /// Events per digest checkpoint; rounded up to a power of two, so at
+  /// most kMaxCheckpointEvery (RunConfig::validate() rejects larger).
   std::uint64_t checkpoint_every = 4096;
+  static constexpr std::uint64_t kMaxCheckpointEvery = std::uint64_t{1} << 63;
 
   /// Keep a ring of the last N provenance records and attach a JSON dump to
   /// the result on run failure (and to watchdog-fallback fault records).
@@ -84,21 +86,13 @@ struct RunDigest {
   std::uint64_t root() const;
 
   /// Line-based text serialization (stable across versions within v1);
-  /// parse() round-trips it.  Used by tools/pcd_diff digest files.
+  /// parse() round-trips it.  Used by tools/pcd_diff digest files.  parse()
+  /// refuses (nullopt) any text to_text() could not have written: an
+  /// unknown record or stream name, a stream missing or repeated, or a
+  /// `root` line missing, repeated, or disagreeing with the streams.
   std::string to_text() const;
   static std::optional<RunDigest> parse(const std::string& text);
 };
-
-/// Merges per-shard digests of one sharded run into a single RunDigest
-/// (DESIGN.md §3.14).  A single part is returned unchanged — checkpoints
-/// and all — so a 1-shard run's digest (and root, and any campaign
-/// fingerprint folded from it) is byte-identical to the unsharded path.
-/// For S > 1 parts, stream i of the result is the FNV fold of each part's
-/// (hash, count) pair in shard order, with `count` then overwritten by the
-/// sum of the parts' counts (total records observed across the machine);
-/// checkpoints are dropped, because per-shard dispatch ordinals do not form
-/// one global interval scale.
-RunDigest merge_digests(const std::vector<RunDigest>& parts);
 
 /// Where two digests first part ways.
 struct DigestDiff {
@@ -137,11 +131,6 @@ struct RunCapture {
   std::vector<CapturedEvent> events;
   std::unordered_map<std::uint64_t, CapturedEvent> chain;
   std::string flight_recording;
-  /// Per-shard digest parts of a sharded run, in shard order (empty for a
-  /// single-engine run).  `digest` above is merge_digests(shard_parts).
-  /// tools/pcd_diff compares parts pairwise to name the first diverging
-  /// shard before falling back to the merged diff.
-  std::vector<RunDigest> shard_parts;
 };
 
 /// RAII engine instrumentation.  Construct after the Engine and before any
@@ -158,21 +147,10 @@ class DeterminismCollector final : public sim::EventObserver {
   /// Uninstalls the engine hooks and the RNG sink (idempotent).
   void detach();
 
-  /// Uninstalls only the thread-local RNG sink, now, on the calling thread
-  /// (idempotent; detach() then leaves the TLS slot alone).  The sharded
-  /// runner constructs one collector per shard on the driver thread but
-  /// runs each shard's events on a worker — it releases the constructor's
-  /// install and re-installs rng_stream() on the shard's thread instead
-  /// (ShardedEngine::set_rng_digest).  Without this, stacked collectors
-  /// restore each other's freed streams into the thread-local on teardown.
-  void release_rng();
-
   const RunDigest& digest() const { return digest_; }
-  /// Streams for subsystem wiring (power integrator, MPI match points,
-  /// per-shard RNG installation).
+  /// Streams for subsystem wiring (power integrator, MPI match points).
   sim::DigestStream* power_stream() { return &digest_.streams[RunDigest::kPower]; }
   sim::DigestStream* mpi_stream() { return &digest_.streams[RunDigest::kMpi]; }
-  sim::DigestStream* rng_stream() { return &digest_.streams[RunDigest::kRng]; }
   FlightRecorder* recorder() { return recorder_.get(); }
 
   /// Moves the collected state out (digest, capture, chain); the collector
@@ -192,7 +170,6 @@ class DeterminismCollector final : public sim::EventObserver {
   std::unordered_map<std::uint64_t, CapturedEvent> chain_;
   sim::DigestStream* prev_rng_digest_ = nullptr;
   bool attached_ = false;
-  bool rng_installed_ = false;
 };
 
 /// Executes one instrumented run under the given options and returns its

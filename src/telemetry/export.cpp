@@ -145,33 +145,9 @@ std::string to_prometheus(const MetricsRegistry& registry) {
   return to_prometheus(registry.samples());
 }
 
-std::vector<MetricSample> with_shard_label(std::vector<MetricSample> samples,
-                                           int shard) {
-  for (auto& s : samples) {
-    s.labels.emplace_back("shard", std::to_string(shard));
-  }
-  return samples;
-}
-
-std::string to_prometheus_sharded(const TelemetrySnapshot& snapshot) {
-  std::string out;
-  for (std::size_t s = 0; s < snapshot.shard_metrics.size(); ++s) {
-    out += to_prometheus(
-        with_shard_label(snapshot.shard_metrics[s], static_cast<int>(s)));
-  }
-  return out;
-}
-
 std::string to_chrome_json(const TelemetrySnapshot& snapshot,
                            const trace::Tracer* tracer,
-                           const RunCapture* determinism,
-                           const std::vector<int>* rank_shards) {
-  // Shard-provenance layout: rank r's track lives under its shard's
-  // process (pid 10 + shard) instead of the merged pid-0 "ranks" process.
-  const bool sharded = rank_shards != nullptr && !rank_shards->empty();
-  auto rank_pid = [&](int rank) {
-    return sharded ? 10 + (*rank_shards)[static_cast<std::size_t>(rank)] : 0;
-  };
+                           const RunCapture* determinism) {
   // Collect (ts, json) pairs, sort by ts so the stream is monotone.
   struct Ev {
     double ts;
@@ -201,8 +177,7 @@ std::string to_chrome_json(const TelemetrySnapshot& snapshot,
         append(json, "{\"name\":\"", json_escape(name), "\",\"cat\":\"",
                trace::to_string(r.cat), "\",\"ph\":\"X\",\"ts\":", fixed(us(r.begin), 3),
                ",\"dur\":", fixed(us(r.end - r.begin), 3),
-               ",\"pid\":", std::to_string(rank_pid(rank)),
-               ",\"tid\":", std::to_string(rank), ",\"args\":", args, "}");
+               ",\"pid\":0,\"tid\":", std::to_string(rank), ",\"args\":", args, "}");
         events.push_back({us(r.begin), std::move(json)});
       }
     }
@@ -214,16 +189,15 @@ std::string to_chrome_json(const TelemetrySnapshot& snapshot,
       if (!m.complete()) continue;
       std::snprintf(buf, sizeof buf,
                     "{\"name\":\"msg\",\"cat\":\"mpi_msg\",\"ph\":\"s\","
-                    "\"id\":%lld,\"ts\":%.3f,\"pid\":%d,\"tid\":%d,"
+                    "\"id\":%lld,\"ts\":%.3f,\"pid\":0,\"tid\":%d,"
                     "\"args\":{\"bytes\":%lld,\"tag\":%d}}",
-                    static_cast<long long>(id), us(m.t_send), rank_pid(m.src),
-                    m.src, static_cast<long long>(m.bytes), m.tag);
+                    static_cast<long long>(id), us(m.t_send), m.src,
+                    static_cast<long long>(m.bytes), m.tag);
       events.push_back({us(m.t_send), buf});
       std::snprintf(buf, sizeof buf,
                     "{\"name\":\"msg\",\"cat\":\"mpi_msg\",\"ph\":\"f\",\"bp\":\"e\","
-                    "\"id\":%lld,\"ts\":%.3f,\"pid\":%d,\"tid\":%d}",
-                    static_cast<long long>(id), us(m.t_recv_done),
-                    rank_pid(m.dst), m.dst);
+                    "\"id\":%lld,\"ts\":%.3f,\"pid\":0,\"tid\":%d}",
+                    static_cast<long long>(id), us(m.t_recv_done), m.dst);
       events.push_back({us(m.t_recv_done), buf});
     }
   }
@@ -310,41 +284,18 @@ std::string to_chrome_json(const TelemetrySnapshot& snapshot,
                    [](const Ev& a, const Ev& b) { return a.ts < b.ts; });
 
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  if (sharded) {
-    // One Perfetto process row per shard, named with its rank range.
-    const int shards = 1 + *std::max_element(rank_shards->begin(),
-                                             rank_shards->end());
-    bool first = true;
-    for (int s = 0; s < shards; ++s) {
-      int lo = -1, hi = -1;
-      for (std::size_t r = 0; r < rank_shards->size(); ++r) {
-        if ((*rank_shards)[r] != s) continue;
-        if (lo < 0) lo = static_cast<int>(r);
-        hi = static_cast<int>(r);
-      }
-      std::snprintf(buf, sizeof buf,
-                    "%s{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                    "\"ts\":0,\"args\":{\"name\":\"shard %d (ranks %d-%d)\"}}",
-                    first ? "" : ",\n", 10 + s, s, lo, hi);
-      first = false;
-      out += buf;
-    }
-    out += ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"ts\":0,"
-           "\"args\":{\"name\":\"nodes\"}}";
-  } else {
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"ts\":0,"
-           "\"args\":{\"name\":\"ranks\"}},\n";
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"ts\":0,"
-           "\"args\":{\"name\":\"nodes\"}}";
-  }
+  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"ts\":0,"
+         "\"args\":{\"name\":\"ranks\"}},\n";
+  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"ts\":0,"
+         "\"args\":{\"name\":\"nodes\"}}";
   // Thread-name metadata so tracks render as "rank N" / "node N" instead of
   // bare numeric tids.
   if (tracer != nullptr) {
     for (int rank = 0; rank < tracer->ranks(); ++rank) {
       std::snprintf(buf, sizeof buf,
-                    ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
+                    ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
                     "\"tid\":%d,\"ts\":0,\"args\":{\"name\":\"rank %d\"}}",
-                    rank_pid(rank), rank, rank);
+                    rank, rank);
       out += buf;
     }
   }

@@ -24,33 +24,15 @@ std::string json_escape(const std::string& s);
 std::string to_prometheus(const std::vector<MetricSample>& samples);
 std::string to_prometheus(const MetricsRegistry& registry);
 
-/// Copy of `samples` with a shard="N" label appended to every series — the
-/// per-shard Prometheus view.  Merged exports never carry the label, so a
-/// sharded run's merged exposition stays label-compatible with (and
-/// byte-identical to) single-engine output.
-std::vector<MetricSample> with_shard_label(std::vector<MetricSample> samples,
-                                           int shard);
-
-/// Per-shard Prometheus exposition of a sharded snapshot: each shard's
-/// registry rendered with its shard label, concatenated in shard order.
-/// Empty for a single-engine snapshot (no shard_metrics).
-std::string to_prometheus_sharded(const TelemetrySnapshot& snapshot);
-
 /// Chrome trace-event JSON.  `tracer` may be null (DVS/power events only).
 /// Events are emitted sorted by timestamp (ts in microseconds).  Process
 /// and thread name metadata records give simulated ranks/nodes readable
 /// track names.  When `determinism` carries a focused event capture, the
 /// captured engine events are emitted as slices on a dedicated "engine"
 /// process with parent->child provenance flow arrows.
-///
-/// `rank_shards` (shard owning each rank, e.g. TelemetrySnapshot::
-/// rank_shards) switches on shard provenance: rank tracks are grouped into
-/// one Perfetto process per shard ("shard N", pid 10+N) instead of the
-/// single "ranks" process.  Null/empty keeps the merged, shard-free layout.
 std::string to_chrome_json(const TelemetrySnapshot& snapshot,
                            const trace::Tracer* tracer = nullptr,
-                           const RunCapture* determinism = nullptr,
-                           const std::vector<int>* rank_shards = nullptr);
+                           const RunCapture* determinism = nullptr);
 
 /// Sampler series as CSV:
 ///   node,t_s,freq_mhz,utilization,watts_cpu,...,watts_total

@@ -91,12 +91,8 @@ class TimeSeriesSampler {
 
   /// `registry` is optional; when given, each tick also refreshes the
   /// per-node gauges node_power_watts / node_freq_mhz / node_utilization.
-  /// `node_base` offsets the gauge "node" labels (and nothing else): a
-  /// sharded run gives shard s's sampler node_base = plan.first[s], so the
-  /// merged registry carries machine-wide node ids.
   TimeSeriesSampler(sim::Engine& engine, int nodes, SamplerParams params,
-                    Probe probe, MetricsRegistry* registry = nullptr,
-                    int node_base = 0);
+                    Probe probe, MetricsRegistry* registry = nullptr);
   ~TimeSeriesSampler() { stop(); }
 
   TimeSeriesSampler(const TimeSeriesSampler&) = delete;

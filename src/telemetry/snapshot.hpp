@@ -31,18 +31,6 @@ struct TelemetrySnapshot {
   /// counters); empty when no trace was collected.
   std::string chrome_trace_json;
 
-  /// Shard provenance of a sharded run (empty on a single-engine run):
-  /// shard_metrics[s] is shard s's registry at run end and rank_shards[r]
-  /// the shard that owned rank r.  Everything above is merged shard-free —
-  /// byte-identical at every shard count — so the shard dimension only
-  /// surfaces through the explicitly per-shard views (to_prometheus_sharded,
-  /// to_chrome_json with shard grouping).
-  std::vector<std::vector<MetricSample>> shard_metrics;
-  std::vector<int> rank_shards;
-  /// Process-per-shard rendering of chrome_trace_json (rank tracks grouped
-  /// under one Perfetto process per shard); empty unless sharded + traced.
-  std::string chrome_trace_sharded_json;
-
   /// Value of a counter/gauge series, or `fallback` if absent.
   double metric_value(const std::string& name, const Labels& labels = {},
                       double fallback = -1) const;
@@ -51,20 +39,5 @@ struct TelemetrySnapshot {
 /// Copies hub (and optionally sampler) state into a snapshot.
 TelemetrySnapshot make_snapshot(const Hub& hub,
                                 const TimeSeriesSampler* sampler = nullptr);
-
-/// Merges per-shard snapshots of one sharded run (parts in shard order,
-/// optionally followed by the driver-side run-level part) into a single
-/// snapshot indistinguishable from a 1-shard collection (DESIGN.md §3.14):
-///   - metrics: series grouped by (name, labels) and re-sorted the way
-///     MetricsRegistry::samples() sorts.  Counters sum across parts —
-///     except "checkpoints_total", where per-shard checkpoint services
-///     sweep in lockstep and each counts the same global sweep, so the
-///     merge takes the max.  Gauges and histogram series are disjoint by
-///     construction (per-node labels / driver-only); a gauge seen twice
-///     keeps the last part's value, histograms sum buckets.
-///   - decisions / transitions / faults: stable-merged by (t, part order,
-///     posting order), matching single-engine event dispatch order.
-///   - series: concatenated in part order (= global node order).
-TelemetrySnapshot merge_snapshots(std::vector<TelemetrySnapshot> parts);
 
 }  // namespace pcd::telemetry

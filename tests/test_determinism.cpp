@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,6 +85,47 @@ TEST(Digest, TextSerializationRoundTrips) {
   EXPECT_FALSE(telemetry::RunDigest::parse("not a digest").has_value());
   EXPECT_FALSE(telemetry::RunDigest::parse("pcd-digest v1\nbogus record\n")
                    .has_value());
+
+  // Hostile files: each of the four named streams exactly once, no unknown
+  // stream name, and a root line that matches the streams it summarizes.
+  // Four copies of the events stream (root consistent with that reading:
+  // the other three streams zero).
+  telemetry::RunDigest events_only;
+  events_only.checkpoint_every = a.digest.checkpoint_every;
+  events_only.streams[telemetry::RunDigest::kEvents] =
+      a.digest.streams[telemetry::RunDigest::kEvents];
+  const std::string only_text = events_only.to_text();
+  const std::size_t ev = only_text.find("stream events");
+  const std::string events_line = only_text.substr(ev, only_text.find('\n', ev) + 1 - ev);
+  std::string repeated = "pcd-digest v1\ncheckpoint_every 512\n";
+  for (int i = 0; i < telemetry::RunDigest::kStreams; ++i) repeated += events_line;
+  repeated += only_text.substr(only_text.find("root "));
+  EXPECT_FALSE(telemetry::RunDigest::parse(repeated).has_value())
+      << "one stream repeated four times";
+
+  std::string unknown = text;
+  unknown.insert(text.find("root "), "stream bogus 0000000000000001 1\n");
+  EXPECT_FALSE(telemetry::RunDigest::parse(unknown).has_value()) << "unknown stream name";
+
+  std::string bad_root = text;
+  const std::size_t root_at = bad_root.find("root ") + 5;
+  bad_root[root_at] = bad_root[root_at] == '0' ? '1' : '0';
+  EXPECT_FALSE(telemetry::RunDigest::parse(bad_root).has_value()) << "root disagrees";
+}
+
+// checkpoint_every is rounded up to a power of two; past 2^63 there is
+// none, so validate() names the field instead of letting the collector
+// round an unrepresentable interval.
+TEST(Digest, ValidateRejectsCheckpointIntervalsPastTwoToThe63) {
+  core::RunConfig cfg;
+  cfg.determinism.digest = true;
+  cfg.determinism.checkpoint_every = telemetry::DeterminismOptions::kMaxCheckpointEvery;
+  EXPECT_TRUE(cfg.validate().empty()) << core::describe(cfg.validate());
+  cfg.determinism.checkpoint_every = ~std::uint64_t{0};
+  const auto issues = cfg.validate();
+  ASSERT_EQ(issues.size(), 1u) << core::describe(issues);
+  EXPECT_EQ(issues[0].field, "determinism.checkpoint_every");
+  EXPECT_THROW(core::run_workload(apps::make_cg(kScale), cfg), std::invalid_argument);
 }
 
 TEST(Digest, DiffNamesFirstDivergingCheckpointInterval) {

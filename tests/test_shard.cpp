@@ -1,9 +1,10 @@
 // Sharded parallel event engine (DESIGN.md §3.14): ShardPlan arithmetic,
 // ShardedEngine window/barrier mechanics, the cross-shard MPI transport,
-// digest merging, the sharded run_workload path, and the determinism
-// guarantees the acceptance criteria name — repeat-identical multi-shard
-// runs, a 1-shard path bit-identical to the classic engine, and campaign
-// fingerprints that stay reproducible with shards in the base config.
+// the bare sharded run_workload path (every observer rejected at shards >
+// 1), and its determinism guarantees — repeat-identical multi-shard runs,
+// a 1-shard path bit-identical to the classic engine, pinned multi-shard
+// outputs, and campaign fingerprints that stay reproducible with shards in
+// the base config.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -136,29 +137,6 @@ TEST(ShardedEngine, BarrierCallbackCanStopTheRun) {
   EXPECT_EQ(barriers, 2);
 }
 
-// --- merge_digests ----------------------------------------------------------
-
-TEST(MergeDigests, SinglePartIsIdentity) {
-  telemetry::RunDigest d;
-  d.streams[0].fold(1);
-  d.streams[3].fold(2);
-  d.checkpoints.push_back({});
-  const auto m = telemetry::merge_digests({d});
-  EXPECT_EQ(m.root(), d.root());
-  EXPECT_EQ(m.checkpoints.size(), 1u);
-}
-
-TEST(MergeDigests, MultiPartFoldsInShardOrder) {
-  telemetry::RunDigest a, b;
-  a.streams[0].fold(1);
-  b.streams[0].fold(2);
-  const auto ab = telemetry::merge_digests({a, b});
-  const auto ba = telemetry::merge_digests({b, a});
-  EXPECT_NE(ab.root(), ba.root());  // order-sensitive
-  EXPECT_EQ(ab.root(), telemetry::merge_digests({a, b}).root());
-  EXPECT_EQ(ab.streams[0].count, a.streams[0].count + b.streams[0].count);
-}
-
 // --- cross-shard MPI transport ----------------------------------------------
 
 struct ShardedMpiFixture {
@@ -288,32 +266,50 @@ TEST(ShardConfig, ValidateRejectsNonPositiveAndSingleEngineLayers) {
   EXPECT_FALSE(cfg.validate().empty());
   EXPECT_THROW(core::run_workload(apps::make_ft(kScale), cfg), std::invalid_argument);
 
-  // Every observation layer shards: trace, profile, meters, telemetry,
-  // faults, digests, and the flight recorder are all accepted at shards > 1
-  // (collected per shard, merged deterministically — DESIGN.md §3.14).
-  cfg.shards = 2;
-  EXPECT_TRUE(cfg.validate().empty());
-  cfg.collect_trace = true;
-  cfg.profile = true;
-  cfg.use_meters = true;
-  cfg.telemetry.enabled = true;
-  cfg.faults.events.push_back(fault::node_crash(1.0, 0));
-  cfg.faults.resilience.checkpoint_interval_s = 5.0;
-  cfg.determinism.digest = true;
-  cfg.determinism.flight_recorder = true;
-  EXPECT_TRUE(cfg.validate().empty()) << core::describe(cfg.validate());
+  // A sharded run is bare: each observation layer, switched on alone at
+  // shards = 2, yields one issue naming its field, and the run refuses to
+  // start.  The same layer at shards = 1 is valid.
+  struct Layer {
+    const char* field;
+    void (*enable)(core::RunConfig&);
+  };
+  const Layer layers[] = {
+      {"collect_trace", [](core::RunConfig& c) { c.collect_trace = true; }},
+      {"profile", [](core::RunConfig& c) { c.profile = true; }},
+      {"use_meters", [](core::RunConfig& c) { c.use_meters = true; }},
+      {"telemetry.enabled", [](core::RunConfig& c) { c.telemetry.enabled = true; }},
+      {"faults", [](core::RunConfig& c) { c.faults.events.push_back(fault::node_crash(1.0, 0)); }},
+      {"faults", [](core::RunConfig& c) { c.faults.resilience.watchdog = true; }},
+      {"faults", [](core::RunConfig& c) { c.faults.resilience.mpi_timeout_s = 5.0; }},
+      {"determinism", [](core::RunConfig& c) { c.determinism.digest = true; }},
+      {"determinism", [](core::RunConfig& c) { c.determinism.flight_recorder = true; }},
+      {"determinism", [](core::RunConfig& c) { c.determinism.perturb_seq = 7; }},
+      {"determinism",
+       [](core::RunConfig& c) {
+         c.determinism.capture_begin = 100;
+         c.determinism.capture_end = 200;
+       }},
+  };
+  for (const Layer& layer : layers) {
+    core::RunConfig one;
+    layer.enable(one);
+    EXPECT_TRUE(one.validate().empty()) << layer.field << ": " << core::describe(one.validate());
 
-  // The one residual single-engine assumption: focused per-event capture and
-  // seq perturbation key off machine-wide dispatch ordinals, which a sharded
-  // run does not have.
-  cfg.determinism.capture_begin = 100;
-  cfg.determinism.capture_end = 200;
-  EXPECT_FALSE(cfg.validate().empty());
-  cfg.determinism.capture_begin = cfg.determinism.capture_end = 0;
-  cfg.determinism.perturb_seq = 7;
-  EXPECT_FALSE(cfg.validate().empty());
-  cfg.determinism.perturb_seq = 0;
-  EXPECT_TRUE(cfg.validate().empty());
+    core::RunConfig two = one;
+    two.shards = 2;
+    const auto issues = two.validate();
+    ASSERT_EQ(issues.size(), 1u) << layer.field << ": " << core::describe(issues);
+    EXPECT_EQ(issues[0].field, layer.field);
+    EXPECT_THROW(core::run_workload(apps::make_ft(kScale), two), std::invalid_argument)
+        << layer.field;
+  }
+
+  // The bare configuration perfbench shards: CPUSPEED daemon and a seed.
+  core::RunConfig bare;
+  bare.shards = 2;
+  bare.seed = 3;
+  bare.daemon = core::CpuspeedParams{};
+  EXPECT_TRUE(bare.validate().empty()) << core::describe(bare.validate());
 }
 
 TEST(ShardConfig, NetworkValidationFlagsNonPositiveLatency) {
@@ -332,21 +328,26 @@ TEST(ShardConfig, NetworkValidationFlagsNonPositiveLatency) {
 
 core::RunResult sharded_ft(int shards, core::RunConfig cfg = {}) {
   cfg.shards = shards;
-  cfg.determinism.digest = true;
   return core::run_workload(apps::make_ft(kScale), cfg);
+}
+
+// Bit-for-bit equality of the outputs a bare sharded run produces.
+void expect_same_outputs(const core::RunResult& a, const core::RunResult& b,
+                         const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.delay_s), std::bit_cast<std::uint64_t>(b.delay_s))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.energy_j),
+            std::bit_cast<std::uint64_t>(b.energy_j))
+      << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(a.dvs_transitions, b.dvs_transitions) << what;
+  EXPECT_EQ(a.messages, b.messages) << what;
 }
 
 TEST(ShardedRunner, MultiShardRunsRepeatBitIdentically) {
   for (int shards : {2, 4, 8}) {
-    const auto a = sharded_ft(shards);
-    const auto b = sharded_ft(shards);
-    EXPECT_EQ(a.delay_s, b.delay_s) << shards << " shards";
-    EXPECT_EQ(a.energy_j, b.energy_j) << shards << " shards";
-    EXPECT_EQ(a.messages, b.messages) << shards << " shards";
-    ASSERT_TRUE(a.determinism.has_value());
-    ASSERT_TRUE(b.determinism.has_value());
-    EXPECT_EQ(a.determinism->digest.root(), b.determinism->digest.root())
-        << shards << " shards";
+    expect_same_outputs(sharded_ft(shards), sharded_ft(shards),
+                        std::to_string(shards) + " shards");
   }
 }
 
@@ -354,18 +355,16 @@ TEST(ShardedRunner, OneShardTakesTheClassicPathBitIdentically) {
   core::RunConfig plain;
   plain.determinism.digest = true;
   const auto classic = core::run_workload(apps::make_ft(kScale), plain);
-  const auto one = sharded_ft(1);
-  EXPECT_EQ(classic.delay_s, one.delay_s);
-  EXPECT_EQ(classic.energy_j, one.energy_j);
+  core::RunConfig one_cfg = plain;
+  one_cfg.shards = 1;
+  const auto one = core::run_workload(apps::make_ft(kScale), one_cfg);
+  expect_same_outputs(classic, one, "1 shard");
   EXPECT_EQ(classic.determinism->digest.root(), one.determinism->digest.root());
 }
 
 TEST(ShardedRunner, ShardCountClampsToTheRankCount) {
   // FT has 8 ranks; 64 shards must clamp to 8 and still repeat exactly.
-  const auto a = sharded_ft(64);
-  const auto b = sharded_ft(8);
-  EXPECT_EQ(a.delay_s, b.delay_s);
-  EXPECT_EQ(a.determinism->digest.root(), b.determinism->digest.root());
+  expect_same_outputs(sharded_ft(64), sharded_ft(8), "64 vs 8 shards");
 }
 
 TEST(ShardedRunner, ResultsStayPhysicallyCloseToTheClassicEngine) {
@@ -387,10 +386,7 @@ TEST(ShardedRunner, Fig1ShapedStaticFrequencyRunsRepeatAcrossShardCounts) {
     core::RunConfig cfg;
     cfg.static_mhz = 600;
     const auto a = sharded_ft(shards, cfg);
-    const auto b = sharded_ft(shards, cfg);
-    EXPECT_EQ(a.delay_s, b.delay_s) << shards << " shards";
-    EXPECT_EQ(a.determinism->digest.root(), b.determinism->digest.root())
-        << shards << " shards";
+    expect_same_outputs(a, sharded_ft(shards, cfg), std::to_string(shards) + " shards");
     EXPECT_GT(a.dvs_transitions, 0) << shards << " shards";
   }
 }
@@ -400,140 +396,15 @@ TEST(ShardedRunner, Fig9ShapedInternalScheduleRunsRepeatAcrossShardCounts) {
   for (int shards : {2, 8}) {
     core::RunConfig cfg;
     cfg.hooks = core::internal_phase_hooks(1400, 600);
-    const auto a = sharded_ft(shards, cfg);
-    const auto b = sharded_ft(shards, cfg);
-    EXPECT_EQ(a.delay_s, b.delay_s) << shards << " shards";
-    EXPECT_EQ(a.energy_j, b.energy_j) << shards << " shards";
-    EXPECT_EQ(a.determinism->digest.root(), b.determinism->digest.root())
-        << shards << " shards";
+    expect_same_outputs(sharded_ft(shards, cfg), sharded_ft(shards, cfg),
+                        std::to_string(shards) + " shards");
   }
 }
 
 TEST(ShardedRunner, CpuspeedDaemonRunsUnderSharding) {
   core::RunConfig cfg;
   cfg.daemon = core::CpuspeedParams::v1_2_1();
-  const auto a = sharded_ft(2, cfg);
-  const auto b = sharded_ft(2, cfg);
-  EXPECT_EQ(a.delay_s, b.delay_s);
-  EXPECT_EQ(a.determinism->digest.root(), b.determinism->digest.root());
-}
-
-// --- sharded observability ---------------------------------------------------
-
-// Comp-only rank: identical work on every rank and no communication.  The
-// simulation is then bit-identical at every shard count — messages crossing a
-// shard boundary pick up lookahead-quantized timing, which is why the FT
-// tests above compare repeats only at a fixed count.
-sim::Process comp_only_rank(apps::AppContext& ctx, int rank, int steps) {
-  ctx.call(ctx.hooks ? ctx.hooks->at_start : nullptr, rank);
-  for (int s = 0; s < steps; ++s) {
-    if (ctx.tracer != nullptr) ctx.tracer->mark_iteration(rank);
-    co_await apps::compute_phase(ctx, rank, /*onchip_s=*/0.06, /*mem_s=*/0.03);
-  }
-}
-
-apps::Workload make_comp_only(int ranks, int steps) {
-  apps::Workload w;
-  w.name = "comp." + std::to_string(ranks);
-  w.ranks = ranks;
-  w.iterations = steps;
-  w.make_rank = [steps](apps::AppContext& ctx, int rank) {
-    return comp_only_rank(ctx, rank, steps);
-  };
-  return w;
-}
-
-// Pin the DVS transition stall: it is drawn from the node RNG, and shard
-// clusters seed their nodes differently per shard, so a [min, max] interval
-// would make transition-completion timestamps shard-count-dependent.
-void pin_transition_latency(core::RunConfig& cfg) {
-  cfg.cluster.node.cpu.transition_min = sim::from_micros(20.0);
-  cfg.cluster.node.cpu.transition_max = sim::from_micros(20.0);
-}
-
-TEST(ShardedObservability, OutputsAreBitIdenticalAcrossShardCounts) {
-  const auto app = make_comp_only(8, 20);
-  auto run_at = [&](int shards) {
-    core::RunConfig cfg;
-    cfg.shards = shards;
-    cfg.static_mhz = 600;
-    pin_transition_latency(cfg);
-    cfg.telemetry.enabled = true;
-    cfg.profile = true;
-    cfg.determinism.digest = true;
-    // Node-targeted fault in an upper shard plus a cluster-wide one (the
-    // latter is replicated silently to every shard; only shard 0 records).
-    cfg.faults.events.push_back(fault::stuck_dvs(1.0, 5, 2.0));
-    cfg.faults.events.push_back(
-        fault::sensor_dropout(1.5, -1, fault::SensorMode::Stale, 1.0));
-    return core::run_workload(app, cfg);
-  };
-  const auto one = run_at(1);
-  ASSERT_TRUE(one.telemetry.has_value());
-  ASSERT_TRUE(one.fault_report.has_value());
-  ASSERT_TRUE(one.profiler.has_value());
-  for (int shards : {2, 4}) {
-    const auto s = run_at(shards);
-    ASSERT_TRUE(s.telemetry.has_value()) << shards << " shards";
-    // Merged exports carry no shard label/process, so every rendering must
-    // be byte-identical to the single-engine run's.
-    EXPECT_EQ(telemetry::to_prometheus(one.telemetry->metrics),
-              telemetry::to_prometheus(s.telemetry->metrics))
-        << shards << " shards";
-    EXPECT_EQ(one.telemetry->chrome_trace_json, s.telemetry->chrome_trace_json)
-        << shards << " shards";
-    EXPECT_EQ(telemetry::series_csv(*one.telemetry),
-              telemetry::series_csv(*s.telemetry))
-        << shards << " shards";
-    EXPECT_EQ(telemetry::decisions_csv(*one.telemetry),
-              telemetry::decisions_csv(*s.telemetry))
-        << shards << " shards";
-    EXPECT_EQ(telemetry::faults_csv(*one.telemetry),
-              telemetry::faults_csv(*s.telemetry))
-        << shards << " shards";
-    EXPECT_EQ(one.timeline, s.timeline) << shards << " shards";
-    ASSERT_TRUE(s.fault_report.has_value()) << shards << " shards";
-    EXPECT_EQ(one.fault_report->summary(), s.fault_report->summary())
-        << shards << " shards";
-    ASSERT_TRUE(s.profiler.has_value()) << shards << " shards";
-    EXPECT_EQ(one.profiler->attribution.scoped_j, s.profiler->attribution.scoped_j)
-        << shards << " shards";
-    EXPECT_EQ(one.profiler->slack.makespan_s, s.profiler->slack.makespan_s)
-        << shards << " shards";
-    EXPECT_EQ(one.profiler->slack.rank_elastic_s, s.profiler->slack.rank_elastic_s)
-        << shards << " shards";
-    // Per-shard provenance views exist only on the sharded run, and the
-    // per-shard Prometheus view is the only place the shard label appears.
-    EXPECT_EQ(static_cast<int>(s.telemetry->shard_metrics.size()), shards);
-    EXPECT_TRUE(one.telemetry->shard_metrics.empty());
-    const auto per_shard = telemetry::to_prometheus_sharded(*s.telemetry);
-    EXPECT_NE(per_shard.find("shard=\"0\""), std::string::npos);
-    EXPECT_EQ(telemetry::to_prometheus(one.telemetry->metrics).find("shard=\""),
-              std::string::npos);
-  }
-}
-
-TEST(ShardedObservability, CrashInAnUpperShardMatchesTheSingleEngineFaultReport) {
-  const auto app = make_comp_only(8, 20);
-  auto run_at = [&](int shards) {
-    core::RunConfig cfg;
-    cfg.shards = shards;
-    cfg.static_mhz = 600;
-    pin_transition_latency(cfg);
-    // Crash node 5 — shard 2's second node under contiguous(8, 4) — with
-    // coordinated checkpoint/restart armed.
-    cfg.faults.events.push_back(fault::node_crash(2.3, 5, /*boot_delay_s=*/5.0));
-    cfg.faults.resilience.checkpoint_interval_s = 1.7;
-    cfg.faults.resilience.checkpoint_cost_s = 0.2;
-    return core::run_workload(app, cfg);
-  };
-  const auto one = run_at(1);
-  const auto four = run_at(4);
-  ASSERT_TRUE(one.fault_report.has_value());
-  ASSERT_TRUE(four.fault_report.has_value());
-  EXPECT_FALSE(four.failed) << four.failure;
-  EXPECT_EQ(one.fault_report->node_reboots, 1);
-  EXPECT_EQ(one.fault_report->summary(), four.fault_report->summary());
+  expect_same_outputs(sharded_ft(2, cfg), sharded_ft(2, cfg), "2 shards");
 }
 
 // --- pinned outputs ------------------------------------------------------------
@@ -569,9 +440,8 @@ struct Pinned {
 // FT with every layer on: CPUSPEED daemon, ACPI/Baytech meters, a fault plan
 // with checkpoint/restart, daemon watchdog and a scripted daemon wedge,
 // telemetry with the sampler, profiling, and digests + flight recorder.
-void expect_pinned(int shards, const Pinned& want) {
+void expect_pinned(const Pinned& want) {
   core::RunConfig cfg;
-  cfg.shards = shards;
   cfg.daemon = core::CpuspeedParams::v1_2_1();
   cfg.use_meters = true;
   cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
@@ -617,7 +487,7 @@ void expect_pinned(int shards, const Pinned& want) {
 }
 
 TEST(PinnedOutputs, EveryLayerOnOneShard) {
-  expect_pinned(1, {0x40192926802d9e05ULL, 0x4095d82d8bd79ac0ULL,
+  expect_pinned({0x40192926802d9e05ULL, 0x4095d82d8bd79ac0ULL,
                      0x4071c66666666667ULL, 0x4089355204402644ULL,
                      0x15cb57c4f617ddfeULL,
                      9, 126,
@@ -625,13 +495,32 @@ TEST(PinnedOutputs, EveryLayerOnOneShard) {
                      0x1fe19a9110bb292cULL});
 }
 
-TEST(PinnedOutputs, EveryLayerOnTwoShards) {
-  expect_pinned(2, {0x40192976b68d11c4ULL, 0x409543d562411860ULL,
-                     0x408aa9999999999aULL, 0x4088b5935542fc10ULL,
-                     0x11ed2ac724202377ULL,
-                     11, 126,
-                     0xae0aa55d65411b07ULL, 0x1bf84e2242a633d4ULL,
-                     0x1fe19a9110bb292cULL});
+// The bare sharded path — FT under the CPUSPEED daemon and nothing else,
+// the configuration perfbench's traced shard pair runs — at 2 and 4
+// shards.  These constants were recorded before sharded runs lost their
+// observers; removing the per-shard collectors must not move them.
+TEST(PinnedOutputs, BareCpuspeedFtOnTwoAndFourShards) {
+  struct Want {
+    int shards;
+    std::uint64_t delay_s, energy_j;
+    std::int64_t events, dvs_transitions, messages;
+  };
+  const Want wants[] = {
+      {2, 0x40186aab3e0f62d2ULL, 0x4094a5a05039c5f6ULL, 2130, 13, 126},
+      {4, 0x40186ad7baf8a021ULL, 0x409471658ce6dd50ULL, 2154, 12, 126},
+  };
+  for (const Want& want : wants) {
+    core::RunConfig cfg;
+    cfg.shards = want.shards;
+    cfg.daemon = core::CpuspeedParams{};
+    const auto r = core::run_workload(apps::make_ft(kScale), cfg);
+    ASSERT_FALSE(r.failed) << r.failure;
+    EXPECT_EQ(hex(r.delay_s), hex(want.delay_s)) << want.shards << " shards: " << r.delay_s;
+    EXPECT_EQ(hex(r.energy_j), hex(want.energy_j)) << want.shards << " shards: " << r.energy_j;
+    EXPECT_EQ(r.events, want.events) << want.shards << " shards";
+    EXPECT_EQ(r.dvs_transitions, want.dvs_transitions) << want.shards << " shards";
+    EXPECT_EQ(r.messages, want.messages) << want.shards << " shards";
+  }
 }
 
 // The phase-predictor policy with its fault hooks driven: a scripted wedge
@@ -669,29 +558,17 @@ double baytech_windows(const std::vector<telemetry::MetricSample>& metrics) {
 }
 
 TEST(ShardedRunner, MeteredRunsEndAtCompletionOnAnyShardCount) {
-  for (int shards : {1, 2}) {
-    core::RunConfig cfg;
-    cfg.shards = shards;
-    cfg.use_meters = true;
-    cfg.telemetry.enabled = true;
-    const auto r = core::run_workload(apps::make_ft(kScale), cfg);
-    ASSERT_FALSE(r.failed) << r.failure;
-    ASSERT_TRUE(r.telemetry.has_value());
-    const double bound = std::ceil((300 + r.delay_s + 61) / 60);
-    if (shards == 1) {
-      EXPECT_LE(baytech_windows(r.telemetry->metrics), bound);
-      EXPECT_EQ(hex(r.delay_s), "0x40186b3f19231a3fULL") << r.delay_s;
-      EXPECT_EQ(hex(r.energy_j), "0x40961326c31df800ULL") << r.energy_j;
-      EXPECT_EQ(hex(r.energy_acpi_j), "0x4072000000000000ULL") << r.energy_acpi_j;
-      EXPECT_EQ(hex(r.energy_baytech_j), "0x4089da78bbaf5234ULL")
-          << r.energy_baytech_j;
-    } else {
-      ASSERT_EQ(r.telemetry->shard_metrics.size(), 2u);
-      for (const auto& part : r.telemetry->shard_metrics) {
-        EXPECT_LE(baytech_windows(part), bound);
-      }
-    }
-  }
+  core::RunConfig cfg;
+  cfg.use_meters = true;
+  cfg.telemetry.enabled = true;
+  const auto r = core::run_workload(apps::make_ft(kScale), cfg);
+  ASSERT_FALSE(r.failed) << r.failure;
+  ASSERT_TRUE(r.telemetry.has_value());
+  EXPECT_LE(baytech_windows(r.telemetry->metrics), std::ceil((300 + r.delay_s + 61) / 60));
+  EXPECT_EQ(hex(r.delay_s), "0x40186b3f19231a3fULL") << r.delay_s;
+  EXPECT_EQ(hex(r.energy_j), "0x40961326c31df800ULL") << r.energy_j;
+  EXPECT_EQ(hex(r.energy_acpi_j), "0x4072000000000000ULL") << r.energy_acpi_j;
+  EXPECT_EQ(hex(r.energy_baytech_j), "0x4089da78bbaf5234ULL") << r.energy_baytech_j;
 }
 
 sim::Process return_at_launch(apps::AppContext&, int) { co_return; }
@@ -716,25 +593,21 @@ TEST(ShardedRunner, ZeroDelayRunReportsZeroUtilization) {
 }
 
 // A watchdog restart still pending when the last rank finishes is dropped
-// when the watchdog stops at completion, on any shard count: it never
-// restarts the stopped daemon or records a recovery after the report is
-// assembled.
+// when the watchdog stops at completion: it never restarts the stopped
+// daemon or records a recovery after the report is assembled.
 TEST(ShardedRunner, WatchdogRestartPendingAtCompletionIsHarmless) {
-  for (int shards : {1, 2}) {
-    core::RunConfig cfg;
-    cfg.shards = shards;
-    cfg.daemon = core::CpuspeedParams::v1_2_1();
-    cfg.use_meters = true;
-    cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
-    cfg.faults.resilience.watchdog = true;  // detects at 6.0 s, restarts at 6.5 s
-    const auto r = core::run_workload(apps::make_ft(kScale), cfg);
-    EXPECT_FALSE(r.failed) << r.failure;
-    EXPECT_LT(r.delay_s, 6.5);
-    ASSERT_TRUE(r.fault_report.has_value());
-    EXPECT_EQ(r.fault_report->detections, 1) << shards << " shards";
-    EXPECT_EQ(r.fault_report->daemon_restarts, 1) << shards << " shards";
-    EXPECT_EQ(r.fault_report->recoveries, 0) << shards << " shards";
-  }
+  core::RunConfig cfg;
+  cfg.daemon = core::CpuspeedParams::v1_2_1();
+  cfg.use_meters = true;
+  cfg.faults.events.push_back(fault::daemon_wedge(0.5, 5));
+  cfg.faults.resilience.watchdog = true;  // detects at 6.0 s, restarts at 6.5 s
+  const auto r = core::run_workload(apps::make_ft(kScale), cfg);
+  EXPECT_FALSE(r.failed) << r.failure;
+  EXPECT_LT(r.delay_s, 6.5);
+  ASSERT_TRUE(r.fault_report.has_value());
+  EXPECT_EQ(r.fault_report->detections, 1);
+  EXPECT_EQ(r.fault_report->daemon_restarts, 1);
+  EXPECT_EQ(r.fault_report->recoveries, 0);
 }
 
 TEST(ShardedRunner, CampaignFingerprintIsReproducibleWithShardsInTheBase) {
@@ -744,15 +617,10 @@ TEST(ShardedRunner, CampaignFingerprintIsReproducibleWithShardsInTheBase) {
   spec.base(base)
       .workload(apps::make_ft(kScale))
       .axis(campaign::Axis::static_mhz({600, 1400}))
-      .trials(2)
-      .collect_digests();
+      .trials(2);
   const auto a = campaign::CampaignRunner(campaign::CampaignOptions{}).run(spec);
   const auto b = campaign::CampaignRunner(campaign::CampaignOptions{}).run(spec);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_TRUE(a.cells[i].has_digest);
-    EXPECT_EQ(a.cells[i].digest_root, b.cells[i].digest_root) << "cell " << i;
-  }
 }
 
 }  // namespace

@@ -4,18 +4,13 @@
 // (README.md "Debugging nondeterminism"):
 //
 //   pcd_diff run      --workload cg [--scale S --seed N --daemon
-//                      --perturb Q --checkpoint-every K --shards N] --out FILE
+//                      --perturb Q --checkpoint-every K] --out FILE
 //       Execute one instrumented run and write its RunDigest (text v1).
-//       With --shards N > 1 the file also carries the N per-shard digest
-//       parts, framed by "== shard S" separator lines (the v1 parser
-//       rejects unknown record types, so the framing lives here).
+//       Exit 0 written, 2 on usage errors or a configuration the runner
+//       rejects.
 //
 //   pcd_diff compare  FILE_A FILE_B
-//       Diff two digest files.  When both carry shard parts, the parts are
-//       compared pairwise first and the first diverging shard is named
-//       with its per-stream (hash, count) pairs — narrowing a machine-wide
-//       divergence to one shard before the merged diff runs.  Exit 0
-//       identical, 1 diverged, 2 error.
+//       Diff two digest files.  Exit 0 identical, 1 diverged, 2 error.
 //
 //   pcd_diff localize --workload cg [--scale S --seed N --daemon
 //                      --perturb Q --checkpoint-every K]
@@ -27,22 +22,19 @@
 //       label, sequence number) and its full causal chain, all in one
 //       invocation.  Exit 0 when the outcome matches the expectation
 //       (identical by default, diverged-and-localized with
-//       --expect-divergence), 1 otherwise, 2 on usage errors.
+//       --expect-divergence), 1 otherwise, 2 on usage errors or a
+//       configuration the runner rejects.
 //
-//       With --shards N > 1 the perturbation/capture tier is unavailable
-//       (dispatch ordinals are per-shard), so localize instead runs the
-//       sharded config twice, compares the per-shard digest parts, and
-//       names the first diverging shard — the repeat-determinism check for
-//       the parallel engine.
+// Digests are single-engine only: a sharded run carries no observers.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "apps/npb.hpp"
 #include "core/runner.hpp"
@@ -61,7 +53,6 @@ struct Options {
   bool daemon = false;
   std::uint64_t perturb = 0;
   std::uint64_t checkpoint_every = 4096;
-  int shards = 1;
   std::string out;
   bool expect_divergence = false;
 };
@@ -71,12 +62,12 @@ int usage() {
                "usage: pcd_diff run --workload NAME [--scale S] [--seed N] "
                "[--daemon]\n"
                "                    [--perturb Q] [--checkpoint-every K] "
-               "[--shards N] --out FILE\n"
+               "--out FILE\n"
                "       pcd_diff compare FILE_A FILE_B\n"
                "       pcd_diff localize --workload NAME [--scale S] [--seed N] "
                "[--daemon]\n"
                "                    [--perturb Q] [--checkpoint-every K] "
-               "[--shards N] [--expect-divergence]\n"
+               "[--expect-divergence]\n"
                "workloads: ft cg ep is lu mg bt sp\n");
   return 2;
 }
@@ -121,11 +112,6 @@ bool parse_common(int argc, char** argv, int start, Options* o) {
       const char* v = next();
       if (v == nullptr) return false;
       o->checkpoint_every = std::strtoull(v, nullptr, 10);
-    } else if (a == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o->shards = std::atoi(v);
-      if (o->shards < 1) return false;
     } else if (a == "--out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -145,7 +131,6 @@ bool parse_common(int argc, char** argv, int start, Options* o) {
 pcd::core::RunConfig base_config(const Options& o) {
   pcd::core::RunConfig cfg;
   cfg.seed = o.seed;
-  cfg.shards = o.shards;
   if (o.daemon) cfg.daemon = pcd::core::CpuspeedParams::v1_2_1();
   return cfg;
 }
@@ -163,40 +148,16 @@ RunCapture instrumented_run(const Options& o, std::uint64_t perturb,
                                         : RunCapture{};
 }
 
-// A digest file: the merged (machine-wide) digest, plus — for sharded runs
-// — the per-shard parts, framed by "== shard S" lines.  RunDigest::parse
-// deliberately rejects unknown record types, so the multi-part framing is
-// split off here before each chunk is handed to the v1 parser.
-struct DigestFile {
-  RunDigest merged;
-  std::vector<RunDigest> parts;
-};
-
-std::string render_digest_file(const RunCapture& cap) {
-  std::string text = cap.digest.to_text();
-  for (std::size_t s = 0; s < cap.shard_parts.size(); ++s) {
-    text += "== shard " + std::to_string(s) + "\n";
-    text += cap.shard_parts[s].to_text();
-  }
-  return text;
-}
-
 int cmd_run(const Options& o) {
   if (!make_workload(o.workload, o.scale).has_value()) {
     std::fprintf(stderr, "pcd_diff: unknown workload '%s'\n", o.workload.c_str());
-    return 2;
-  }
-  if (o.perturb != 0 && o.shards > 1) {
-    std::fprintf(stderr,
-                 "pcd_diff: --perturb needs machine-wide dispatch ordinals; "
-                 "not available with --shards > 1\n");
     return 2;
   }
   DeterminismOptions det;
   det.digest = true;
   det.checkpoint_every = o.checkpoint_every;
   const RunCapture cap = instrumented_run(o, o.perturb, det);
-  const std::string text = render_digest_file(cap);
+  const std::string text = cap.digest.to_text();
   if (o.out.empty() || o.out == "-") {
     std::fputs(text.c_str(), stdout);
   } else {
@@ -212,16 +173,10 @@ int cmd_run(const Options& o) {
                static_cast<unsigned long long>(cap.digest.root()),
                static_cast<unsigned long long>(
                    cap.digest.streams[RunDigest::kEvents].count));
-  for (std::size_t s = 0; s < cap.shard_parts.size(); ++s) {
-    std::fprintf(stderr, "pcd_diff:   shard %zu root=%016llx (%llu events)\n", s,
-                 static_cast<unsigned long long>(cap.shard_parts[s].root()),
-                 static_cast<unsigned long long>(
-                     cap.shard_parts[s].streams[RunDigest::kEvents].count));
-  }
   return 0;
 }
 
-std::optional<DigestFile> load_digest(const char* path) {
+std::optional<RunDigest> load_digest(const char* path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
     std::fprintf(stderr, "pcd_diff: cannot read '%s'\n", path);
@@ -229,68 +184,11 @@ std::optional<DigestFile> load_digest(const char* path) {
   }
   std::ostringstream ss;
   ss << f.rdbuf();
-  const std::string text = ss.str();
-
-  // Split on "== shard S" framing lines (absent for single-engine files).
-  std::vector<std::string> chunks;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t mark = text.find("== shard ", pos);
-    chunks.push_back(text.substr(pos, mark == std::string::npos
-                                          ? std::string::npos
-                                          : mark - pos));
-    if (mark == std::string::npos) break;
-    const std::size_t nl = text.find('\n', mark);
-    if (nl == std::string::npos) break;
-    pos = nl + 1;
-  }
-
-  DigestFile out;
-  auto merged = RunDigest::parse(chunks.front());
-  if (!merged.has_value()) {
+  auto digest = RunDigest::parse(ss.str());
+  if (!digest.has_value()) {
     std::fprintf(stderr, "pcd_diff: '%s' is not a pcd-digest v1 file\n", path);
-    return std::nullopt;
   }
-  out.merged = std::move(*merged);
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    auto part = RunDigest::parse(chunks[i]);
-    if (!part.has_value()) {
-      std::fprintf(stderr, "pcd_diff: '%s': shard part %zu is malformed\n", path,
-                   i - 1);
-      return std::nullopt;
-    }
-    out.parts.push_back(std::move(*part));
-  }
-  return out;
-}
-
-// Pairwise per-shard comparison: prints each diverging shard's per-stream
-// (hash, count) pairs and returns the first diverging shard (-1 if none).
-int compare_shard_parts(const DigestFile& a, const DigestFile& b) {
-  int first_diverging = -1;
-  for (std::size_t s = 0; s < a.parts.size(); ++s) {
-    const auto d = pcd::telemetry::diff(a.parts[s], b.parts[s]);
-    if (!d.diverged) continue;
-    if (first_diverging < 0) first_diverging = static_cast<int>(s);
-    std::printf("shard %zu diverged (first stream: %s)\n", s,
-                RunDigest::stream_name(d.stream));
-    for (int i = 0; i < RunDigest::kStreams; ++i) {
-      const auto& sa = a.parts[s].streams[i];
-      const auto& sb = b.parts[s].streams[i];
-      std::printf("  %-7s A %016llx/%llu  B %016llx/%llu%s\n",
-                  RunDigest::stream_name(i),
-                  static_cast<unsigned long long>(sa.hash),
-                  static_cast<unsigned long long>(sa.count),
-                  static_cast<unsigned long long>(sb.hash),
-                  static_cast<unsigned long long>(sb.count),
-                  sa.hash != sb.hash || sa.count != sb.count ? "  <-- differs"
-                                                             : "");
-    }
-  }
-  if (first_diverging >= 0) {
-    std::printf("first diverging shard: %d\n", first_diverging);
-  }
-  return first_diverging;
+  return digest;
 }
 
 int cmd_compare(int argc, char** argv) {
@@ -298,43 +196,8 @@ int cmd_compare(int argc, char** argv) {
   const auto a = load_digest(argv[2]);
   const auto b = load_digest(argv[3]);
   if (!a.has_value() || !b.has_value()) return 2;
-  if (!a->parts.empty() && a->parts.size() == b->parts.size()) {
-    compare_shard_parts(*a, *b);
-  } else if (a->parts.size() != b->parts.size()) {
-    std::printf("shard counts differ (%zu vs %zu); comparing merged digests only\n",
-                a->parts.size(), b->parts.size());
-  }
-  const auto d = pcd::telemetry::diff(a->merged, b->merged);
+  const auto d = pcd::telemetry::diff(*a, *b);
   std::printf("%s\n", d.summary().c_str());
-  return d.diverged ? 1 : 0;
-}
-
-// Sharded localization: the capture/perturbation tier needs machine-wide
-// dispatch ordinals, so at shards > 1 localize degrades to the strongest
-// check available — run the config twice and name the first shard whose
-// digest part diverges (repeat-determinism of the parallel engine).
-int localize_sharded(const Options& o) {
-  if (o.perturb != 0) {
-    std::fprintf(stderr,
-                 "pcd_diff: --perturb needs machine-wide dispatch ordinals; "
-                 "not available with --shards > 1\n");
-    return 2;
-  }
-  DeterminismOptions det;
-  det.digest = true;
-  det.checkpoint_every = o.checkpoint_every;
-  auto cap_a = instrumented_run(o, 0, det);
-  auto cap_b = instrumented_run(o, 0, det);
-  const DigestFile a{std::move(cap_a.digest), std::move(cap_a.shard_parts)};
-  const DigestFile b{std::move(cap_b.digest), std::move(cap_b.shard_parts)};
-  const int diverging = compare_shard_parts(a, b);
-  const auto d = pcd::telemetry::diff(a.merged, b.merged);
-  std::printf("%s\n", d.summary().c_str());
-  if (d.diverged) {
-    std::printf("note: per-event localization requires --shards 1 "
-                "(dispatch ordinals are per-shard)\n");
-  }
-  if (o.expect_divergence) return d.diverged && diverging >= 0 ? 0 : 1;
   return d.diverged ? 1 : 0;
 }
 
@@ -343,7 +206,6 @@ int cmd_localize(const Options& o) {
     std::fprintf(stderr, "pcd_diff: unknown workload '%s'\n", o.workload.c_str());
     return 2;
   }
-  if (o.shards > 1) return localize_sharded(o);
   const auto run_a = [&o](const DeterminismOptions& det) {
     return instrumented_run(o, 0, det);
   };
@@ -366,7 +228,14 @@ int main(int argc, char** argv) {
   if (cmd == "compare") return cmd_compare(argc, argv);
   Options o;
   if (!parse_common(argc, argv, 2, &o)) return usage();
-  if (cmd == "run") return cmd_run(o);
-  if (cmd == "localize") return cmd_localize(o);
+  try {
+    if (cmd == "run") return cmd_run(o);
+    if (cmd == "localize") return cmd_localize(o);
+  } catch (const std::exception& e) {
+    // A configuration the runner rejects (std::invalid_argument with every
+    // issue named) is a usage error, not a crash.
+    std::fprintf(stderr, "pcd_diff: %s\n", e.what());
+    return 2;
+  }
   return usage();
 }
