@@ -135,6 +135,38 @@ static void BM_MpiPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_MpiPingPong);
 
+static void BM_MpiPairExchange(benchmark::State& state) {
+  // The CG shape at full width: every rank swaps 64 KB with a hypercube
+  // partner per round (isend/irecv/waitall).  With thousands of ranks the
+  // per-message state no longer stays in cache — the cost the 2-rank
+  // ping-pong above cannot show.
+  const int ranks = static_cast<int>(state.range(0));
+  constexpr int kRounds = 4;
+  std::vector<int> ids(static_cast<std::size_t>(ranks));
+  std::iota(ids.begin(), ids.end(), 0);
+  for (auto _ : state) {
+    sim::Engine e;
+    machine::ClusterConfig cc;
+    cc.nodes = ranks;
+    machine::Cluster cluster(e, cc);
+    mpi::Comm comm(cluster, ids);
+    auto rank = [&comm](int r) -> sim::Process {
+      for (int k = 0; k < kRounds; ++k) {
+        const int peer = r ^ (1 << k);
+        std::vector<mpi::Comm::Request> reqs;
+        reqs.push_back(comm.irecv(r, peer, k));
+        reqs.push_back(comm.isend(r, peer, k, 64 * 1024));
+        co_await comm.waitall(r, std::move(reqs));
+      }
+    };
+    for (int r = 0; r < ranks; ++r) sim::spawn(e, rank(r));
+    e.run();
+    benchmark::DoNotOptimize(comm.stats().messages);
+  }
+  state.SetItemsProcessed(state.iterations() * ranks * kRounds);  // messages
+}
+BENCHMARK(BM_MpiPairExchange)->Arg(4096)->Unit(benchmark::kMillisecond);
+
 static void BM_FullWorkloadRun(benchmark::State& state) {
   for (auto _ : state) {
     auto cg = apps::make_cg(0.05);

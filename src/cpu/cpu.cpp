@@ -30,14 +30,14 @@ Cpu::Cpu(sim::Engine& engine, OperatingPointTable table, CpuConfig config, sim::
   stats_.op_residency_ns.assign(table_.size(), 0);
 }
 
-void Cpu::begin_work(const WorkAwaitable& w, std::coroutine_handle<> h) {
+void Cpu::begin_work(const WorkAwaitable& w, sim::Continuation then) {
   ActiveWork a;
   a.kind = w.kind;
   a.timed = (w.kind == CpuState::MemStall);
   a.remaining_cycles = w.cycles;
   a.remaining_ns = w.fixed;
   a.act_override = w.act_override;
-  a.waiter = h;
+  a.then = then;
   if (active_.has_value()) {
     work_queue_.push_back(a);  // runs when the current unit finishes
     return;
@@ -84,7 +84,7 @@ void Cpu::pause_segment() {
 
 void Cpu::finish_work() {
   assert(active_.has_value());
-  auto waiter = active_->waiter;
+  const sim::Continuation then = active_->then;
   // Let observers integrate the finished interval while the work (and its
   // activity override) is still visible; set_state() alone would not fire
   // when the next unit has the same kind.
@@ -98,7 +98,7 @@ void Cpu::finish_work() {
   } else {
     set_state(base_state());
   }
-  waiter.resume();
+  then();
 }
 
 void Cpu::set_frequency_mhz(int freq_mhz) {

@@ -106,9 +106,22 @@ class Cpu {
     double act_override = -1;  // per-phase power activity (< 0 = state default)
 
     bool await_ready() const { return cycles <= 0 && fixed <= 0; }
-    void await_suspend(std::coroutine_handle<> h) { cpu->begin_work(*this, h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      cpu->begin_work(*this, sim::Continuation::resume(h));
+    }
     void await_resume() const {}
   };
+
+  /// Callback form of `co_await w`: `then` runs when the work completes —
+  /// inline, before run() returns, when the work is empty (as await_ready
+  /// skips the suspension).
+  void run(const WorkAwaitable& w, sim::Continuation then) {
+    if (w.await_ready()) {
+      then();
+    } else {
+      begin_work(w, then);
+    }
+  }
 
   /// Executes `cycles` of on-chip work (duration = cycles / f).
   WorkAwaitable run_onchip_cycles(double cycles) {
@@ -239,7 +252,7 @@ class Cpu {
     sim::SimDuration remaining_ns = 0;
     double act_override = -1;
     bool timed = false;
-    std::coroutine_handle<> waiter;
+    sim::Continuation then;  // runs when the work completes
     sim::SimTime segment_start = 0;
     int segment_freq_mhz = 0;
     double segment_eff = 1.0;
@@ -247,7 +260,7 @@ class Cpu {
     bool segment_running = false;
   };
 
-  void begin_work(const WorkAwaitable& w, std::coroutine_handle<> h);
+  void begin_work(const WorkAwaitable& w, sim::Continuation then);
   void start_segment();
   void pause_segment();
   void finish_work();

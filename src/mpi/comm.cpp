@@ -1,11 +1,13 @@
 #include "mpi/comm.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
-
-#include "sim/frame_pool.hpp"
 #include <optional>
 #include <stdexcept>
+#include <utility>
+
+#include "sim/frame_pool.hpp"
 
 namespace pcd::mpi {
 
@@ -53,94 +55,234 @@ double CommBase::speed_ratio(int rank) {
 }
 
 // ---- point-to-point --------------------------------------------------------
+//
+// Each message side is one record, stepped by engine, CPU and network
+// callbacks.  The site labels are a contract: the first step of each side
+// is scheduled as "process.spawn" and each wakeup of a parked side as
+// "event.set", from the dispatch that unparks it — the events, times,
+// parents and labels a send and a receive coroutine would produce.  The
+// event digest folds (t, seq, parent, site), so digest roots and goldens
+// depend on it; tests/test_mpi.cpp MpiPinned.* pins every branch.
 
-sim::Process Comm::send_proc(int rank, int dst, int tag, std::int64_t bytes,
-                             Request req) {
-  // The send's causal anchor is the isend call instant (spawn runs the body
-  // up to the first co_await synchronously).
-  const std::int64_t log_seq =
-      tracer_ != nullptr ? tracer_->log_send(rank, dst, tag, bytes) : -1;
-  auto& cpu = node(rank).cpu();
-  co_await cpu.run_commproc_cycles(protocol_cycles(bytes));
+// Header shared by both sides.  `keep` is the protocol's own reference:
+// set by adopt(), dropped by release(), so a Request dropped mid-flight
+// never cuts the protocol short.
+struct Comm::Record {
+  explicit Record(Comm& c) : req(c.engine_), comm(&c) {}
+  RequestState req;  // what the returned Request aliases
+  Comm* comm;
+  std::shared_ptr<Record> keep;
+  Record* prev = nullptr;  // Comm::live_ list
+  Record* next = nullptr;
+};
 
-  auto msg = std::allocate_shared<SendMsg>(sim::PoolAllocator<SendMsg>{}, engine_);
-  msg->src = rank;
-  msg->tag = tag;
-  msg->bytes = bytes;
-  msg->log_seq = log_seq;
+struct Comm::SendRecord : Record {
+  using Record::Record;
+  int rank = 0;
+  int dst = 0;
+  int tag = 0;
+  bool recv_posted = false;    // matched: a rendezvous may go on the wire
+  bool awaiting_grant = false;  // rendezvous send parked on recv_posted
+  bool delivered = false;
+  bool queued = false;          // in the destination's unexpected queue
+  std::int64_t bytes = 0;
+  std::int64_t log_seq = -1;    // index into the tracer's message log
+  RecvRecord* peer = nullptr;   // matched receive still waiting for delivery
+};
 
-  // Announce to the receiver: match a posted receive or queue as unexpected.
-  Mailbox& mb = mailboxes_.at(dst);
-  bool matched = false;
-  for (auto it = mb.recvs.begin(); it != mb.recvs.end(); ++it) {
-    if (envelope_matches((*it)->src, (*it)->tag, rank, tag)) {
-      auto post = *it;
-      mb.recvs.erase(it);
-      post->msg = msg;
-      post->matched.set();
-      msg->recv_posted.set();
-      note_match(rank, dst, tag, bytes);
-      matched = true;
-      break;
-    }
-  }
-  if (!matched) mb.sends.push_back(msg);
+struct Comm::RecvRecord : Record {
+  using Record::Record;
+  int rank = 0;
+  int src = kAnySource;  // the post (wildcards allowed)
+  int tag = kAnyTag;
+  bool delivered = false;          // the matched message has arrived
+  bool awaiting_delivery = false;  // parked until the send delivers
+  std::int64_t bytes = 0;          // the matched message
+  std::int64_t log_seq = -1;
+};
 
-  // Rendezvous: large messages stall until the receive is posted.
-  if (bytes > costs_.eager_limit) co_await msg->recv_posted.wait();
-
-  co_await cluster_.network().transfer(node_ids_[rank], node_ids_[dst], bytes,
-                                       speed_ratio(rank));
-  msg->delivered.set();
-  if (tracer_ != nullptr) tracer_->log_delivered(log_seq);
-  ++stats_.messages;
-  stats_.bytes += bytes;
-  req->bytes = bytes;
-  req->done.set();
+Comm::~Comm() {
+  // Release what is still in flight (an abandoned or failed run).  Pending
+  // engine events, CPU work and transfers may still name these records;
+  // nothing runs them once the communicator is gone.
+  while (live_ != nullptr) release(*live_);
 }
 
-sim::Process Comm::recv_proc(int rank, int src, int tag, Request req) {
-  Mailbox& mb = mailboxes_.at(rank);
-  std::shared_ptr<SendMsg> msg;
-  for (auto it = mb.sends.begin(); it != mb.sends.end(); ++it) {
-    if (envelope_matches(src, tag, (*it)->src, (*it)->tag)) {
-      msg = *it;
-      mb.sends.erase(it);
-      break;
-    }
-  }
-  if (msg) {
-    msg->recv_posted.set();
-    note_match(msg->src, rank, msg->tag, msg->bytes);
-  } else {
-    auto post = std::allocate_shared<RecvPost>(sim::PoolAllocator<RecvPost>{}, engine_);
-    post->src = src;
-    post->tag = tag;
-    mb.recvs.push_back(post);
-    co_await post->matched.wait();
-    msg = post->msg;
-  }
+std::size_t Comm::live_records() const {
+  std::size_t n = 0;
+  for (const Record* r = live_; r != nullptr; r = r->next) ++n;
+  return n;
+}
 
-  co_await msg->delivered.wait();
-  // Receive-side copy / protocol processing.
-  co_await node(rank).cpu().run_commproc_cycles(protocol_cycles(msg->bytes));
-  if (tracer_ != nullptr) tracer_->log_recv_done(msg->log_seq);
-  req->bytes = msg->bytes;
-  req->done.set();
+void Comm::adopt(std::shared_ptr<Record> rec) {
+  Record& r = *rec;
+  r.next = live_;
+  if (live_ != nullptr) live_->prev = &r;
+  live_ = &r;
+  r.keep = std::move(rec);
+}
+
+void Comm::release(Record& rec) {
+  if (rec.prev != nullptr) {
+    rec.prev->next = rec.next;
+  } else {
+    live_ = rec.next;
+  }
+  if (rec.next != nullptr) rec.next->prev = rec.prev;
+  auto last = std::move(rec.keep);  // may free the record on scope exit
 }
 
 CommBase::Request Comm::isend(int rank, int dst, int tag, std::int64_t bytes) {
   assert(rank >= 0 && rank < size() && dst >= 0 && dst < size());
-  auto req = std::allocate_shared<RequestState>(sim::PoolAllocator<RequestState>{}, engine_);
-  sim::spawn(engine_, send_proc(rank, dst, tag, bytes, req));
-  return req;
+  auto rec = std::allocate_shared<SendRecord>(sim::PoolAllocator<SendRecord>{}, *this);
+  rec->rank = rank;
+  rec->dst = dst;
+  rec->tag = tag;
+  rec->bytes = bytes;
+  adopt(rec);
+  engine_.schedule_in(0, sim::Continuation{&send_start, rec.get()}, "process.spawn");
+  RequestState* view = &rec->req;
+  return Request(std::move(rec), view);
 }
 
 CommBase::Request Comm::irecv(int rank, int src, int tag) {
   assert(rank >= 0 && rank < size());
-  auto req = std::allocate_shared<RequestState>(sim::PoolAllocator<RequestState>{}, engine_);
-  sim::spawn(engine_, recv_proc(rank, src, tag, req));
-  return req;
+  auto rec = std::allocate_shared<RecvRecord>(sim::PoolAllocator<RecvRecord>{}, *this);
+  rec->rank = rank;
+  rec->src = src;
+  rec->tag = tag;
+  adopt(rec);
+  engine_.schedule_in(0, sim::Continuation{&recv_start, rec.get()}, "process.spawn");
+  RequestState* view = &rec->req;
+  return Request(std::move(rec), view);
+}
+
+void Comm::send_start(void* p) {
+  auto& s = *static_cast<SendRecord*>(p);
+  Comm& c = *s.comm;
+  // The send's causal anchor: the sender enters the protocol.
+  if (c.tracer_ != nullptr) s.log_seq = c.tracer_->log_send(s.rank, s.dst, s.tag, s.bytes);
+  auto& cpu = c.node(s.rank).cpu();
+  cpu.run(cpu.run_commproc_cycles(c.protocol_cycles(s.bytes)), {&send_announce, &s});
+}
+
+void Comm::send_announce(void* p) {
+  // Announce to the receiver: match a posted receive or queue as unexpected.
+  auto& s = *static_cast<SendRecord*>(p);
+  Comm& c = *s.comm;
+  auto& recvs = c.mailboxes_[static_cast<std::size_t>(s.dst)].recvs;
+  const auto it = std::find_if(recvs.begin(), recvs.end(), [&](const RecvRecord* r) {
+    return envelope_matches(r->src, r->tag, s.rank, s.tag);
+  });
+  if (it != recvs.end()) {
+    RecvRecord& r = **it;
+    recvs.erase(it);
+    c.match(s, r);
+    c.engine_.schedule_in(0, sim::Continuation{&recv_matched, &r}, "event.set");
+    s.recv_posted = true;
+    c.note_match(s.rank, s.dst, s.tag, s.bytes);
+  } else {
+    s.queued = true;
+    c.mailboxes_[static_cast<std::size_t>(s.dst)].sends.push_back(&s);
+  }
+  // Rendezvous: large messages stall until the receive is posted.
+  if (s.bytes > c.costs_.eager_limit && !s.recv_posted) {
+    s.awaiting_grant = true;
+    return;
+  }
+  send_transfer(&s);
+}
+
+void Comm::send_transfer(void* p) {
+  auto& s = *static_cast<SendRecord*>(p);
+  Comm& c = *s.comm;
+  c.cluster_.network().start_transfer(c.node_ids_[static_cast<std::size_t>(s.rank)],
+                                      c.node_ids_[static_cast<std::size_t>(s.dst)],
+                                      s.bytes, c.speed_ratio(s.rank),
+                                      {&send_delivered, &s});
+}
+
+void Comm::send_delivered(void* p) {
+  auto& s = *static_cast<SendRecord*>(p);
+  Comm& c = *s.comm;
+  s.delivered = true;
+  if (RecvRecord* r = std::exchange(s.peer, nullptr)) {
+    r->delivered = true;
+    if (r->awaiting_delivery) {
+      r->awaiting_delivery = false;
+      c.engine_.schedule_in(0, sim::Continuation{&recv_copy, r}, "event.set");
+    }
+  }
+  if (c.tracer_ != nullptr) c.tracer_->log_delivered(s.log_seq);
+  ++c.stats_.messages;
+  c.stats_.bytes += s.bytes;
+  s.req.bytes = s.bytes;
+  s.req.done.set();
+  // An unmatched eager send waits in the unexpected queue for its receive.
+  if (!s.queued) c.release(s);
+}
+
+void Comm::recv_start(void* p) {
+  auto& r = *static_cast<RecvRecord*>(p);
+  Comm& c = *r.comm;
+  Mailbox& mb = c.mailboxes_[static_cast<std::size_t>(r.rank)];
+  const auto it = std::find_if(mb.sends.begin(), mb.sends.end(), [&](const SendRecord* s) {
+    return envelope_matches(r.src, r.tag, s->rank, s->tag);
+  });
+  if (it == mb.sends.end()) {
+    mb.recvs.push_back(&r);  // recv_matched runs once a send finds it
+    return;
+  }
+  SendRecord& s = **it;
+  mb.sends.erase(it);
+  s.queued = false;
+  c.match(s, r);
+  s.recv_posted = true;
+  if (s.awaiting_grant) {
+    s.awaiting_grant = false;
+    c.engine_.schedule_in(0, sim::Continuation{&send_transfer, &s}, "event.set");
+  }
+  c.note_match(s.rank, r.rank, s.tag, s.bytes);
+  if (s.delivered) c.release(s);  // its protocol finished while it queued
+  recv_matched(&r);
+}
+
+void Comm::recv_matched(void* p) {
+  auto& r = *static_cast<RecvRecord*>(p);
+  if (r.delivered) {
+    recv_copy(&r);
+  } else {
+    r.awaiting_delivery = true;  // send_delivered schedules recv_copy
+  }
+}
+
+void Comm::recv_copy(void* p) {
+  // Receive-side copy / protocol processing.
+  auto& r = *static_cast<RecvRecord*>(p);
+  Comm& c = *r.comm;
+  auto& cpu = c.node(r.rank).cpu();
+  cpu.run(cpu.run_commproc_cycles(c.protocol_cycles(r.bytes)), {&recv_done, &r});
+}
+
+void Comm::recv_done(void* p) {
+  auto& r = *static_cast<RecvRecord*>(p);
+  Comm& c = *r.comm;
+  if (c.tracer_ != nullptr) c.tracer_->log_recv_done(r.log_seq);
+  r.req.bytes = r.bytes;
+  r.req.done.set();
+  c.release(r);
+}
+
+// Copies the message into the receive; a send not yet delivered keeps a
+// pointer to it so delivery can wake it.
+void Comm::match(SendRecord& s, RecvRecord& r) {
+  r.bytes = s.bytes;
+  r.log_seq = s.log_seq;
+  if (s.delivered) {
+    r.delivered = true;
+  } else {
+    s.peer = &r;
+  }
 }
 
 sim::Op<> CommBase::wait_inner(int rank, const Request& req) {

@@ -1,7 +1,9 @@
 // Simulated MPI on top of the cluster model (MPICH-1.2.5-like semantics).
 //
-// Rank processes are coroutines; every call returns a lazy sim::Op awaited
-// by the rank.  Costs charged per message:
+// Rank processes are coroutines; every blocking call and collective returns
+// a lazy sim::Op awaited by the rank, while the point-to-point protocol
+// underneath runs as callbacks on one pooled record per message side (see
+// Comm).  Costs charged per message:
 //   - protocol processing on the CPU (per-message + per-KB cycles, scales
 //     with 1/f — the part of communication that *is* frequency-sensitive),
 //   - wire time through the network model (frequency-insensitive),
@@ -147,14 +149,28 @@ class CommBase {
 };
 
 /// The single-engine transport: all ranks share one cluster/engine, and
-/// envelope matching is a direct mailbox rendezvous between sender and
-/// receiver coroutines.
+/// envelope matching is a direct mailbox rendezvous between the two sides
+/// of a message.
+///
+/// Each isend/irecv allocates one pooled record (DESIGN.md §3.5): the send
+/// record carries the envelope and the delivery state, the receive record
+/// the post and the matched message, and the returned Request is an
+/// aliasing view of the record's RequestState.  No process is spawned per
+/// message: the protocol runs as step functions the engine, the CPU and the
+/// network call back (spawn step -> protocol work -> match -> rendezvous
+/// grant -> transfer -> delivery -> receive copy -> done), scheduled under
+/// the site labels a send and a receive coroutine would use.
+/// A record lives while its protocol runs (or, for an eager send delivered
+/// before any receive matched it, while it waits in the unexpected queue);
+/// a dropped Request does not stop the protocol.  ~Comm releases the
+/// records still in flight.
 class Comm final : public CommBase {
  public:
   /// Creates a communicator over `ranks` nodes of the cluster; rank r runs
   /// on cluster node `node_ids[r]`.
   Comm(machine::Cluster& cluster, std::vector<int> node_ids, CostParams costs = {},
        trace::Tracer* tracer = nullptr);
+  ~Comm() override;
 
   int size() const override { return static_cast<int>(node_ids_.size()); }
   machine::Node& node(int rank) override { return cluster_.node(node_ids_.at(rank)); }
@@ -167,33 +183,35 @@ class Comm final : public CommBase {
   /// tools/pcd_diff.  Null (the default) is zero-cost.
   void set_digest(sim::DigestStream* digest) { digest_ = digest; }
 
+  /// Message records not yet released: in flight, or delivered eager sends
+  /// no receive has matched yet.  Walks the list (tests and diagnostics).
+  std::size_t live_records() const;
+
   Request isend(int rank, int dst, int tag, std::int64_t bytes) override;
   Request irecv(int rank, int src = kAnySource, int tag = kAnyTag) override;
 
  private:
-  struct SendMsg {
-    explicit SendMsg(sim::Engine& e) : recv_posted(e), delivered(e) {}
-    int src = 0;
-    int tag = 0;
-    std::int64_t bytes = 0;
-    std::int64_t log_seq = -1;  // index into the tracer's message log
-    sim::Event recv_posted;
-    sim::Event delivered;
-  };
-  struct RecvPost {
-    explicit RecvPost(sim::Engine& e) : matched(e) {}
-    int src = kAnySource;
-    int tag = kAnyTag;
-    std::shared_ptr<SendMsg> msg;
-    sim::Event matched;
-  };
+  struct Record;
+  struct SendRecord;
+  struct RecvRecord;
   struct Mailbox {
-    std::vector<std::shared_ptr<SendMsg>> sends;   // announced, unmatched
-    std::vector<std::shared_ptr<RecvPost>> recvs;  // posted, unmatched
+    std::vector<SendRecord*> sends;  // announced, unmatched
+    std::vector<RecvRecord*> recvs;  // posted, unmatched
   };
 
-  sim::Process send_proc(int rank, int dst, int tag, std::int64_t bytes, Request req);
-  sim::Process recv_proc(int rank, int src, int tag, Request req);
+  // Protocol steps, in order; each takes its record.
+  static void send_start(void* rec);
+  static void send_announce(void* rec);
+  static void send_transfer(void* rec);
+  static void send_delivered(void* rec);
+  static void recv_start(void* rec);
+  static void recv_matched(void* rec);
+  static void recv_copy(void* rec);
+  static void recv_done(void* rec);
+
+  void match(SendRecord& s, RecvRecord& r);
+  void adopt(std::shared_ptr<Record> rec);
+  void release(Record& rec);
   void note_match(int src, int dst, int tag, std::int64_t bytes);
 
   machine::Cluster& cluster_;
@@ -201,6 +219,7 @@ class Comm final : public CommBase {
   std::vector<int> node_ids_;
   sim::DigestStream* digest_ = nullptr;
   std::vector<Mailbox> mailboxes_;  // indexed by destination rank
+  Record* live_ = nullptr;          // every unreleased record (intrusive list)
 };
 
 }  // namespace pcd::mpi

@@ -89,9 +89,9 @@ void Network::release(Port& port) {
 }
 
 void Network::start_transfer(int src, int dst, std::int64_t bytes, double speed_ratio,
-                             std::coroutine_handle<> h) {
+                             sim::Continuation delivered) {
   if (src == dst) {  // local copy: no wire, negligible time
-    engine_.schedule_in(0, [h] { h.resume(); }, "net.local_copy");
+    engine_.schedule_in(0, delivered, "net.local_copy");
     return;
   }
   ++in_flight_;
@@ -101,11 +101,11 @@ void Network::start_transfer(int src, int dst, std::int64_t bytes, double speed_
     m_transfers_->inc();
     m_bytes_->inc(static_cast<double>(bytes));
   }
-  sim::spawn(engine_, transfer_proc(src, dst, bytes, speed_ratio, h));
+  sim::spawn(engine_, transfer_proc(src, dst, bytes, speed_ratio, delivered));
 }
 
 sim::Process Network::transfer_proc(int src, int dst, std::int64_t bytes,
-                                    double speed_ratio, std::coroutine_handle<> h) {
+                                    double speed_ratio, sim::Continuation delivered) {
   // NIC send queue: a sender's messages go out in posting order
   // (head-of-line), then the message waits for the receiver's port.
   co_await PortAcquire{&egress_[src]};
@@ -170,7 +170,7 @@ sim::Process Network::transfer_proc(int src, int dst, std::int64_t bytes,
 
   co_await sim::delay(params_.latency);
   --in_flight_;
-  h.resume();
+  delivered();
 }
 
 }  // namespace pcd::net

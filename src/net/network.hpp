@@ -91,7 +91,7 @@ class Network {
     double speed_ratio;
     bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      net->start_transfer(src, dst, bytes, speed_ratio, h);
+      net->start_transfer(src, dst, bytes, speed_ratio, sim::Continuation::resume(h));
     }
     void await_resume() const {}
   };
@@ -99,6 +99,10 @@ class Network {
   TransferAwaitable transfer(int src, int dst, std::int64_t bytes, double speed_ratio) {
     return TransferAwaitable{this, src, dst, bytes, speed_ratio};
   }
+
+  /// Callback form of transfer(): `delivered` runs at delivery.
+  void start_transfer(int src, int dst, std::int64_t bytes, double speed_ratio,
+                      sim::Continuation delivered);
 
   /// Wire time of an uncontended transfer (no queueing, no collision, at
   /// nominal — undegraded — bandwidth).
@@ -158,10 +162,8 @@ class Network {
   };
 
   void release(Port& port);
-  void start_transfer(int src, int dst, std::int64_t bytes, double speed_ratio,
-                      std::coroutine_handle<> h);
   sim::Process transfer_proc(int src, int dst, std::int64_t bytes, double speed_ratio,
-                             std::coroutine_handle<> h);
+                             sim::Continuation delivered);
 
   sim::Engine& engine_;
   NetworkParams params_;

@@ -1,4 +1,5 @@
-// InlineFunction: a move-only callable with small-buffer storage.
+// InlineFunction: a move-only callable with small-buffer storage, and
+// Continuation: a plain {function, argument} pair.
 //
 // The event engine schedules millions of tiny lambdas per run (a captured
 // `this`, a coroutine handle, a couple of ints).  std::function heap-allocates
@@ -8,6 +9,7 @@
 // captures.  Move-only callables are accepted (std::function rejects them).
 #pragma once
 
+#include <coroutine>
 #include <cstddef>
 #include <memory>
 #include <new>
@@ -15,6 +17,23 @@
 #include <utility>
 
 namespace pcd::sim {
+
+/// What runs when a unit of CPU work or a network transfer completes: a
+/// function pointer and the pointer it is called with.  Two words, no
+/// ownership, no heap — the MPI layer's message records pass a step
+/// function and themselves; a coroutine awaiting the same work passes its
+/// handle through resume().
+struct Continuation {
+  void (*fn)(void*) = nullptr;
+  void* arg = nullptr;
+
+  void operator()() const { fn(arg); }
+
+  /// Resumes coroutine `h`.
+  static Continuation resume(std::coroutine_handle<> h) {
+    return {[](void* a) { std::coroutine_handle<>::from_address(a).resume(); }, h.address()};
+  }
+};
 
 /// Inline capacity of InlineFunction.  Sized so that every callback the
 /// simulator schedules today (≤ 4 pointer-sized captures plus a vtable of

@@ -1,6 +1,6 @@
 // Thread-local free-list pool for the simulator's hottest transient
 // allocations: coroutine frames (Process and Op bodies) and the MPI layer's
-// per-message shared state.  A CG-shaped 4096-rank run churns through
+// per-message records.  A CG-shaped 4096-rank run churns through
 // millions of such objects, all short-lived and drawn from a handful of size
 // classes, so malloc round-trips dominate the profile; recycling them
 // through a per-thread LIFO free list removes that cost without changing
@@ -8,13 +8,13 @@
 // digests).
 //
 // Layout: 128 buckets at 16-byte granularity (up to 2048 bytes), so a
-// block wastes at most 15 bytes: the MPI layer's per-message objects
-// (RequestState, SendMsg, RecvPost) and the small Op frames are under 150
-// bytes, where 64-byte classes wasted up to 56 bytes each and spread a
-// 4096-rank working set over more cache lines and pages.  Larger requests
-// fall through to ::operator new/delete.  Each thread owns its
-// lists outright — no locks; blocks freed on a different thread than they
-// were allocated on simply migrate to the freeing thread's pool.
+// block wastes at most 15 bytes: the MPI layer's send and receive records
+// (144 and 128 bytes with their shared_ptr control block) and the small Op
+// frames are under 150 bytes, where 64-byte classes would waste up to 56
+// bytes each and spread a 4096-rank working set over more cache lines.
+// Larger requests fall through to ::operator new/delete.  Each thread owns
+// its lists outright — no locks; blocks freed on a different thread than
+// they were allocated on simply migrate to the freeing thread's pool.
 //
 // Teardown: the pool is a function-local thread_local.  A trivially-
 // destructible `destroyed` flag (which therefore outlives the pool's
@@ -122,7 +122,7 @@ inline void pool_free(void* ptr, [[maybe_unused]] std::size_t bytes) noexcept {
 }
 
 /// Minimal allocator over the pool, for allocate_shared of the MPI layer's
-/// per-message objects (control block + payload become one pooled block).
+/// per-message records (control block + record become one pooled block).
 template <typename T>
 struct PoolAllocator {
   using value_type = T;

@@ -1,13 +1,17 @@
 // Tests for the simulated MPI layer over the cluster model.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "machine/cluster.hpp"
 #include "mpi/comm.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
+#include "sim/provenance.hpp"
 #include "trace/profile.hpp"
 #include "trace/tracer.hpp"
 
@@ -376,4 +380,269 @@ TEST(MpiTrace, CollectiveSuppressesNestedP2p) {
     EXPECT_EQ(profile.ranks[r].collectives, 1);
     EXPECT_EQ(profile.ranks[r].waits, 0);  // nested waits suppressed
   }
+}
+
+// ---- Pinned point-to-point path ---------------------------------------------
+//
+// Absolute fingerprints of small runs through every branch of the message
+// protocol: the number of dispatched events, the event-order digest (which
+// folds time, seq, parent and site label of each dispatch), the MPI match
+// digest, and, for the traced case, the tracer's send/delivered/recv-done
+// edges.  Any change to when or from where the protocol schedules a step
+// moves them; re-pin only on an intended change of the simulated behaviour.
+
+namespace {
+
+struct PathPin {
+  std::uint64_t events = 0;
+  std::uint64_t event_hash = 0;
+  std::uint64_t matches = 0;
+  std::uint64_t match_hash = 0;
+  std::uint64_t trace_hash = 0;  // 0 for untraced runs
+
+  friend bool operator==(const PathPin&, const PathPin&) = default;
+};
+
+void PrintTo(const PathPin& p, std::ostream* os) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "{%" PRIu64 ", 0x%016" PRIx64 ", %" PRIu64 ", 0x%016" PRIx64
+                ", 0x%016" PRIx64 "}",
+                p.events, p.event_hash, p.matches, p.match_hash, p.trace_hash);
+  *os << buf;
+}
+
+// Runs body(comm, rank) as every rank's process to completion and returns
+// the run's fingerprint.
+template <typename Body>
+PathPin run_pinned(int ranks, CostParams costs, bool traced, Body body) {
+  sim::Engine engine;
+  sim::DigestStream events, matches;
+  sim::Engine::DeterminismHooks hooks;
+  hooks.event_digest = &events;
+  engine.set_determinism(hooks);
+  Cluster cluster(engine, small_cluster(ranks));
+  std::optional<pcd::trace::Tracer> tracer;
+  if (traced) tracer.emplace(engine, ranks);
+  Comm comm(cluster, MpiFixture::iota(ranks), costs, tracer ? &*tracer : nullptr);
+  comm.set_digest(&matches);
+  for (int r = 0; r < ranks; ++r) sim::spawn(engine, body(comm, r));
+  engine.run();
+  PathPin pin{events.count, events.hash, matches.count, matches.hash, 0};
+  if (tracer) {
+    sim::DigestStream edges;
+    for (const auto& m : tracer->messages()) {
+      const std::uint64_t rec[7] = {
+          static_cast<std::uint64_t>(m.src),        static_cast<std::uint64_t>(m.dst),
+          static_cast<std::uint64_t>(m.tag),        static_cast<std::uint64_t>(m.bytes),
+          static_cast<std::uint64_t>(m.t_send),     static_cast<std::uint64_t>(m.t_delivered),
+          static_cast<std::uint64_t>(m.t_recv_done)};
+      edges.fold_record(rec, 7);
+    }
+    pin.trace_hash = edges.hash;
+  }
+  return pin;
+}
+
+// Rank 1 posts both receives (in reverse tag order) before rank 0 sends.
+sim::Process recv_first(Comm& comm, int rank, std::int64_t bytes) {
+  if (rank == 1) {
+    std::vector<Comm::Request> reqs;
+    reqs.push_back(comm.irecv(1, 0, 4));
+    reqs.push_back(comm.irecv(1, 0, 3));
+    co_await comm.waitall(1, std::move(reqs));
+  } else {
+    co_await sim::delay(sim::kMillisecond);
+    std::vector<Comm::Request> reqs;
+    reqs.push_back(comm.isend(0, 1, 3, bytes));
+    reqs.push_back(comm.isend(0, 1, 4, bytes / 2));
+    co_await comm.waitall(0, std::move(reqs));
+  }
+}
+
+// Rank 0 sends both messages before rank 1 posts its receives.
+sim::Process send_first(Comm& comm, int rank, std::int64_t bytes) {
+  if (rank == 0) {
+    std::vector<Comm::Request> reqs;
+    reqs.push_back(comm.isend(0, 1, 3, bytes));
+    reqs.push_back(comm.isend(0, 1, 4, bytes / 2));
+    co_await comm.waitall(0, std::move(reqs));
+  } else {
+    co_await sim::delay(5 * sim::kMillisecond);
+    std::vector<Comm::Request> reqs;
+    reqs.push_back(comm.irecv(1, 0, 4));
+    reqs.push_back(comm.irecv(1, 0, 3));
+    co_await comm.waitall(1, std::move(reqs));
+  }
+}
+
+}  // namespace
+
+TEST(MpiPinned, EagerReceivePostedFirst) {
+  const PathPin pin = run_pinned(2, CostParams{}, false, [](Comm& c, int r) {
+    return recv_first(c, r, 4096);
+  });
+  EXPECT_EQ(pin, (PathPin{25, 0xd76ec6d75eb45f35, 2, 0x907c5cf47e5c9977, 0}));
+}
+
+TEST(MpiPinned, EagerSendFirstQueuesUnexpected) {
+  const PathPin pin = run_pinned(2, CostParams{}, false, [](Comm& c, int r) {
+    return send_first(c, r, 4096);
+  });
+  EXPECT_EQ(pin, (PathPin{22, 0x3c9f695180ef4531, 2, 0x9ef140f3ecd9f8b0, 0}));
+}
+
+TEST(MpiPinned, RendezvousReceivePostedFirst) {
+  const PathPin pin = run_pinned(2, CostParams{}, false, [](Comm& c, int r) {
+    return recv_first(c, r, 400'000);
+  });
+  EXPECT_EQ(pin, (PathPin{25, 0x9c0e2a2ca14e0915, 2, 0x52806038bbca8397, 0}));
+}
+
+TEST(MpiPinned, RendezvousSendFirst) {
+  const PathPin pin = run_pinned(2, CostParams{}, false, [](Comm& c, int r) {
+    return send_first(c, r, 400'000);
+  });
+  EXPECT_EQ(pin, (PathPin{25, 0x5c539fcf62aec199, 2, 0x5eedbfe484980c70, 0}));
+}
+
+TEST(MpiPinned, WildcardReceives) {
+  // Rank 2 posts two wildcard receives up front and a third after both
+  // senders have sent, so the wildcard matches on both queues.
+  const PathPin pin = run_pinned(3, CostParams{}, false, [](Comm& c, int r) -> sim::Process {
+    if (r == 2) {
+      std::vector<Comm::Request> reqs;
+      reqs.push_back(c.irecv(2, Comm::kAnySource, Comm::kAnyTag));
+      reqs.push_back(c.irecv(2, Comm::kAnySource, Comm::kAnyTag));
+      co_await c.waitall(2, std::move(reqs));
+      co_await sim::delay(20 * sim::kMillisecond);
+      co_await c.recv(2, Comm::kAnySource, Comm::kAnyTag);
+      co_await c.recv(2, 1, Comm::kAnyTag);
+    } else {
+      co_await sim::delay(r * sim::kMillisecond);
+      std::vector<Comm::Request> reqs;
+      reqs.push_back(c.isend(r, 2, 5 + r, r == 0 ? 1000 : 100'000));
+      reqs.push_back(c.isend(r, 2, 7 + r, 2000));
+      co_await c.waitall(r, std::move(reqs));
+    }
+  });
+  EXPECT_EQ(pin, (PathPin{47, 0xba10bfe991717cab, 4, 0x5708eea6f674eb2c, 0}));
+}
+
+TEST(MpiPinned, ZeroProtocolCyclesContinueInline) {
+  // No protocol work: every step that would run CPU work continues in the
+  // same event.  Covers both orders, a rendezvous and a self-send.
+  const PathPin pin =
+      run_pinned(2, CostParams{0, 0, 64 * 1024}, false, [](Comm& c, int r) -> sim::Process {
+        const int peer = 1 - r;
+        std::vector<Comm::Request> reqs;
+        if (r == 1) co_await sim::delay(sim::kMillisecond);
+        reqs.push_back(c.irecv(r, peer, 1));
+        reqs.push_back(c.isend(r, peer, 1, 100'000));
+        reqs.push_back(c.isend(r, peer, 2, 512));
+        reqs.push_back(c.irecv(r, peer, 2));
+        reqs.push_back(c.isend(r, r, 3, 2048));
+        reqs.push_back(c.irecv(r, r, 3));
+        co_await c.waitall(r, std::move(reqs));
+      });
+  EXPECT_EQ(pin, (PathPin{42, 0x8968f36e7d862128, 6, 0x82b86005f90261c3, 0}));
+}
+
+TEST(MpiPinned, TracedExchangeLogsEveryEdge) {
+  // A CG-shaped pairwise exchange plus collectives, with the tracer on.
+  const PathPin pin = run_pinned(4, CostParams{}, true, [](Comm& c, int r) -> sim::Process {
+    for (int round = 0; round < 3; ++round) {
+      const int peer = r ^ (1 << (round % 2));
+      std::vector<Comm::Request> reqs;
+      reqs.push_back(c.irecv(r, peer, round));
+      reqs.push_back(c.isend(r, peer, round, 64 * 1024 + round * 40'000));
+      co_await c.waitall(r, std::move(reqs));
+      co_await c.allreduce(r, 8);
+    }
+    co_await c.barrier(r);
+  });
+  EXPECT_EQ(pin, (PathPin{399, 0xb3946e70f90939bb, 38, 0x174e1d55953f3b97, 0x5d6645b3017eb9ff}));
+}
+
+// ---- Teardown ---------------------------------------------------------------
+
+TEST(MpiTeardown, CompletedRunReleasesEveryRecord) {
+  MpiFixture f(2);
+  auto proc = [&](int rank) -> sim::Process {
+    const int peer = 1 - rank;
+    std::vector<Comm::Request> reqs;
+    reqs.push_back(f.comm.irecv(rank, peer, 1));
+    reqs.push_back(f.comm.isend(rank, peer, 1, 200'000));  // rendezvous
+    reqs.push_back(f.comm.isend(rank, peer, 2, 100));       // eager
+    reqs.push_back(f.comm.irecv(rank, peer, 2));
+    co_await f.comm.waitall(rank, std::move(reqs));
+  };
+  sim::spawn(f.engine, proc(0));
+  sim::spawn(f.engine, proc(1));
+  f.engine.run();
+  EXPECT_EQ(f.comm.live_records(), 0u);
+}
+
+TEST(MpiTeardown, DroppedRequestStillFinishesItsProtocol) {
+  MpiFixture f(2);
+  f.comm.isend(0, 1, 1, 4096);  // Request dropped at once
+  auto recv = f.comm.irecv(1, 0, 1);
+  EXPECT_EQ(f.comm.live_records(), 2u);
+  f.engine.run();
+  EXPECT_TRUE(recv->done.signaled());
+  EXPECT_EQ(recv->bytes, 4096);
+  EXPECT_EQ(f.comm.stats().messages, 1);
+  EXPECT_EQ(f.comm.live_records(), 0u);
+}
+
+TEST(MpiTeardown, DeliveredEagerSendWaitsInTheUnexpectedQueue) {
+  MpiFixture f(2);
+  f.comm.isend(0, 1, 1, 512);
+  f.engine.run();
+  EXPECT_EQ(f.comm.stats().messages, 1);
+  EXPECT_EQ(f.comm.live_records(), 1u);  // until a receive matches it
+  auto recv = f.comm.irecv(1, 0, 1);
+  f.engine.run();
+  EXPECT_TRUE(recv->done.signaled());
+  EXPECT_EQ(f.comm.live_records(), 0u);
+}
+
+TEST(MpiTeardown, AbandonedRunWithMessagesInFlightFreesEverything) {
+  // Stops mid-protocol: a rendezvous send parked on its grant, an eager
+  // message on the wire, protocol work running with more queued behind it,
+  // a receive that never matches, and requests the ranks dropped.  The communicator and the
+  // engine are torn down with all of it pending; the leak checker (ASan
+  // with detect_leaks=1) and the record count confirm nothing survives.
+  sim::Engine engine;
+  std::optional<Cluster> cluster(std::in_place, engine, small_cluster(3));
+  std::optional<Comm> comm(std::in_place, *cluster, MpiFixture::iota(3));
+  auto rank0 = [&]() -> sim::Process {
+    std::vector<Comm::Request> reqs;
+    reqs.push_back(comm->isend(0, 1, 1, 400'000));  // rendezvous, never granted
+    reqs.push_back(comm->isend(0, 2, 2, 60'000));  // eager, on the wire at the cut
+    comm->isend(0, 2, 3, 64);                        // dropped, queued at the NIC
+    co_await comm->waitall(0, std::move(reqs));
+  };
+  auto rank1 = [&]() -> sim::Process {
+    co_await sim::delay(sim::from_millis(0.45));
+    auto big = comm->isend(1, 0, 5, 2'000'000);  // protocol work running at the cut
+    auto queued = comm->isend(1, 2, 6, 100);     // CPU work queued behind it
+    co_await comm->wait(1, big);
+  };
+  auto rank2 = [&]() -> sim::Process {
+    auto never = comm->irecv(2, 1, 9);  // no such send
+    comm->irecv(2, 0, 3);               // dropped, matched
+    comm->irecv(2, 0, 2);               // dropped, matched, data in flight
+    co_await comm->wait(2, never);
+  };
+  sim::spawn(engine, rank0());
+  sim::spawn(engine, rank1());
+  sim::spawn(engine, rank2());
+  engine.run_until(sim::from_millis(0.5));
+  EXPECT_EQ(comm->live_records(), 8u);  // every side of every message
+  EXPECT_EQ(cluster->node(1).cpu().state(), pcd::cpu::CpuState::CommProc);
+  EXPECT_EQ(cluster->network().in_flight(), 2);  // 60 KB on the wire, 64 B behind it
+  engine.destroy_suspended_frames();
+  comm.reset();
+  cluster.reset();
 }

@@ -26,6 +26,8 @@
 //       configuration the runner rejects.
 //
 // Digests are single-engine only: a sharded run carries no observers.
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -34,6 +36,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "apps/npb.hpp"
@@ -86,6 +89,24 @@ std::optional<pcd::apps::Workload> make_workload(const std::string& name,
   return std::nullopt;
 }
 
+// Parses all of `v` as a number: no sign on integers, no leading blanks,
+// nothing trailing, no overflow, and a finite scale.  Prints the "not a
+// number" error itself so the caller only returns the usage failure.
+template <typename T>
+bool parse_number(const char* flag, const char* v, T* out) {
+  const char* end = v + std::strlen(v);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(v, end, value);
+  bool ok = ec == std::errc() && ptr == end && ptr != v;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "pcd_diff: %s: '%s' is not a number\n", flag, v);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool parse_common(int argc, char** argv, int start, Options* o) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
@@ -98,20 +119,16 @@ bool parse_common(int argc, char** argv, int start, Options* o) {
       o->workload = v;
     } else if (a == "--scale") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o->scale = std::atof(v);
+      if (v == nullptr || !parse_number("--scale", v, &o->scale)) return false;
     } else if (a == "--seed") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o->seed = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !parse_number("--seed", v, &o->seed)) return false;
     } else if (a == "--perturb") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o->perturb = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !parse_number("--perturb", v, &o->perturb)) return false;
     } else if (a == "--checkpoint-every") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o->checkpoint_every = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !parse_number("--checkpoint-every", v, &o->checkpoint_every)) return false;
     } else if (a == "--out") {
       const char* v = next();
       if (v == nullptr) return false;
