@@ -11,6 +11,7 @@
 #include "core/runner.hpp"
 #include "machine/cluster.hpp"
 #include "mpi/comm.hpp"
+#include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 
@@ -166,6 +167,24 @@ static void BM_MpiPairExchange(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ranks * kRounds);  // messages
 }
 BENCHMARK(BM_MpiPairExchange)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+static void BM_NetFanIn(benchmark::State& state) {
+  // The all-to-all hot spot: 64 senders post 64 KB each into one receiver
+  // at the same instant, so 63 of them wait at its ingress port and are
+  // handed it one by one.  Callback deliveries: no coroutine per message.
+  constexpr int kSenders = 64;
+  sim::Engine e;
+  net::Network network(e, kSenders + 1, net::NetworkParams{}, sim::Rng(1));
+  std::int64_t delivered = 0;
+  const sim::Continuation count{[](void* n) { ++*static_cast<std::int64_t*>(n); }, &delivered};
+  for (auto _ : state) {
+    for (int s = 1; s <= kSenders; ++s) network.start_transfer(s, 0, 64 * 1024, 1.0, count);
+    e.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() * kSenders);  // messages
+}
+BENCHMARK(BM_NetFanIn);
 
 static void BM_FullWorkloadRun(benchmark::State& state) {
   for (auto _ : state) {

@@ -285,13 +285,6 @@ void Comm::match(SendRecord& s, RecvRecord& r) {
   }
 }
 
-sim::Op<> CommBase::wait_inner(int rank, const Request& req) {
-  if (!req->done.signaled()) {
-    auto ws = node(rank).cpu().wait_scope();
-    co_await req->done.wait();
-  }
-}
-
 sim::Op<> CommBase::wait(int rank, Request req) {
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Wait, "mpi_wait"));

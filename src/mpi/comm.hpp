@@ -1,9 +1,12 @@
 // Simulated MPI on top of the cluster model (MPICH-1.2.5-like semantics).
 //
 // Rank processes are coroutines; every blocking call and collective returns
-// a lazy sim::Op awaited by the rank, while the point-to-point protocol
-// underneath runs as callbacks on one pooled record per message side (see
-// Comm).  Costs charged per message:
+// a lazy sim::Op awaited by the rank.  Underneath, nothing allocates a
+// coroutine frame per message: the point-to-point protocol runs as
+// callbacks on one pooled record per message side (see Comm), the wire as
+// one pooled record per transfer (net::Network), and each wait inside a
+// call is a plain awaiter in the caller's frame (CommBase::WaitAwaiter).
+// Costs charged per message:
 //   - protocol processing on the CPU (per-message + per-KB cycles, scales
 //     with 1/f — the part of communication that *is* frequency-sensitive),
 //   - wire time through the network model (frequency-insensitive),
@@ -28,8 +31,10 @@
 // unchanged on either.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "machine/cluster.hpp"
@@ -124,8 +129,28 @@ class CommBase {
   CommBase(CostParams costs, trace::Tracer* tracer)
       : costs_(costs), tracer_(tracer) {}
 
-  /// Wait without opening a trace scope (collective internals).
-  sim::Op<> wait_inner(int rank, const Request& req);
+  /// Wait without opening a trace scope (collective internals): a plain
+  /// awaiter, no coroutine frame.  A wait that parks holds the rank's CPU in
+  /// WaitPoll from suspension until it resumes, or until the awaiting frame
+  /// is destroyed at teardown.
+  class [[nodiscard]] WaitAwaiter {
+   public:
+    WaitAwaiter(CommBase& comm, int rank, RequestState& req)
+        : comm_(&comm), rank_(rank), req_(&req) {}
+    bool await_ready() const { return req_->done.signaled(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      scope_.emplace(comm_->node(rank_).cpu());
+      req_->done.wait().await_suspend(h);
+    }
+    void await_resume() { scope_.reset(); }
+
+   private:
+    CommBase* comm_;
+    int rank_;
+    RequestState* req_;
+    std::optional<cpu::Cpu::WaitScope> scope_;
+  };
+  WaitAwaiter wait_inner(int rank, const Request& req) { return {*this, rank, *req}; }
 
   double protocol_cycles(std::int64_t bytes) const;
   double speed_ratio(int rank);

@@ -10,6 +10,15 @@
 // (head-of-line blocking, as with real TCP sockets); disjoint pairwise
 // exchanges proceed in parallel.
 //
+// Each transfer is one pooled record, not a coroutine (DESIGN.md §3.5).  It
+// runs as static steps that the engine, the ports and the links call back
+// through sim::Continuation: egress -> ingress -> links -> wire -> deliver.
+// The first step is scheduled as "process.spawn", a port handed to the next
+// waiter as "net.port_handoff", wire time and latency as "process.delay",
+// and a link-up wake as "event.set" (the labels are part of the event
+// digest).  Every record not yet delivered is on an intrusive list that
+// ~Network releases.
+//
 // Collision model (DESIGN.md §4.4): the paper observes that IS and SP run
 // *faster below* peak CPU frequency and attributes it to collisions —
 // "within a busy network, higher frequency may increase the probability of
@@ -23,7 +32,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,7 +39,6 @@
 #include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
-#include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "telemetry/hub.hpp"
@@ -68,6 +75,9 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+  /// Releases the transfers still in flight.  Pending engine events may
+  /// still name them: never run the engine once its Network is gone.
+  ~Network();
 
   int nodes() const { return static_cast<int>(egress_.size()); }
   const NetworkParams& params() const { return params_; }
@@ -138,32 +148,41 @@ class Network {
 
   /// Link flap: while a node's link is down, its transfers (either
   /// direction) stall at the switch and resume when the link comes back.
+  /// Both throw std::out_of_range for a node outside [0, nodes()).
   void set_link_up(int node, bool up);
-  bool link_up(int node) const { return links_[node]->signaled(); }
+  bool link_up(int node) const { return links_.at(static_cast<std::size_t>(node)).up; }
 
  private:
   /// Single-server FIFO resource (one per egress / ingress port).
   struct Port {
     bool busy = false;
-    sim::Fifo<std::coroutine_handle<>> waiters;
+    sim::Fifo<sim::Continuation> waiters;
   };
 
-  struct PortAcquire {
-    Port* port;
-    bool await_ready() const {
-      if (!port->busy) {
-        port->busy = true;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) { port->waiters.push_back(h); }
-    void await_resume() const {}
+  /// A node's link to the switch; transfers stalled on it wait in order.
+  struct Link {
+    bool up = true;
+    sim::Fifo<sim::Continuation> waiters;
   };
 
+  struct Transfer;
+
+  // Transfer steps, in order; each takes its record.
+  static void transfer_egress(void* rec);
+  static void transfer_ingress(void* rec);
+  static void transfer_links(void* rec);
+  static void transfer_wait_src(void* rec);
+  static void transfer_wait_dst(void* rec);
+  static void transfer_wire(void* rec);
+  static void transfer_wire_done(void* rec);
+  static void transfer_deliver(void* rec);
+
+  /// Takes `port` now (true) or queues `next` for its handoff (false).
+  static bool acquire(Port& port, sim::Continuation next);
   void release(Port& port);
-  sim::Process transfer_proc(int src, int dst, std::int64_t bytes, double speed_ratio,
-                             sim::Continuation delivered);
+  /// Runs `step` on `t` after `dt`; inline when dt <= 0, as sim::delay does.
+  void after(sim::SimDuration dt, Transfer& t, void (*step)(void*));
+  void free_transfer(Transfer& t);
 
   sim::Engine& engine_;
   NetworkParams params_;
@@ -171,9 +190,8 @@ class Network {
   sim::InlineFunction<void(int, int)> nic_activity_;
   std::vector<Port> egress_;
   std::vector<Port> ingress_;
-  // signaled = link up; one block for all nodes (Event is not movable, so
-  // the vector is sized once and never grows)
-  std::vector<std::optional<sim::Event>> links_;
+  std::vector<Link> links_;
+  Transfer* live_ = nullptr;  // every undelivered transfer (intrusive list)
   double bandwidth_factor_ = 1.0;
   double collision_boost_ = 0.0;
   int in_flight_ = 0;

@@ -1,11 +1,11 @@
 // Thread-local free-list pool for the simulator's hottest transient
-// allocations: coroutine frames (Process and Op bodies) and the MPI layer's
-// per-message records.  A CG-shaped 4096-rank run churns through
-// millions of such objects, all short-lived and drawn from a handful of size
-// classes, so malloc round-trips dominate the profile; recycling them
-// through a per-thread LIFO free list removes that cost without changing
-// event counts, ordering, or RNG draws (memory addresses never feed the
-// digests).
+// allocations: coroutine frames (Process and Op bodies), the MPI layer's
+// per-message records and the network's per-transfer records.  A CG-shaped
+// 4096-rank run churns through millions of such objects, all short-lived
+// and drawn from a handful of size classes, so malloc round-trips dominate
+// the profile; recycling them through a per-thread LIFO free list removes
+// that cost without changing event counts, ordering, or RNG draws (memory
+// addresses never feed the digests).
 //
 // Layout: 128 buckets at 16-byte granularity (up to 2048 bytes), so a
 // block wastes at most 15 bytes: the MPI layer's send and receive records

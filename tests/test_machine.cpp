@@ -285,3 +285,39 @@ TEST(Footprint, IdlePortsAndLinksAddNoAllocationPerNode) {
   };
   EXPECT_EQ(build_allocs(64), build_allocs(1024));
 }
+
+TEST(Footprint, TransferAndParkedWaitAllocateNothingAfterWarmUp) {
+#ifdef PCD_FRAME_POOL_DISABLED
+  GTEST_SKIP() << "frame pool is compiled out under AddressSanitizer";
+#else
+  sim::Engine e;
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.network.collision_coeff = 0.0;
+  Cluster c(e, cfg);
+  pcd::mpi::Comm comm(c, {0, 1, 2});
+  auto xfer = [&]() -> sim::Process { co_await c.network().transfer(2, 1, 64 * 1024, 1.0); };
+  auto rank = [&](int r) -> sim::Process {
+    if (r == 0) {
+      auto req = comm.irecv(0, 1, 7);
+      co_await comm.wait(0, req);  // parks until rank 1's message lands
+    } else {
+      co_await sim::delay(sim::kMillisecond);
+      auto req = comm.isend(1, 0, 7, 4096);
+      co_await comm.wait(1, req);
+    }
+  };
+  auto round = [&] {
+    sim::spawn(e, xfer());
+    sim::spawn(e, rank(0));
+    sim::spawn(e, rank(1));
+    e.run();
+  };
+  round();  // warm the engine, the pools and the port queues
+  const std::int64_t before = heap_allocs();
+  for (int i = 0; i < 10; ++i) round();
+  EXPECT_EQ(heap_allocs() - before, 0);
+  EXPECT_EQ(comm.stats().messages, 11);
+  EXPECT_EQ(c.network().stats().transfers, 22);
+#endif
+}

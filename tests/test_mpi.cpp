@@ -642,7 +642,13 @@ TEST(MpiTeardown, AbandonedRunWithMessagesInFlightFreesEverything) {
   EXPECT_EQ(comm->live_records(), 8u);  // every side of every message
   EXPECT_EQ(cluster->node(1).cpu().state(), pcd::cpu::CpuState::CommProc);
   EXPECT_EQ(cluster->network().in_flight(), 2);  // 60 KB on the wire, 64 B behind it
+  // Ranks 0 and 2 are parked in a wait; tearing their frames down leaves
+  // WaitPoll (a second leave would trip Cpu::leave_wait's assert).
+  EXPECT_EQ(cluster->node(0).cpu().state(), pcd::cpu::CpuState::WaitPoll);
+  EXPECT_EQ(cluster->node(2).cpu().state(), pcd::cpu::CpuState::WaitPoll);
   engine.destroy_suspended_frames();
+  EXPECT_EQ(cluster->node(0).cpu().state(), pcd::cpu::CpuState::Idle);
+  EXPECT_EQ(cluster->node(2).cpu().state(), pcd::cpu::CpuState::Idle);
   comm.reset();
   cluster.reset();
 }
