@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "apps/npb.hpp"
+#include "apps/workload.hpp"
 #include "core/runner.hpp"
 #include "machine/cluster.hpp"
 #include "mpi/comm.hpp"
@@ -185,6 +186,35 @@ static void BM_NetFanIn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSenders);  // messages
 }
 BENCHMARK(BM_NetFanIn);
+
+static void BM_ComputePhase(benchmark::State& state) {
+  // Every rank of a 4096-node cluster runs sliced compute phases at once:
+  // 4,096 phases in flight, each stepping its slices as CPU work
+  // continuations with its loop state in the rank's frame.  The cluster is
+  // built once; each iteration spawns the ranks and runs them out.
+  const int ranks = static_cast<int>(state.range(0));
+  constexpr int kPhases = 2;
+  constexpr int kHalvesPerPhase = 8;  // 4 slices of on-chip work + stall
+  std::vector<int> ids(static_cast<std::size_t>(ranks));
+  std::iota(ids.begin(), ids.end(), 0);
+  sim::Engine e;
+  machine::ClusterConfig cc;
+  cc.nodes = ranks;
+  machine::Cluster cluster(e, cc);
+  mpi::Comm comm(cluster, ids);
+  apps::AppContext ctx;
+  ctx.comm = &comm;
+  auto rank = [&ctx](int r) -> sim::Process {
+    for (int k = 0; k < kPhases; ++k) co_await apps::compute_phase(ctx, r, 0.1, 0.1);
+  };
+  for (auto _ : state) {
+    for (int r = 0; r < ranks; ++r) sim::spawn(e, rank(r));
+    e.run();
+  }
+  benchmark::DoNotOptimize(cluster.node(0).cpu().stats().work_completed);
+  state.SetItemsProcessed(state.iterations() * ranks * kPhases * kHalvesPerPhase);
+}
+BENCHMARK(BM_ComputePhase)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 static void BM_FullWorkloadRun(benchmark::State& state) {
   for (auto _ : state) {

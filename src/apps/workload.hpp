@@ -11,6 +11,7 @@
 // inserts set_cpuspeed() calls (Figures 10 and 13).
 #pragma once
 
+#include <coroutine>
 #include <functional>
 #include <string>
 #include <vector>
@@ -71,7 +72,45 @@ struct Workload {
 /// `mem_act` overrides the power activity of the stalls (< 0 = default);
 /// cache-miss-bound compute (LU) keeps the core nearly fully active while
 /// streaming stalls (swim) do not.
-sim::Op<> compute_phase(AppContext& ctx, int rank, double onchip_s, double mem_s,
-                        double mem_act = -1);
+///
+/// A plain awaiter, not a coroutine: the phase starts when awaited and
+/// steps its slices as CPU work continuations, with its loop state in the
+/// awaiting frame.  Each slice half opens its trace scope (traced runs)
+/// before its work starts and closes it when the work completes, and the
+/// last completion resumes the caller from inside that dispatch.
+class [[nodiscard]] ComputePhase {
+ public:
+  ComputePhase(AppContext& ctx, int rank, double onchip_s, double mem_s, double mem_act)
+      : ctx_(&ctx), rank_(rank), on_per_(onchip_s), mem_per_(mem_s), mem_act_(mem_act) {}
+  ComputePhase(const ComputePhase&) = delete;
+  ComputePhase& operator=(const ComputePhase&) = delete;
+
+  bool await_ready();
+  bool await_suspend(std::coroutine_handle<> caller) {
+    caller_ = caller;
+    return run_slices();
+  }
+  void await_resume() const {}
+
+ private:
+  bool run_slices();
+  static void slice_done(void* self);
+
+  AppContext* ctx_;
+  cpu::Cpu* cpu_ = nullptr;
+  int rank_;
+  int slices_ = 0;
+  int next_ = 0;  // next slice half: 2 * slice + (0 on-chip, 1 stall)
+  double on_per_;   // the phase totals until await_ready splits them
+  double mem_per_;
+  double mem_act_;
+  std::coroutine_handle<> caller_;
+  trace::ScopeBox scope_;
+};
+
+inline ComputePhase compute_phase(AppContext& ctx, int rank, double onchip_s, double mem_s,
+                                  double mem_act = -1) {
+  return ComputePhase(ctx, rank, onchip_s, mem_s, mem_act);
+}
 
 }  // namespace pcd::apps

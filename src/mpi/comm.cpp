@@ -285,49 +285,6 @@ void Comm::match(SendRecord& s, RecvRecord& r) {
   }
 }
 
-sim::Op<> CommBase::wait(int rank, Request req) {
-  std::optional<trace::Tracer::Scope> sc;
-  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Wait, "mpi_wait"));
-  co_await wait_inner(rank, req);
-}
-
-sim::Op<> CommBase::waitall(int rank, std::vector<Request> reqs) {
-  std::optional<trace::Tracer::Scope> sc;
-  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Wait, "mpi_waitall"));
-  for (auto& r : reqs) co_await wait_inner(rank, r);
-}
-
-sim::Op<> CommBase::send(int rank, int dst, int tag, std::int64_t bytes) {
-  std::optional<trace::Tracer::Scope> sc;
-  if (tracer_ != nullptr) {
-    sc.emplace(tracer_->scope(rank, trace::Cat::Send, "mpi_send", dst, bytes));
-  }
-  auto req = isend(rank, dst, tag, bytes);
-  co_await wait_inner(rank, req);
-}
-
-sim::Op<std::int64_t> CommBase::recv(int rank, int src, int tag) {
-  std::optional<trace::Tracer::Scope> sc;
-  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Recv, "mpi_recv", src));
-  auto req = irecv(rank, src, tag);
-  co_await wait_inner(rank, req);
-  if (sc) sc->set_bytes(req->bytes);  // size known only once the send matched
-  co_return req->bytes;
-}
-
-sim::Op<std::int64_t> CommBase::sendrecv(int rank, int dst, int send_tag,
-                                     std::int64_t send_bytes, int src, int recv_tag) {
-  std::optional<trace::Tracer::Scope> sc;
-  if (tracer_ != nullptr) {
-    sc.emplace(tracer_->scope(rank, trace::Cat::Send, "mpi_sendrecv", dst, send_bytes));
-  }
-  auto rr = irecv(rank, src, recv_tag);
-  auto sr = isend(rank, dst, send_tag, send_bytes);
-  co_await wait_inner(rank, sr);
-  co_await wait_inner(rank, rr);
-  co_return rr->bytes;
-}
-
 // ---- collectives ------------------------------------------------------------
 
 namespace {

@@ -1,11 +1,13 @@
 // Simulated MPI on top of the cluster model (MPICH-1.2.5-like semantics).
 //
-// Rank processes are coroutines; every blocking call and collective returns
-// a lazy sim::Op awaited by the rank.  Underneath, nothing allocates a
-// coroutine frame per message: the point-to-point protocol runs as
-// callbacks on one pooled record per message side (see Comm), the wire as
-// one pooled record per transfer (net::Network), and each wait inside a
-// call is a plain awaiter in the caller's frame (CommBase::WaitAwaiter).
+// Rank processes are coroutines.  A blocking point-to-point call (wait,
+// waitall, send, recv, sendrecv) returns a plain awaiter whose state lives
+// in the awaiting rank's frame (CommBase::Blocking); a collective returns a
+// lazy sim::Op.  Underneath, nothing allocates a coroutine frame per
+// message: the point-to-point protocol runs as callbacks on one pooled
+// record per message side (see Comm), the wire as one pooled record per
+// transfer (net::Network), and each wait inside a collective is the same
+// kind of awaiter in the collective's frame (CommBase::WaitAwaiter).
 // Costs charged per message:
 //   - protocol processing on the CPU (per-message + per-KB cycles, scales
 //     with 1/f — the part of communication that *is* frequency-sensitive),
@@ -91,17 +93,29 @@ class CommBase {
   virtual Request irecv(int rank, int src = kAnySource, int tag = kAnyTag) = 0;
 
   // ---- blocking wrappers ----
+  //
+  // Each returns a plain awaiter, not a coroutine: the call starts when
+  // awaited, and its state (requests, loop position, trace scope) lives in
+  // the awaiting frame.  See Blocking.
+
+  class Blocking;
+  class WaitCall;
+  class WaitallCall;
+  class SendCall;
+  class RecvCall;
+  class SendrecvCall;
 
   /// Blocks (WaitPoll) until the request completes.
-  sim::Op<> wait(int rank, Request req);
-  sim::Op<> waitall(int rank, std::vector<Request> reqs);
-  /// Blocking send / receive.
-  sim::Op<> send(int rank, int dst, int tag, std::int64_t bytes);
-  sim::Op<std::int64_t> recv(int rank, int src = kAnySource, int tag = kAnyTag);
+  WaitCall wait(int rank, Request req);
+  /// Waits on each request in turn.
+  WaitallCall waitall(int rank, std::vector<Request> reqs);
+  /// Blocking send / receive; a receive yields the received bytes.
+  SendCall send(int rank, int dst, int tag, std::int64_t bytes);
+  RecvCall recv(int rank, int src = kAnySource, int tag = kAnyTag);
   /// Combined exchange (posts the receive first, so symmetric sendrecv
-  /// pairs of any size cannot deadlock).  Returns received bytes.
-  sim::Op<std::int64_t> sendrecv(int rank, int dst, int send_tag,
-                                 std::int64_t send_bytes, int src, int recv_tag);
+  /// pairs of any size cannot deadlock).  Yields the received bytes.
+  SendrecvCall sendrecv(int rank, int dst, int send_tag, std::int64_t send_bytes, int src,
+                        int recv_tag);
 
   // ---- collectives (call from every rank, same order) ----
 
@@ -129,28 +143,10 @@ class CommBase {
   CommBase(CostParams costs, trace::Tracer* tracer)
       : costs_(costs), tracer_(tracer) {}
 
-  /// Wait without opening a trace scope (collective internals): a plain
-  /// awaiter, no coroutine frame.  A wait that parks holds the rank's CPU in
-  /// WaitPoll from suspension until it resumes, or until the awaiting frame
-  /// is destroyed at teardown.
-  class [[nodiscard]] WaitAwaiter {
-   public:
-    WaitAwaiter(CommBase& comm, int rank, RequestState& req)
-        : comm_(&comm), rank_(rank), req_(&req) {}
-    bool await_ready() const { return req_->done.signaled(); }
-    void await_suspend(std::coroutine_handle<> h) {
-      scope_.emplace(comm_->node(rank_).cpu());
-      req_->done.wait().await_suspend(h);
-    }
-    void await_resume() { scope_.reset(); }
-
-   private:
-    CommBase* comm_;
-    int rank_;
-    RequestState* req_;
-    std::optional<cpu::Cpu::WaitScope> scope_;
-  };
-  WaitAwaiter wait_inner(int rank, const Request& req) { return {*this, rank, *req}; }
+  /// Wait without opening a trace scope (collective internals): the
+  /// Blocking awaiter over one request, no coroutine frame.
+  class WaitAwaiter;
+  WaitAwaiter wait_inner(int rank, const Request& req);
 
   double protocol_cycles(std::int64_t bytes) const;
   double speed_ratio(int rank);
@@ -172,6 +168,192 @@ class CommBase {
 
   std::vector<int> coll_seq_;
 };
+
+/// What every blocking call and every wait inside a collective awaits: it
+/// waits on a range of requests in order, skipping those already done.  A
+/// wait that parks holds the rank's CPU in WaitPoll from suspension until
+/// its request completes, or until the awaiting frame is destroyed at
+/// teardown.  The request's Event runs the next step from its "event.set"
+/// dispatch; the last step resumes the caller from inside that dispatch.
+/// A traced call opens its scope when awaited and closes it when the
+/// caller resumes.
+class CommBase::Blocking {
+ public:
+  Blocking(const Blocking&) = delete;
+  Blocking& operator=(const Blocking&) = delete;
+
+  void await_suspend(std::coroutine_handle<> caller) {
+    caller_ = caller;
+    park();
+  }
+  /// Calls that yield no value end here; recv and sendrecv add the bytes.
+  void await_resume() { scope_.reset(); }
+
+ protected:
+  Blocking(CommBase& comm, int rank) : comm_(&comm), rank_(rank) {}
+  ~Blocking() = default;
+
+  /// Opens the call's trace scope when the communicator is traced.
+  void open_scope(trace::Cat cat, const char* label, int peer = -1, std::int64_t bytes = 0) {
+    if (comm_->tracer_ != nullptr) scope_.open(*comm_->tracer_, rank_, cat, label, peer, bytes);
+  }
+  /// Starts waiting on [first, last); true when every request is done.
+  bool wait_on(const Request* first, const Request* last) {
+    next_ = first;
+    last_ = last;
+    return skip_done();
+  }
+
+  CommBase* comm_;
+  int rank_;
+  trace::ScopeBox scope_;  // declared before wait_: WaitPoll ends first
+
+ private:
+  bool skip_done() {
+    while (next_ != last_ && (*next_)->done.signaled()) ++next_;
+    return next_ == last_;
+  }
+  void park() {
+    wait_.emplace(comm_->node(rank_).cpu());
+    (*next_)->done.when_set({&woken, this});
+  }
+  static void woken(void* self) {
+    auto& b = *static_cast<Blocking*>(self);
+    b.wait_.reset();
+    ++b.next_;
+    if (b.skip_done()) {
+      b.caller_.resume();  // may destroy this awaiter
+    } else {
+      b.park();
+    }
+  }
+
+  const Request* next_ = nullptr;
+  const Request* last_ = nullptr;
+  std::coroutine_handle<> caller_;
+  std::optional<cpu::Cpu::WaitScope> wait_;
+};
+
+class [[nodiscard]] CommBase::WaitAwaiter : public Blocking {
+ public:
+  WaitAwaiter(CommBase& comm, int rank, const Request& req) : Blocking(comm, rank), req_(&req) {}
+  bool await_ready() { return wait_on(req_, req_ + 1); }
+
+ private:
+  const Request* req_;
+};
+
+class [[nodiscard]] CommBase::WaitCall : public Blocking {
+ public:
+  WaitCall(CommBase& comm, int rank, Request req)
+      : Blocking(comm, rank), req_(std::move(req)) {}
+  bool await_ready() {
+    open_scope(trace::Cat::Wait, "mpi_wait");
+    return wait_on(&req_, &req_ + 1);
+  }
+
+ private:
+  Request req_;
+};
+
+class [[nodiscard]] CommBase::WaitallCall : public Blocking {
+ public:
+  WaitallCall(CommBase& comm, int rank, std::vector<Request> reqs)
+      : Blocking(comm, rank), reqs_(std::move(reqs)) {}
+  bool await_ready() {
+    open_scope(trace::Cat::Wait, "mpi_waitall");
+    return wait_on(reqs_.data(), reqs_.data() + reqs_.size());
+  }
+
+ private:
+  std::vector<Request> reqs_;
+};
+
+class [[nodiscard]] CommBase::SendCall : public Blocking {
+ public:
+  SendCall(CommBase& comm, int rank, int dst, int tag, std::int64_t bytes)
+      : Blocking(comm, rank), dst_(dst), tag_(tag), bytes_(bytes) {}
+  bool await_ready() {
+    open_scope(trace::Cat::Send, "mpi_send", dst_, bytes_);
+    req_ = comm_->isend(rank_, dst_, tag_, bytes_);
+    return wait_on(&req_, &req_ + 1);
+  }
+
+ private:
+  int dst_;
+  int tag_;
+  std::int64_t bytes_;
+  Request req_;
+};
+
+class [[nodiscard]] CommBase::RecvCall : public Blocking {
+ public:
+  RecvCall(CommBase& comm, int rank, int src, int tag)
+      : Blocking(comm, rank), src_(src), tag_(tag) {}
+  bool await_ready() {
+    open_scope(trace::Cat::Recv, "mpi_recv", src_);
+    req_ = comm_->irecv(rank_, src_, tag_);
+    return wait_on(&req_, &req_ + 1);
+  }
+  std::int64_t await_resume() {
+    // The size is known only once the send matched.
+    if (scope_.get() != nullptr) scope_.get()->set_bytes(req_->bytes);
+    scope_.reset();
+    return req_->bytes;
+  }
+
+ private:
+  int src_;
+  int tag_;
+  Request req_;
+};
+
+class [[nodiscard]] CommBase::SendrecvCall : public Blocking {
+ public:
+  SendrecvCall(CommBase& comm, int rank, int dst, int send_tag, std::int64_t send_bytes,
+               int src, int recv_tag)
+      : Blocking(comm, rank), dst_(dst), send_tag_(send_tag), src_(src),
+        recv_tag_(recv_tag), send_bytes_(send_bytes) {}
+  bool await_ready() {
+    open_scope(trace::Cat::Send, "mpi_sendrecv", dst_, send_bytes_);
+    reqs_[1] = comm_->irecv(rank_, src_, recv_tag_);
+    reqs_[0] = comm_->isend(rank_, dst_, send_tag_, send_bytes_);
+    return wait_on(reqs_, reqs_ + 2);  // the send, then the receive
+  }
+  std::int64_t await_resume() {
+    scope_.reset();
+    return reqs_[1]->bytes;
+  }
+
+ private:
+  int dst_;
+  int send_tag_;
+  int src_;
+  int recv_tag_;
+  std::int64_t send_bytes_;
+  Request reqs_[2];
+};
+
+inline CommBase::WaitAwaiter CommBase::wait_inner(int rank, const Request& req) {
+  return WaitAwaiter(*this, rank, req);
+}
+inline CommBase::WaitCall CommBase::wait(int rank, Request req) {
+  return WaitCall(*this, rank, std::move(req));
+}
+inline CommBase::WaitallCall CommBase::waitall(int rank, std::vector<Request> reqs) {
+  return WaitallCall(*this, rank, std::move(reqs));
+}
+inline CommBase::SendCall CommBase::send(int rank, int dst, int tag, std::int64_t bytes) {
+  return SendCall(*this, rank, dst, tag, bytes);
+}
+inline CommBase::RecvCall CommBase::recv(int rank, int src, int tag) {
+  return RecvCall(*this, rank, src, tag);
+}
+inline CommBase::SendrecvCall CommBase::sendrecv(int rank, int dst, int send_tag,
+                                                 std::int64_t send_bytes, int src,
+                                                 int recv_tag) {
+  return SendrecvCall(*this, rank, dst, send_tag, send_bytes, src, recv_tag);
+}
 
 /// The single-engine transport: all ranks share one cluster/engine, and
 /// envelope matching is a direct mailbox rendezvous between the two sides

@@ -8,16 +8,26 @@
 
 namespace pcd::net {
 
+namespace {
+
+// Checked before any per-node vector is sized from it: a negative count
+// would reach std::vector as a huge size_t and throw std::length_error.
+int checked_node_count(int nodes) {
+  if (nodes <= 0) throw std::invalid_argument("network needs at least one node");
+  return nodes;
+}
+
+}  // namespace
+
 Network::Network(sim::Engine& engine, int nodes, NetworkParams params, sim::Rng rng,
                  sim::InlineFunction<void(int, int)> nic_activity)
     : engine_(engine),
       params_(params),
       rng_(rng),
       nic_activity_(std::move(nic_activity)),
-      egress_(nodes),
+      egress_(checked_node_count(nodes)),
       ingress_(nodes),
       links_(nodes) {
-  if (nodes <= 0) throw std::invalid_argument("network needs at least one node");
   for (const auto& [field, message] : validate_params(params_)) {
     throw std::invalid_argument(field + ": " + message);
   }

@@ -2,7 +2,7 @@
 //
 // Unlike Process (eagerly spawned, detachable, joined through shared state),
 // an Op starts only when awaited and resumes its awaiter on completion via
-// symmetric transfer.  The simulated MPI layer returns Ops so that
+// symmetric transfer.  The simulated MPI collectives return Ops so that
 //
 //   co_await comm.alltoall(rank, bytes);
 //
@@ -34,9 +34,9 @@ struct OpPromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 
-  // Op frames are the single hottest allocation in an MPI-heavy run (every
-  // point-to-point call and every collective stage is one); recycle them
-  // through the thread-local pool.  Inherited by both Op<T> promise types.
+  // Op frames are a hot allocation in a collective-heavy run (every
+  // collective and every collective stage is one); recycle them through
+  // the thread-local pool.  Inherited by both Op<T> promise types.
   static void* operator new(std::size_t bytes) { return pool_alloc(bytes); }
   static void operator delete(void* p, std::size_t bytes) noexcept {
     pool_free(p, bytes);

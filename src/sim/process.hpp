@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/time.hpp"
@@ -191,6 +192,11 @@ inline DelayAwaiter delay(SimDuration dt) { return DelayAwaiter{dt}; }
 
 /// One-shot broadcast event: waiters suspend until set() is called; waiting
 /// on an already-set event does not suspend.  reset() re-arms it.
+///
+/// A waiter is a Continuation, so frame-free awaiters (the MPI layer's
+/// blocking calls) can park their own step function on it; a coroutine
+/// parks through wait(), which resumes it.  Each wake-up runs from its own
+/// "event.set" event, first waiter first.
 class Event {
  public:
   explicit Event(Engine& engine) : engine_(&engine) {}
@@ -198,37 +204,41 @@ class Event {
   Event& operator=(const Event&) = delete;
 
   void set() {
-    if (signaled_) return;
-    signaled_ = true;
-    // First waiter wakes first, then the overflow vector in arrival order —
-    // the same FIFO schedule the single-vector implementation produced.
-    if (w0_) {
-      auto w = std::exchange(w0_, nullptr);
-      engine_->schedule_in(0, [w] { w.resume(); }, "event.set");
-    }
+    if (signaled()) return;
+    const Continuation first = std::exchange(w0_, Continuation{&set_mark, nullptr});
+    if (first.fn != nullptr) engine_->schedule_in(0, first, "event.set");
     if (rest_) {
       auto waiters = std::move(rest_);
-      for (auto w : *waiters) {
-        engine_->schedule_in(0, [w] { w.resume(); }, "event.set");
-      }
+      for (const Continuation& w : *waiters) engine_->schedule_in(0, w, "event.set");
     }
   }
 
-  void reset() { signaled_ = false; }
-  bool signaled() const { return signaled_; }
-  std::size_t waiter_count() const { return (w0_ ? 1 : 0) + (rest_ ? rest_->size() : 0); }
+  void reset() {
+    if (signaled()) w0_ = {};
+  }
+  bool signaled() const { return w0_.fn == &set_mark; }
+  std::size_t waiter_count() const {
+    return (w0_.fn != nullptr && !signaled() ? 1 : 0) + (rest_ ? rest_->size() : 0);
+  }
+
+  /// Runs `then` once the event is set.  The event must not be set yet
+  /// (a set event runs nothing later).
+  void when_set(Continuation then) {
+    assert(!signaled());
+    if (w0_.fn == nullptr) {
+      w0_ = then;
+    } else {
+      if (!rest_) rest_ = std::make_unique<std::vector<Continuation>>();
+      rest_->push_back(then);
+    }
+  }
 
   auto wait() {
     struct Awaiter {
       Event* ev;
-      bool await_ready() const { return ev->signaled_; }
+      bool await_ready() const { return ev->signaled(); }
       void await_suspend(std::coroutine_handle<> h) {
-        if (!ev->w0_) {
-          ev->w0_ = h;
-        } else {
-          if (!ev->rest_) ev->rest_ = std::make_unique<std::vector<std::coroutine_handle<>>>();
-          ev->rest_->push_back(h);
-        }
+        ev->when_set(Continuation::resume(h));
       }
       void await_resume() const {}
     };
@@ -236,14 +246,17 @@ class Event {
   }
 
  private:
+  // w0_.fn while the event is set.  A set event has no waiters (set()
+  // schedules them all), so the first-waiter slot doubles as the flag.
+  static void set_mark(void*) {}
+
   Engine* engine_;
   // Nearly every event (message delivered, request done) has exactly one
   // waiter; the inline slot makes that case allocation-free.  Further
   // waiters go to an overflow vector behind a pointer, created on demand,
-  // which keeps an Event at 32 bytes (an MPI message holds five).
-  std::coroutine_handle<> w0_ = nullptr;
-  std::unique_ptr<std::vector<std::coroutine_handle<>>> rest_;
-  bool signaled_ = false;
+  // which keeps an Event at 32 bytes (every MPI request holds one).
+  Continuation w0_;
+  std::unique_ptr<std::vector<Continuation>> rest_;
 };
 
 }  // namespace pcd::sim

@@ -8,11 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/time.hpp"
 
 namespace pcd::trace {
@@ -201,6 +203,40 @@ class Tracer {
   std::vector<MessageEvent> messages_;
   std::vector<int> comm_depth_;
   Probe* probe_ = nullptr;
+};
+
+/// A Tracer::Scope kept out of line, in a pooled block: the frame-free
+/// awaiters (blocking MPI calls, compute phases) hold one, so an untraced
+/// call carries one null pointer instead of a 120-byte scope.
+class ScopeBox {
+ public:
+  ScopeBox() = default;
+  ScopeBox(const ScopeBox&) = delete;
+  ScopeBox& operator=(const ScopeBox&) = delete;
+  ~ScopeBox() { reset(); }
+
+  /// Opens tracer.scope(rank, cat, label, peer, bytes) in the box, which
+  /// must be empty.
+  void open(Tracer& tracer, int rank, Cat cat, const char* label = "", int peer = -1,
+            std::int64_t bytes = 0) {
+    void* block = sim::pool_alloc(sizeof(Tracer::Scope));
+    try {
+      scope_ = new (block) Tracer::Scope(tracer.scope(rank, cat, label, peer, bytes));
+    } catch (...) {
+      sim::pool_free(block, sizeof(Tracer::Scope));
+      throw;
+    }
+  }
+  /// Closes the scope (it records now), if one is open.
+  void reset() {
+    if (scope_ == nullptr) return;
+    scope_->~Scope();
+    sim::pool_free(std::exchange(scope_, nullptr), sizeof(Tracer::Scope));
+  }
+  Tracer::Scope* get() const { return scope_; }
+
+ private:
+  Tracer::Scope* scope_ = nullptr;
 };
 
 }  // namespace pcd::trace

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <vector>
 
+#include "apps/workload.hpp"
 #include "machine/cluster.hpp"
 #include "mpi/comm.hpp"
 #include "net/network.hpp"
@@ -320,4 +321,57 @@ TEST(Footprint, TransferAndParkedWaitAllocateNothingAfterWarmUp) {
   EXPECT_EQ(comm.stats().messages, 11);
   EXPECT_EQ(c.network().stats().transfers, 22);
 #endif
+}
+
+TEST(Footprint, ExchangeRoundAllocatesOnlyItsMessageRecords) {
+  // A CG-shaped round on each of two ranks: a sliced compute phase, then
+  // irecv + isend and a waitall that parks.  The phase and the blocking
+  // call are awaiters in the rank's frame, so a round allocates only its
+  // request vectors and its message records: per message one send record,
+  // one receive record and one transfer record.  With the frame pool on the
+  // records come from the pool after warm-up; under AddressSanitizer the
+  // pool is compiled out and each is a heap allocation, so a per-call
+  // coroutine frame coming back would show here as well.
+  sim::Engine e;
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.network.collision_coeff = 0.0;
+  Cluster c(e, cfg);
+  pcd::mpi::Comm comm(c, {0, 1});
+  pcd::apps::AppContext ctx;
+  ctx.comm = &comm;
+  auto rank = [&](int r, int rounds) -> sim::Process {
+    for (int i = 0; i < rounds; ++i) {
+      co_await pcd::apps::compute_phase(ctx, r, 0.06, 0.04);  // two slices
+      std::vector<pcd::mpi::Comm::Request> reqs;
+      reqs.reserve(2);
+      reqs.push_back(comm.irecv(r, 1 - r, 7));
+      reqs.push_back(comm.isend(r, 1 - r, 7, 64 * 1024));
+      co_await comm.waitall(r, std::move(reqs));
+    }
+  };
+  auto run = [&](int rounds) {
+    const std::int64_t before = heap_allocs();
+    sim::spawn(e, rank(0, rounds));
+    sim::spawn(e, rank(1, rounds));
+    e.run();
+    return heap_allocs() - before;
+  };
+  // Warm the engine, the pools, the mailboxes and the port queues with a
+  // run longer than either measured one (some engine storage grows with the
+  // length of a run); the difference of the two runs is ten rounds.
+  run(21);
+  const std::int64_t one = run(1);
+  const std::int64_t eleven = run(11);
+  constexpr std::int64_t kVectors = 2;  // one request vector per rank
+#ifdef PCD_FRAME_POOL_DISABLED
+  constexpr std::int64_t kRecords = 2 * 3;  // two messages
+#else
+  constexpr std::int64_t kRecords = 0;
+#endif
+  EXPECT_EQ(eleven - one, 10 * (kVectors + kRecords));
+  constexpr int kRounds = 21 + 1 + 11;
+  EXPECT_EQ(comm.stats().messages, 2 * kRounds);
+  // Per round: four slice halves and the protocol work of two messages.
+  EXPECT_EQ(c.node(0).cpu().stats().work_completed, kRounds * (4 + 2));
 }

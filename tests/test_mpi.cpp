@@ -9,6 +9,7 @@
 
 #include "machine/cluster.hpp"
 #include "mpi/comm.hpp"
+#include "run_pin.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/provenance.hpp"
@@ -564,6 +565,138 @@ TEST(MpiPinned, TracedExchangeLogsEveryEdge) {
   EXPECT_EQ(pin, (PathPin{399, 0xb3946e70f90939bb, 38, 0x174e1d55953f3b97, 0x5d6645b3017eb9ff}));
 }
 
+// ---- Blocking calls, pinned --------------------------------------------------
+//
+// The exact events, CPU states, energy and trace scopes of wait, waitall,
+// send, recv and sendrecv over requests that are already done when the call
+// starts, that park it, and a mix of both.  Re-pin only on an intended
+// change of the simulated behaviour.
+
+namespace {
+
+using pcd::pins::RunPin;
+
+// Runs body(comm, rank) as every rank's process to completion and returns
+// the run's fingerprint.
+template <typename Body>
+RunPin run_blocking_pinned(int ranks, bool traced, Body body) {
+  sim::Engine engine;
+  Cluster cluster(engine, small_cluster(ranks));
+  pcd::pins::PinProbe probe(engine, cluster);
+  std::optional<pcd::trace::Tracer> tracer;
+  if (traced) tracer.emplace(engine, ranks);
+  Comm comm(cluster, MpiFixture::iota(ranks), CostParams{}, tracer ? &*tracer : nullptr);
+  for (int r = 0; r < ranks; ++r) sim::spawn(engine, body(comm, r));
+  engine.run();
+  return probe.pin(tracer ? &*tracer : nullptr);
+}
+
+}  // namespace
+
+TEST(MpiBlockingPinned, WaitOnDoneAndParkedRequests) {
+  auto body = [](Comm& c, int r) -> sim::Process {
+    if (r == 0) {
+      auto eager = c.isend(0, 1, 1, 512);
+      co_await sim::delay(10 * sim::kMillisecond);
+      co_await c.wait(0, eager);  // delivered long ago: no suspension
+      auto in = c.irecv(0, 1, 2);
+      co_await c.wait(0, in);  // parks until rank 1 sends at 20 ms
+    } else {
+      auto in = c.irecv(1, 0, 1);
+      co_await c.wait(1, in);  // parks until the eager message lands
+      co_await sim::delay(20 * sim::kMillisecond);
+      auto big = c.isend(1, 0, 2, 100'000);
+      co_await c.wait(1, big);
+    }
+  };
+  EXPECT_EQ(run_blocking_pinned(2, false, body),
+            (RunPin{25, 0xd30299d4a64c15c6, 0x79a7b0ad49e0eeef, 0x3ff4bf7db834a438,
+                    0xd56f78d017c1893e, 0}));
+  EXPECT_EQ(run_blocking_pinned(2, true, body),
+            (RunPin{25, 0xd30299d4a64c15c6, 0x79a7b0ad49e0eeef, 0x3ff4bf7db834a438,
+                    0xd56f78d017c1893e, 0xb9c1989021dbf4b5}));
+}
+
+TEST(MpiBlockingPinned, WaitallOverDoneParkedAndMixedRequests) {
+  auto body = [](Comm& c, int r) -> sim::Process {
+    if (r == 0) {
+      co_await c.waitall(0, {});  // nothing to wait for
+      std::vector<Comm::Request> done;
+      done.push_back(c.isend(0, 1, 1, 1000));
+      done.push_back(c.isend(0, 1, 2, 2000));
+      co_await sim::delay(10 * sim::kMillisecond);
+      co_await c.waitall(0, std::move(done));  // every request already done
+      auto early = c.isend(0, 1, 4, 64);
+      co_await sim::delay(5 * sim::kMillisecond);
+      std::vector<Comm::Request> mixed;
+      mixed.push_back(std::move(early));         // done
+      mixed.push_back(c.irecv(0, 1, 3));         // parks
+      mixed.push_back(c.isend(0, 1, 6, 300'000));  // rendezvous, parks
+      mixed.push_back(c.irecv(0, 1, 5));         // parks
+      co_await c.waitall(0, std::move(mixed));
+    } else {
+      std::vector<Comm::Request> parked;
+      parked.push_back(c.irecv(1, 0, 2));
+      parked.push_back(c.irecv(1, 0, 1));
+      co_await c.waitall(1, std::move(parked));  // parks on each in turn
+      co_await sim::delay(8 * sim::kMillisecond);
+      std::vector<Comm::Request> rest;
+      rest.push_back(c.irecv(1, 0, 4));
+      rest.push_back(c.irecv(1, 0, 6));
+      co_await c.waitall(1, std::move(rest));
+      co_await c.send(1, 0, 3, 4096);
+      co_await c.send(1, 0, 5, 128);
+    }
+  };
+  EXPECT_EQ(run_blocking_pinned(2, false, body),
+            (RunPin{67, 0xf2a12150c5baa65c, 0x5abc58feafe2934f, 0x400123ee69a2ac78,
+                    0x15f93764948be273, 0}));
+  EXPECT_EQ(run_blocking_pinned(2, true, body),
+            (RunPin{67, 0xf2a12150c5baa65c, 0x5abc58feafe2934f, 0x400123ee69a2ac78,
+                    0x15f93764948be273, 0x53b3c6c8fd645667}));
+}
+
+TEST(MpiBlockingPinned, SendAndRecv) {
+  std::vector<std::int64_t> got;
+  auto body = [&got](Comm& c, int r) -> sim::Process {
+    if (r == 0) {
+      co_await c.send(0, 1, 1, 512);      // eager
+      co_await c.send(0, 1, 2, 200'000);  // rendezvous: parks until rank 1 posts
+      got.push_back(co_await c.recv(0, Comm::kAnySource, Comm::kAnyTag));
+    } else {
+      co_await sim::delay(3 * sim::kMillisecond);
+      got.push_back(co_await c.recv(1, 0, 2));
+      got.push_back(co_await c.recv(1, 0, 1));  // arrived while rank 1 waited
+      co_await c.send(1, 0, 3, 64);
+    }
+  };
+  EXPECT_EQ(run_blocking_pinned(2, false, body),
+            (RunPin{34, 0x86a6c80ba053a09e, 0x5c0751c3e8ec6d7a, 0x3ff2a99a88f0d8f8,
+                    0x86111fc8e7c1893e, 0}));
+  EXPECT_EQ(run_blocking_pinned(2, true, body),
+            (RunPin{34, 0x86a6c80ba053a09e, 0x5c0751c3e8ec6d7a, 0x3ff2a99a88f0d8f8,
+                    0x86111fc8e7c1893e, 0xe076df8e7b3b0f05}));
+  EXPECT_EQ(got, (std::vector<std::int64_t>{200'000, 512, 64, 200'000, 512, 64}));
+}
+
+TEST(MpiBlockingPinned, Sendrecv) {
+  std::vector<std::int64_t> got;
+  auto body = [&got](Comm& c, int r) -> sim::Process {
+    const int peer = 1 - r;
+    got.push_back(co_await c.sendrecv(r, peer, 1, 4096 * (r + 1), peer, 1));
+    if (r == 1) co_await sim::delay(2 * sim::kMillisecond);
+    got.push_back(co_await c.sendrecv(r, peer, 2, 100'000, peer, 2));
+    got.push_back(co_await c.sendrecv(r, r, 3, 256, r, 3));  // to itself
+  };
+  EXPECT_EQ(run_blocking_pinned(2, false, body),
+            (RunPin{63, 0x3ef2ea2c8ec4c849, 0x49ad7a0005701ccc, 0x3fe508fd6dcdf92e,
+                    0xef87e30e1b25d6b3, 0}));
+  EXPECT_EQ(run_blocking_pinned(2, true, body),
+            (RunPin{63, 0x3ef2ea2c8ec4c849, 0x49ad7a0005701ccc, 0x3fe508fd6dcdf92e,
+                    0xef87e30e1b25d6b3, 0x3172c8ae952418a7}));
+  EXPECT_EQ(got.size(), 12u);
+}
+
 // ---- Teardown ---------------------------------------------------------------
 
 TEST(MpiTeardown, CompletedRunReleasesEveryRecord) {
@@ -649,6 +782,37 @@ TEST(MpiTeardown, AbandonedRunWithMessagesInFlightFreesEverything) {
   engine.destroy_suspended_frames();
   EXPECT_EQ(cluster->node(0).cpu().state(), pcd::cpu::CpuState::Idle);
   EXPECT_EQ(cluster->node(2).cpu().state(), pcd::cpu::CpuState::Idle);
+  comm.reset();
+  cluster.reset();
+}
+
+TEST(MpiTeardown, RankDestroyedMidWaitallLeavesWaitPollAndClosesItsScope) {
+  // Rank 0 is parked on the second request of a waitall (the first is
+  // done) when its frame is destroyed: the CPU leaves WaitPoll once and the
+  // mpi_waitall scope records up to the cut.
+  sim::Engine engine;
+  std::optional<Cluster> cluster(std::in_place, engine, small_cluster(2));
+  pcd::trace::Tracer tracer(engine, 2);
+  std::optional<Comm> comm(std::in_place, *cluster, MpiFixture::iota(2), CostParams{},
+                           &tracer);
+  auto rank0 = [&]() -> sim::Process {
+    std::vector<Comm::Request> reqs;
+    reqs.push_back(comm->isend(0, 1, 1, 256));
+    reqs.push_back(comm->irecv(0, 1, 9));  // no such send
+    co_await comm->waitall(0, std::move(reqs));
+  };
+  auto rank1 = [&]() -> sim::Process { co_await comm->recv(1, 0, 1); };
+  sim::spawn(engine, rank0());
+  sim::spawn(engine, rank1());
+  engine.run_until(sim::from_millis(5));
+  EXPECT_EQ(cluster->node(0).cpu().state(), pcd::cpu::CpuState::WaitPoll);
+  EXPECT_TRUE(tracer.records(0).empty());
+  engine.destroy_suspended_frames();
+  EXPECT_EQ(cluster->node(0).cpu().state(), pcd::cpu::CpuState::Idle);
+  ASSERT_EQ(tracer.records(0).size(), 1u);
+  EXPECT_EQ(tracer.records(0)[0].cat, pcd::trace::Cat::Wait);
+  EXPECT_STREQ(tracer.records(0)[0].label, "mpi_waitall");
+  EXPECT_EQ(tracer.records(0)[0].end, sim::from_millis(5));
   comm.reset();
   cluster.reset();
 }

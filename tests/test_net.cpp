@@ -4,6 +4,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -210,6 +211,22 @@ TEST(Network, DeterministicForEqualSeeds) {
 TEST(Network, RejectsEmptyNetwork) {
   sim::Engine e;
   EXPECT_THROW(Network(e, 0, NetworkParams{}, sim::Rng(1)), std::invalid_argument);
+}
+
+TEST(Network, RejectsZeroAndNegativeNodeCountsBeforeSizingPorts) {
+  // A negative count is rejected as an invalid argument, not passed on to
+  // the port vectors (where it would surface as std::length_error).
+  sim::Engine e;
+  for (int nodes : {0, -1, std::numeric_limits<int>::min()}) {
+    try {
+      Network net(e, nodes, NetworkParams{}, sim::Rng(1));
+      ADD_FAILURE() << nodes << " nodes accepted";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_STREQ(ex.what(), "network needs at least one node") << nodes;
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << nodes << " nodes threw " << ex.what();
+    }
+  }
 }
 
 // ---- Pinned transfer path ---------------------------------------------------
