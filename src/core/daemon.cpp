@@ -13,9 +13,8 @@ void DvsDaemon::start() {
   if (running_) return;
   running_ = true;
   last_busy_ns_ = node_.cpu().busy_weighted_ns();
-  // One pooled timer for the whole daemon lifetime: the poll loop re-arms in
-  // place inside the engine's timer wheel instead of pushing a fresh heap
-  // event per tick.
+  // One pooled timer for the whole daemon lifetime: the engine re-arms the
+  // poll in place after each tick instead of allocating a fresh event.
   const double interval = interval_s();
   next_tick_ = engine_.schedule_every(
       start_offset_ + sim::from_seconds(interval), sim::from_seconds(interval),

@@ -414,6 +414,16 @@ void write_run_metrics(telemetry::MetricsRegistry& reg, const RunResult& result)
   }
 }
 
+// Adds an issue unless `seconds` is a timer period the engine can run: at
+// least 1 ns once rounded to its tick, and below ~292 years so the
+// conversion to int64 nanoseconds is defined.  NaN fails both comparisons.
+void check_period(std::vector<ConfigIssue>& issues, const char* field, double seconds) {
+  if (seconds > 0 && seconds < 9.2e9 && sim::from_seconds(seconds) >= 1) return;
+  char got[32];
+  std::snprintf(got, sizeof got, "%g", seconds);
+  issues.push_back({field, std::string("period must be finite and at least 1 ns, got ") + got});
+}
+
 }  // namespace
 
 std::string describe(const std::vector<ConfigIssue>& issues) {
@@ -435,8 +445,9 @@ std::vector<ConfigIssue> RunConfig::validate() const {
     issues.push_back({"static_mhz", "static frequency cannot be negative, got " +
                                         std::to_string(static_mhz)});
   }
-  if (daemon.has_value() && interval_of(*daemon) <= 0) {
-    issues.push_back({"daemon.interval_s", "daemon polling interval must be positive"});
+  if (daemon.has_value()) check_period(issues, "daemon.interval_s", interval_of(*daemon));
+  if (telemetry.enabled && telemetry.sample) {
+    check_period(issues, "telemetry.sampler.period_s", telemetry.sampler.period_s);
   }
   for (const auto& e : faults.events) {
     if (e.at_s < 0) {

@@ -68,7 +68,7 @@ void AcpiBattery::start_polling() {
   polling_ = true;
   reported_mwh_ = quantize(true_remaining_mwh());
   // First refresh after the random phase, then strictly every refresh
-  // period: one pooled wheel timer for the whole polling lifetime.
+  // period: one pooled periodic timer for the whole polling lifetime.
   next_tick_ =
       engine_.schedule_every(initial_phase_, refresh_period_, [this] { refresh_tick(); },
                              "acpi.refresh");

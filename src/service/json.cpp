@@ -67,11 +67,22 @@ class Parser {
     }
   }
 
+  // Counts one more level of nesting; false past kJsonMaxDepth, so hostile
+  // input cannot recurse the parser (or the DOM's destructor and write())
+  // off the stack.  Only successful returns leave a level: a failed parse
+  // is abandoned whole.
+  bool enter() {
+    if (++depth_ <= kJsonMaxDepth) return true;
+    message_ = "nesting too deep (limit " + std::to_string(kJsonMaxDepth) + ")";
+    return false;
+  }
+
   bool object(JsonValue* out) {
+    if (!enter()) return false;
     *out = JsonValue::object();
     ++pos_;  // '{'
     skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
+    if (peek() == '}') { ++pos_; --depth_; return true; }
     while (true) {
       skip_ws();
       std::string key;
@@ -91,17 +102,18 @@ class Parser {
       out->set(key, std::move(v));
       skip_ws();
       if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
+      if (peek() == '}') { ++pos_; --depth_; return true; }
       message_ = "expected ',' or '}' in object";
       return false;
     }
   }
 
   bool array(JsonValue* out) {
+    if (!enter()) return false;
     *out = JsonValue::array();
     ++pos_;  // '['
     skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
+    if (peek() == ']') { ++pos_; --depth_; return true; }
     while (true) {
       skip_ws();
       JsonValue v;
@@ -109,7 +121,7 @@ class Parser {
       out->push(std::move(v));
       skip_ws();
       if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
+      if (peek() == ']') { ++pos_; --depth_; return true; }
       message_ = "expected ',' or ']' in array";
       return false;
     }
@@ -267,6 +279,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open at pos_
   std::string message_;
 };
 

@@ -134,9 +134,16 @@ struct JsonError {
   std::string message;
 };
 
+/// Deepest array/object nesting json_parse accepts.  The parser, the
+/// destructor and write() all recurse once per level, so the cap bounds
+/// their stack use on hostile input.
+inline constexpr std::size_t kJsonMaxDepth = 512;
+
 /// Strict parse of the ENTIRE input (trailing non-whitespace is an error).
 /// Escapes are decoded (\uXXXX to UTF-8, surrogate pairs combined; a lone
-/// surrogate is a violation).  Returns nullopt and fills `err` on failure.
+/// surrogate is a violation).  Nesting deeper than kJsonMaxDepth is a
+/// violation ("nesting too deep").  Returns nullopt and fills `err` on
+/// failure.
 std::optional<JsonValue> json_parse(const std::string& s, JsonError* err = nullptr);
 
 /// Exact double round-trip helpers: C99 hex-float text (`%a`), used where

@@ -172,7 +172,7 @@ std::string SocketServer::handle_line(const std::string& line,
 }
 
 void SocketServer::handle_connection(int fd) {
-  std::string buffer;
+  std::string buffer;  // the unterminated tail of the bytes received so far
   char chunk[4096];
   bool shutdown_requested = false;
   bool open = true;
@@ -180,14 +180,29 @@ void SocketServer::handle_connection(int fd) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
+    // The tail holds no '\n', so only the new bytes are scanned.
+    std::size_t from = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
+    std::size_t begin = 0;  // start of the next line
     std::size_t nl;
-    while (open && (nl = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
+    while (open && (nl = buffer.find('\n', from)) != std::string::npos) {
+      if (nl - begin > kMaxLineBytes) break;
+      const std::string line = buffer.substr(begin, nl - begin);
+      begin = from = nl + 1;
       if (line.empty()) continue;
       const std::string reply = handle_line(line, &shutdown_requested);
       if (!send_all(fd, reply + "\n") || shutdown_requested) open = false;
+    }
+    buffer.erase(0, begin);
+    if (open && buffer.size() > kMaxLineBytes) {
+      // The buffer starts with an over-long line, terminated or not: refuse
+      // it and hang up rather than buffer without bound.
+      JsonValue out = JsonValue::object();
+      out.set("status", JsonValue::of("error"));
+      out.set("reason", JsonValue::of("request line longer than " +
+                                      std::to_string(kMaxLineBytes) + " bytes"));
+      send_all(fd, out.write() + "\n");
+      open = false;
     }
   }
   ::close(fd);

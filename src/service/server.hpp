@@ -37,6 +37,10 @@ JsonValue response_to_json(const Response& r, bool include_result = true);
 
 class SocketServer {
  public:
+  /// Longest request line a connection may send.  A longer one gets a
+  /// structured error reply and the connection is closed.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   SocketServer(CampaignService& service, std::string socket_path);
   ~SocketServer();
 

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -10,9 +9,14 @@ namespace pcd::sim {
 
 namespace {
 
-// Global dispatch order: (time, seq) lexicographic.
-bool precedes(SimTime ta, std::uint64_t sa, SimTime tb, std::uint64_t sb) {
-  return ta < tb || (ta == tb && sa < sb);
+// Global dispatch order of two queue entries: (time, seq) lexicographic,
+// compared as one 128-bit key (times are never negative) so that choosing
+// among heap children compiles to flag arithmetic instead of unpredictable
+// branches.
+bool precedes(const auto& a, const auto& b) {
+  using Key = unsigned __int128;
+  return ((Key{static_cast<std::uint64_t>(a.t)} << 64) | a.seq) <
+         ((Key{static_cast<std::uint64_t>(b.t)} << 64) | b.seq);
 }
 
 }  // namespace
@@ -45,49 +49,61 @@ void Engine::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-// ---- one-shot heap --------------------------------------------------------
+// ---- 4-ary heaps (one-shot strays and periodic timers) -------------------
 
-void Engine::heap_push(const HeapEntry& e) {
-  std::size_t i = heap_.size();
-  heap_.push_back(e);
+void Engine::heap_push(std::vector<HeapEntry>& heap, const HeapEntry& e) {
+  std::size_t i = heap.size();
+  heap.push_back(e);
   while (i > 0) {
     const std::size_t p = (i - 1) >> 2;
-    const HeapEntry& parent = heap_[p];
-    if (!precedes(e.t, e.seq, parent.t, parent.seq)) break;
-    heap_[i] = parent;
+    const HeapEntry& parent = heap[p];
+    if (!precedes(e, parent)) break;
+    heap[i] = parent;
     i = p;
   }
-  heap_[i] = e;
+  heap[i] = e;
 }
 
-void Engine::heap_pop() {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
+void Engine::heap_pop(std::vector<HeapEntry>& heap) {
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) heap_replace_top(heap, last);
+}
+
+void Engine::heap_replace_top(std::vector<HeapEntry>& heap, const HeapEntry& e) {
+  const std::size_t n = heap.size();
   std::size_t i = 0;
   for (;;) {
     const std::size_t c = (i << 2) + 1;
     if (c >= n) break;
     std::size_t m = c;
-    const std::size_t end = c + 4 < n ? c + 4 : n;
-    for (std::size_t k = c + 1; k < end; ++k) {
-      if (precedes(heap_[k].t, heap_[k].seq, heap_[m].t, heap_[m].seq)) m = k;
+    if (c + 3 < n) {
+      // Full group: a two-round tournament keeps the selects independent.
+      const std::size_t m01 = precedes(heap[c + 1], heap[c]) ? c + 1 : c;
+      const std::size_t m23 = precedes(heap[c + 3], heap[c + 2]) ? c + 3 : c + 2;
+      m = precedes(heap[m23], heap[m01]) ? m23 : m01;
+    } else {
+      for (std::size_t k = c + 1; k < n; ++k) {
+        if (precedes(heap[k], heap[m])) m = k;
+      }
     }
-    if (!precedes(heap_[m].t, heap_[m].seq, last.t, last.seq)) break;
-    heap_[i] = heap_[m];
+    if (!precedes(heap[m], e)) break;
+    heap[i] = heap[m];
     i = m;
   }
-  heap_[i] = last;
+  heap[i] = e;
 }
 
-void Engine::prune_heap() {
-  while (!heap_.empty()) {
-    const HeapEntry& e = heap_.front();
-    const EventNode& n = node(e.slot);
-    if (n.gen == e.gen && (n.flags & kArmed) != 0) return;
-    heap_pop();  // cancelled: the slot's generation has moved on
-  }
+// An entry is dead once its event was cancelled (the slot's generation has
+// moved on) or while its periodic event is firing (kFiring: the entry only
+// waits for the re-arm, and a nested run must not dispatch it again).
+bool Engine::live(const HeapEntry& e) {
+  const EventNode& n = node(e.slot);
+  return n.gen == e.gen && n.flags == kArmed;
+}
+
+void Engine::prune_heap(std::vector<HeapEntry>& heap) {
+  while (!heap.empty() && !live(heap.front())) heap_pop(heap);
 }
 
 void Engine::prune_runs() {
@@ -99,10 +115,7 @@ void Engine::prune_runs() {
                          lane.entries.begin() + static_cast<std::ptrdiff_t>(lane.head));
       lane.head = 0;
     }
-    while (lane.head < lane.entries.size()) {
-      const HeapEntry& e = lane.entries[lane.head];
-      const EventNode& n = node(e.slot);
-      if (n.gen == e.gen && (n.flags & kArmed) != 0) break;
+    while (lane.head < lane.entries.size() && !live(lane.entries[lane.head])) {
       ++lane.head;  // cancelled: skip in place
     }
     if (lane.head == lane.entries.size()) {
@@ -154,7 +167,7 @@ EventId Engine::schedule_at(SimTime t, Callback cb, const char* site) {
     empty_lane->head = 0;
     empty_lane->entries.push_back(entry);
   } else {
-    heap_push(entry);
+    heap_push(heap_, entry);
   }
   ++live_events_;
   return EventId{slot, n.gen};
@@ -181,7 +194,7 @@ EventId Engine::schedule_every(SimDuration first_delay, SimDuration period, Call
   n.site = site;
   n.flags = kArmed;
   n.cb = std::move(cb);
-  bucket_insert(slot);
+  heap_push(timers_, HeapEntry{n.t, seq, slot, n.gen});
   ++live_events_;
   return EventId{slot, n.gen};
 }
@@ -198,138 +211,30 @@ bool Engine::cancel(EventId id) {
     // still owns the slot and will release it when the callback returns.
     return true;
   }
-  if (n.period > 0) bucket_unlink(id.slot);
   release_slot(id.slot);
-  // One-shot heap entries are not searched for here: the stale HeapEntry is
+  // Lane and heap entries are not searched for here: the stale HeapEntry is
   // skipped at pop because its generation no longer matches.
   return true;
 }
 
-// ---- timer wheel ----------------------------------------------------------
-
-void Engine::bucket_insert(std::uint32_t slot) {
-  EventNode& n = node(slot);
-  std::uint16_t bucket = kOverflowBucket;
-  for (int level = 0; level < kWheelLevels; ++level) {
-    const int shift = kWheelShift + level * kWheelSlotBits;
-    // Slot-unit distance from now.  < kWheelSlots means (t >> shift) mod 64
-    // is unambiguous at this level: the cyclic first-occupied-slot scan in
-    // wheel_min() then visits buckets in increasing time order.
-    if (((n.t >> shift) - (now_ >> shift)) < kWheelSlots) {
-      bucket = static_cast<std::uint16_t>(level * kWheelSlots +
-                                          static_cast<int>((n.t >> shift) & (kWheelSlots - 1)));
-      break;
-    }
-  }
-  n.bucket = bucket;
-  std::uint32_t* head = nullptr;
-  if (bucket == kOverflowBucket) {
-    head = &overflow_head_;
-  } else {
-    WheelLevel& lvl = wheel_[bucket >> kWheelSlotBits];
-    lvl.occupied |= std::uint64_t{1} << (bucket & (kWheelSlots - 1));
-    head = &lvl.head[bucket & (kWheelSlots - 1)];
-  }
-  // Wheel buckets stay sorted by (t, seq): wheel_min() then reads only each
-  // level's first bucket head instead of scanning a whole bucket list.  The
-  // overflow list is left unsorted — it is scanned in full, and parking
-  // there (> ~4.9 h out) is rare.
-  if (bucket == kOverflowBucket) {
-    n.prev = kNil;
-    n.next = *head;
-    if (*head != kNil) node(*head).prev = slot;
-    *head = slot;
-  } else {
-    std::uint32_t prev = kNil;
-    std::uint32_t cur = *head;
-    while (cur != kNil && precedes(node(cur).t, node(cur).seq, n.t, n.seq)) {
-      prev = cur;
-      cur = node(cur).next;
-    }
-    n.prev = prev;
-    n.next = cur;
-    if (prev != kNil) {
-      node(prev).next = slot;
-    } else {
-      *head = slot;
-    }
-    if (cur != kNil) node(cur).prev = slot;
-  }
-  ++wheel_count_;
-  if (wheel_min_ != kNil) {
-    const EventNode& m = node(wheel_min_);
-    if (precedes(n.t, n.seq, m.t, m.seq)) wheel_min_ = slot;
-  } else if (wheel_count_ == 1) {
-    wheel_min_ = slot;
-  }
-}
-
-void Engine::bucket_unlink(std::uint32_t slot) {
-  EventNode& n = node(slot);
-  std::uint32_t* head = nullptr;
-  WheelLevel* lvl = nullptr;
-  if (n.bucket == kOverflowBucket) {
-    head = &overflow_head_;
-  } else {
-    lvl = &wheel_[n.bucket >> kWheelSlotBits];
-    head = &lvl->head[n.bucket & (kWheelSlots - 1)];
-  }
-  if (n.prev != kNil) {
-    node(n.prev).next = n.next;
-  } else {
-    *head = n.next;
-  }
-  if (n.next != kNil) node(n.next).prev = n.prev;
-  if (lvl != nullptr && *head == kNil) {
-    lvl->occupied &= ~(std::uint64_t{1} << (n.bucket & (kWheelSlots - 1)));
-  }
-  n.next = kNil;
-  n.prev = kNil;
-  --wheel_count_;
-  if (wheel_min_ == slot) wheel_min_ = kNil;  // cache dirty; recompute lazily
-}
-
-std::uint32_t Engine::wheel_min() {
-  if (wheel_count_ == 0) return kNil;
-  if (wheel_min_ != kNil) return wheel_min_;
-  std::uint32_t best = kNil;
-  const auto consider = [&](std::uint32_t s) {
-    if (best == kNil ||
-        precedes(node(s).t, node(s).seq, node(best).t, node(best).seq)) {
-      best = s;
-    }
-  };
-  for (int level = 0; level < kWheelLevels; ++level) {
-    const WheelLevel& lvl = wheel_[level];
-    if (lvl.occupied == 0) continue;
-    const int shift = kWheelShift + level * kWheelSlotBits;
-    const int cur = static_cast<int>((now_ >> shift) & (kWheelSlots - 1));
-    // Every parked timer lies 0..63 slot-units ahead of now at its level, so
-    // the first occupied bucket cyclically at/after `cur` holds this level's
-    // minimum — and buckets are kept sorted, so its head is that minimum.
-    const std::uint64_t rotated = std::rotr(lvl.occupied, cur);
-    const int s = (cur + std::countr_zero(rotated)) & (kWheelSlots - 1);
-    consider(lvl.head[s]);
-  }
-  for (std::uint32_t it = overflow_head_; it != kNil; it = node(it).next) consider(it);
-  wheel_min_ = best;
-  return best;
-}
-
 // ---- dispatch -------------------------------------------------------------
 
-void Engine::dispatch_oneshot(HeapEntry e) {
-  EventNode& n = node(e.slot);
+void Engine::dispatch(std::uint32_t slot) {
+  EventNode& n = node(slot);
   assert(n.t >= now_);
   now_ = n.t;
-  // The id is retired before the callback runs, so cancelling the event's
-  // own id from inside the callback reports false (already fired).  The
-  // callback itself is invoked in place — node addresses are stable even if
-  // it schedules more events — and the slot joins the free list after.
-  n.flags = 0;
-  ++n.gen;
-  if (n.gen == 0) n.gen = 1;
-  --live_events_;
+  // A one-shot id is retired before the callback runs, so cancelling the
+  // event's own id from inside the callback reports false (already fired).
+  // A periodic id stays armed across fires; kFiring tells cancel() that the
+  // dispatcher owns the slot until the callback returns.  The callback is
+  // invoked in place — node addresses are stable even if it schedules more
+  // events — and the slot joins the free list after.
+  if (n.period == 0) {
+    n.flags = 0;
+    --live_events_;
+  } else {
+    n.flags = static_cast<std::uint8_t>(n.flags | kFiring);
+  }
   ++processed_;
   const std::uint64_t parent_before = dispatch_parent_;
   dispatch_parent_ = n.seq;
@@ -339,55 +244,32 @@ void Engine::dispatch_oneshot(HeapEntry e) {
     n.cb();
   } catch (...) {
     dispatch_parent_ = parent_before;
-    n.cb.reset();
-    n.next = free_head_;
-    free_head_ = e.slot;
+    if ((n.flags & kArmed) != 0) --live_events_;  // the recurrence stops here
+    release_slot(slot);
     throw;
   }
   dispatch_parent_ = parent_before;
-  if (det_.event_digest != nullptr) note_dispatch(n, draws_before);
-  n.cb.reset();
-  n.next = free_head_;
-  free_head_ = e.slot;
-}
-
-void Engine::dispatch_wheel(std::uint32_t slot) {
-  EventNode& n = node(slot);
-  assert(n.t >= now_);
-  now_ = n.t;
-  bucket_unlink(slot);
-  n.flags = static_cast<std::uint8_t>(n.flags | kFiring);
-  ++processed_;
-  const std::uint64_t parent_before = dispatch_parent_;
-  dispatch_parent_ = n.seq;
-  std::uint64_t draws_before = 0;
-  if (det_.per_event) draws_before = RngTelemetry::draws;
-  // In-place invoke: the chunked slab never relocates the node, even if the
-  // callback schedules events, so the callable is never moved between fires.
-  try {
-    n.cb();
-  } catch (...) {
-    dispatch_parent_ = parent_before;
-    if ((n.flags & kArmed) != 0) --live_events_;  // not cancelled from inside
-    release_slot(slot);
-    throw;  // the recurrence stops, as if the reschedule never ran
-  }
-  dispatch_parent_ = parent_before;
-  // Digest/provenance note *before* the re-arm overwrites seq: the record
+  // Digest/provenance note *before* a re-arm overwrites seq: the record
   // must describe the occurrence that just fired.
   if (det_.event_digest != nullptr) note_dispatch(n, draws_before);
-  if ((n.flags & kArmed) == 0) {
-    release_slot(slot);  // cancelled from inside the callback
+  if ((n.flags & kArmed) == 0) {  // a one-shot, or cancelled from inside
+    release_slot(slot);
     return;
   }
   // Re-arm in place.  The next occurrence draws its sequence number *after*
   // the callback returned — exactly when a self-rescheduling callback's
   // trailing schedule_in() would have drawn it, so the global (time, seq)
-  // order is bit-identical to the legacy pattern.
-  n.flags = static_cast<std::uint8_t>(n.flags & ~kFiring);
+  // order is bit-identical to that pattern.  The fired entry is still on
+  // top of timers_ unless a nested run popped it.
+  n.flags = kArmed;
   n.seq = next_seq();
   n.t += n.period;
-  bucket_insert(slot);
+  const HeapEntry next{n.t, n.seq, slot, n.gen};
+  if (!timers_.empty() && timers_.front().slot == slot && timers_.front().gen == n.gen) {
+    heap_replace_top(timers_, next);
+  } else {
+    heap_push(timers_, next);
+  }
 }
 
 // The cold half of note_dispatch (see engine.hpp for the inlined digest
@@ -411,52 +293,55 @@ void Engine::note_dispatch_slow(const EventNode& n, std::uint64_t draws_before) 
   }
 }
 
-bool Engine::step() {
+bool Engine::step(SimTime limit) {
   prune_runs();
-  prune_heap();
+  prune_heap(heap_);
+  prune_heap(timers_);
   // Pick the global (t, seq) minimum across all containers.
-  const HeapEntry* best = heap_.empty() ? nullptr : &heap_.front();
+  const HeapEntry* best = nullptr;
+  const std::vector<HeapEntry>* from_heap = nullptr;
+  for (const std::vector<HeapEntry>* heap : {&heap_, &timers_}) {
+    if (!heap->empty() && (best == nullptr || precedes(heap->front(), *best))) {
+      best = &heap->front();
+      from_heap = heap;
+    }
+  }
   RunLane* from_lane = nullptr;
   for (RunLane& lane : runs_) {
     if (lane.head < lane.entries.size()) {
       const HeapEntry& r = lane.entries[lane.head];
-      if (best == nullptr || precedes(r.t, r.seq, best->t, best->seq)) {
+      if (best == nullptr || precedes(r, *best)) {
         best = &r;
         from_lane = &lane;
       }
     }
   }
-  const std::uint32_t w = wheel_min();
-  if (w != kNil) {
-    const EventNode& wn = node(w);
-    if (best == nullptr || precedes(wn.t, wn.seq, best->t, best->seq)) {
-      dispatch_wheel(w);
-      return true;
-    }
-  }
-  if (best == nullptr) return false;
-  const HeapEntry e = *best;  // copy before the pop invalidates the pointer
+  if (best == nullptr || best->t > limit) return false;
+  const std::uint32_t slot = best->slot;  // read before the pop moves entries
+  // A timer's entry stays on top of timers_ while it fires: nothing the
+  // callback schedules can precede it, so dispatch re-arms it in place.
   if (from_lane != nullptr) {
     ++from_lane->head;
-  } else {
-    heap_pop();
+  } else if (from_heap == &heap_) {
+    heap_pop(heap_);
   }
-  dispatch_oneshot(e);
+  dispatch(slot);
   return true;
 }
 
 std::optional<SimTime> Engine::next_event_time() {
   prune_runs();
-  prune_heap();
+  prune_heap(heap_);
+  prune_heap(timers_);
   std::optional<SimTime> t;
-  if (!heap_.empty()) t = heap_.front().t;
+  for (const std::vector<HeapEntry>* heap : {&heap_, &timers_}) {
+    if (!heap->empty() && (!t || heap->front().t < *t)) t = heap->front().t;
+  }
   for (const RunLane& lane : runs_) {
     if (lane.head < lane.entries.size() && (!t || lane.entries[lane.head].t < *t)) {
       t = lane.entries[lane.head].t;
     }
   }
-  const std::uint32_t w = wheel_min();
-  if (w != kNil && (!t || node(w).t < *t)) t = node(w).t;
   return t;
 }
 
@@ -492,8 +377,7 @@ std::size_t Engine::run_until(SimTime t) {
   std::size_t n = 0;
   throw_pending();
   stop_requested_ = false;
-  for (auto next = next_event_time(); next && *next <= t; next = next_event_time()) {
-    if (!step()) break;
+  while (step(t)) {
     ++n;
     // Exceptions (from the callback or a rethrown orphan) propagate before
     // the final clock advance below: now_ stays at the last dispatched

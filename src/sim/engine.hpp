@@ -15,8 +15,8 @@
 // One-shot ordering uses four sorted append-only run lanes (best-fit by
 // horizon, capturing near-monotone streams) with a 4-ary min-heap of 24-byte
 // (time, seq, slot) entries as the stray fallback; strictly periodic
-// events (schedule_every) bypass all of that: they park in a hierarchical
-// timer wheel and re-arm in place after every fire.
+// events (schedule_every) keep their own instance of that heap and re-arm
+// their node in place after every fire.
 #pragma once
 
 #include <array>
@@ -73,7 +73,7 @@ class Engine {
   /// fresh sequence number when the previous one completes, so a periodic
   /// event interleaves with one-shot events exactly as if the callback
   /// rescheduled itself with schedule_in as its last statement — but the
-  /// steady state never touches the heap or the binary event heap.
+  /// steady state allocates nothing: the node and its callback are reused.
   EventId schedule_every(SimDuration first_delay, SimDuration period, Callback cb,
                          const char* site = "");
   EventId schedule_every(SimDuration period, Callback cb, const char* site = "") {
@@ -109,8 +109,8 @@ class Engine {
   std::size_t events_processed() const { return processed_; }
 
   /// Time of the earliest live event, or no value when the engine is idle.
-  /// Used by run_until and by ShardedEngine to derive the next conservative
-  /// window end; also handy for drivers that interleave engines manually.
+  /// Used by ShardedEngine to derive the next conservative window end; also
+  /// handy for drivers that interleave engines manually.
   std::optional<SimTime> next_event_time();
 
   /// Records an exception that escaped a detached coroutine.  The next call
@@ -173,50 +173,25 @@ class Engine {
   struct EventNode {
     SimTime t = 0;
     std::uint64_t seq = 0;
-    SimDuration period = 0;       // > 0: periodic, parked in the wheel
+    SimDuration period = 0;       // > 0: periodic, queued on timers_
     std::uint64_t parent = 0;     // seq of the scheduling event (provenance)
     const char* site = "";        // scheduling-site label (static storage)
     std::uint32_t gen = 0;        // matches EventId.gen while armed
-    std::uint32_t next = kNil;    // free list / wheel bucket chain
-    std::uint32_t prev = kNil;    // wheel bucket back link (O(1) unlink)
-    std::uint16_t bucket = 0;     // wheel bucket index (level*kWheelSlots+slot)
+    std::uint32_t next = kNil;    // free list link
     std::uint8_t flags = 0;
     Callback cb;
   };
 
-  // Heap entry for one-shot events.  Dead entries (generation mismatch
-  // after a cancel) are skipped lazily at pop.  The heap is 4-ary: half the
-  // depth of a binary heap, and all four children of a node share one or
-  // two cache lines, which roughly halves the sift-down cost that dominates
+  // Heap entry for both heaps.  Dead entries (generation mismatch after a
+  // cancel) are skipped lazily at pop.  The heaps are 4-ary: half the depth
+  // of a binary heap, and all four children of a node share one or two
+  // cache lines, which roughly halves the sift-down cost that dominates
   // event dispatch.
   struct HeapEntry {
     SimTime t;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
-  };
-
-  // ---- hierarchical timer wheel (periodic events) ----
-  //
-  // kWheelLevels levels of kWheelSlots slots; level l buckets time by
-  // 2^(kWheelShift + l*kWheelSlotBits) ns (level 0 ≈ 1 ms).  A timer is
-  // parked in the lowest level whose slot distance from now fits, so its
-  // bucket index never wraps ambiguously; timers beyond the top horizon
-  // (~4.9 h) go to an overflow bucket.  There is no cascading: dispatch
-  // needs only the wheel *minimum*, which is recomputed lazily from the
-  // per-level occupancy bitmaps plus a scan of one short bucket per level
-  // (exact, because bucket lists store full (t, seq) keys).
-  static constexpr int kWheelLevels = 4;
-  static constexpr int kWheelSlotBits = 6;
-  static constexpr int kWheelSlots = 1 << kWheelSlotBits;  // 64
-  static constexpr int kWheelShift = 20;                   // level-0 slot ≈ 1.05 ms
-  static constexpr std::uint16_t kOverflowBucket =
-      static_cast<std::uint16_t>(kWheelLevels * kWheelSlots);
-
-  struct WheelLevel {
-    std::uint64_t occupied = 0;  // bit per slot with a non-empty bucket
-    std::array<std::uint32_t, kWheelSlots> head;
-    WheelLevel() { head.fill(kNil); }
   };
 
   // Nodes live in fixed-size chunks: addresses never move (so callbacks run
@@ -231,18 +206,17 @@ class Engine {
 
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t slot);
-  void bucket_insert(std::uint32_t slot);
-  void bucket_unlink(std::uint32_t slot);
-  std::uint32_t wheel_min();  // kNil if no periodic events are parked
-  void prune_heap();          // pops cancelled entries off the heap top
-  void prune_runs();          // skips cancelled entries at the lane fronts
-  void heap_push(const HeapEntry& e);
-  void heap_pop();
+  bool live(const HeapEntry& e);  // false once the entry's event is dead
+  void prune_heap(std::vector<HeapEntry>& heap);  // pops dead entries off the top
+  void prune_runs();  // skips dead entries at the lane fronts
+  static void heap_push(std::vector<HeapEntry>& heap, const HeapEntry& e);
+  static void heap_pop(std::vector<HeapEntry>& heap);
+  static void heap_replace_top(std::vector<HeapEntry>& heap, const HeapEntry& e);
 
   void throw_pending();
-  bool step();  // runs one event; returns false if no live events remain
-  void dispatch_oneshot(HeapEntry e);
-  void dispatch_wheel(std::uint32_t slot);
+  // Runs the earliest live event if it is due by `limit`; false if none is.
+  bool step(SimTime limit = std::numeric_limits<SimTime>::max());
+  void dispatch(std::uint32_t slot);
   void note_dispatch(const EventNode& n, std::uint64_t draws_before);
   void note_dispatch_slow(const EventNode& n, std::uint64_t draws_before);
 
@@ -274,24 +248,22 @@ class Engine {
   // distribution into a continuum.  An empty lane is seeded only when no
   // lane fits; each lane stays sorted because an appended event's seq is
   // the global maximum at insert time.  Strays that fit no lane fall back
-  // to the 4-ary min-heap.  Dispatch always takes the global (t, seq)
-  // minimum of the lane fronts, heap top, and wheel min, so lane placement
-  // never affects event order.
+  // to the 4-ary min-heap.  Periodic events sit in a second heap of the
+  // same kind, timers_, so thousands of far-ahead re-arms (one daemon tick
+  // per node) neither hold a run lane nor deepen the stray heap (DESIGN.md
+  // §3.10).  Dispatch always takes the global (t, seq) minimum of the lane
+  // fronts and both heap tops, so placement never affects event order.
   struct RunLane {
     std::vector<HeapEntry> entries;  // monotone (t, seq)-ascending
     std::size_t head = 0;            // first unconsumed entry
   };
   std::array<RunLane, 4> runs_;
-  std::vector<HeapEntry> heap_;  // 4-ary min-heap ordered by (t, seq)
+  std::vector<HeapEntry> heap_;    // one-shot strays: 4-ary min-heap by (t, seq)
+  std::vector<HeapEntry> timers_;  // periodic events: the same kind of heap
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
   std::uint32_t slab_size_ = 0;  // slots handed out so far (free or armed)
   std::uint32_t free_head_ = kNil;
   std::size_t live_events_ = 0;
-
-  std::array<WheelLevel, kWheelLevels> wheel_;
-  std::uint32_t overflow_head_ = kNil;
-  std::size_t wheel_count_ = 0;
-  std::uint32_t wheel_min_ = kNil;  // cached; kNil + wheel_count_>0 = dirty
 
   struct FrameSlot {
     std::coroutine_handle<> h;

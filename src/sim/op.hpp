@@ -1,4 +1,4 @@
-// Op<T>: a lazy, awaitable coroutine for composable simulation operations.
+// Op<>: a lazy, awaitable coroutine for composable simulation operations.
 //
 // Unlike Process (eagerly spawned, detachable, joined through shared state),
 // an Op starts only when awaited and resumes its awaiter on completion via
@@ -11,12 +11,15 @@
 //
 // Engine propagation: the child's promise learns the engine from its parent
 // at await time, so sim::delay() and friends work at any nesting depth.
+//
+// An Op returns no value: a result goes back through state the caller
+// passes in or the coroutine captures.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <exception>
-#include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -24,52 +27,42 @@
 
 namespace pcd::sim {
 
-template <typename T>
-class [[nodiscard]] Op;
-
-namespace detail {
-
-struct OpPromiseBase {
-  Engine* engine_ptr = nullptr;
-  std::coroutine_handle<> continuation;
-  std::exception_ptr exception;
-
-  // Op frames are a hot allocation in a collective-heavy run (every
-  // collective and every collective stage is one); recycle them through
-  // the thread-local pool.  Inherited by both Op<T> promise types.
-  static void* operator new(std::size_t bytes) { return pool_alloc(bytes); }
-  static void operator delete(void* p, std::size_t bytes) noexcept {
-    pool_free(p, bytes);
-  }
-
-  Engine* engine() const { return engine_ptr; }
-
-  std::suspend_always initial_suspend() noexcept { return {}; }
-
-  struct FinalAwaiter {
-    bool await_ready() noexcept { return false; }
-    template <typename Promise>
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<Promise> h) noexcept {
-      auto cont = h.promise().continuation;
-      return cont ? cont : std::noop_coroutine();
-    }
-    void await_resume() noexcept {}
-  };
-  FinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() { exception = std::current_exception(); }
-};
-
-}  // namespace detail
-
 template <typename T = void>
 class [[nodiscard]] Op {
+  static_assert(std::is_void_v<T>, "Op<> returns no value");
+
  public:
-  struct promise_type : detail::OpPromiseBase {
-    std::optional<T> value;
+  struct promise_type {
+    Engine* engine_ptr = nullptr;
+    std::coroutine_handle<> continuation;
+    std::exception_ptr exception;
+
+    // Op frames are a hot allocation in a collective-heavy run (every
+    // collective and every collective stage is one); recycle them through
+    // the thread-local pool.
+    static void* operator new(std::size_t bytes) { return pool_alloc(bytes); }
+    static void operator delete(void* p, std::size_t bytes) noexcept {
+      pool_free(p, bytes);
+    }
+
+    Engine* engine() const { return engine_ptr; }
+
     Op get_return_object() {
       return Op(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T v) { value = std::move(v); }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+
+    struct FinalAwaiter {
+      bool await_ready() noexcept { return false; }
+      std::coroutine_handle<> await_suspend(std::coroutine_handle<promise_type> h) noexcept {
+        auto cont = h.promise().continuation;
+        return cont ? cont : std::noop_coroutine();
+      }
+      void await_resume() noexcept {}
+    };
+    FinalAwaiter final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { exception = std::current_exception(); }
   };
 
   Op(Op&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
@@ -93,57 +86,12 @@ class [[nodiscard]] Op {
       assert(h.promise().engine_ptr != nullptr);
       return h;  // symmetric transfer: start the child now
     }
-    T await_resume() {
-      if (h.promise().exception) std::rethrow_exception(h.promise().exception);
-      return std::move(*h.promise().value);
-    }
-  };
-
-  auto operator co_await() & = delete;  // awaiting must consume the Op
-  auto operator co_await() && { return Awaiter{h_}; }
-
- private:
-  explicit Op(std::coroutine_handle<promise_type> h) : h_(h) {}
-  std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-class [[nodiscard]] Op<void> {
- public:
-  struct promise_type : detail::OpPromiseBase {
-    Op get_return_object() {
-      return Op(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() {}
-  };
-
-  Op(Op&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-  Op(const Op&) = delete;
-  Op& operator=(const Op&) = delete;
-  Op& operator=(Op&&) = delete;
-  ~Op() {
-    if (h_) h_.destroy();
-  }
-
-  bool done() const noexcept { return h_ && h_.done(); }
-
-  struct Awaiter {
-    std::coroutine_handle<promise_type> h;
-    bool await_ready() const noexcept { return false; }
-    template <typename ParentPromise>
-    std::coroutine_handle<> await_suspend(
-        std::coroutine_handle<ParentPromise> parent) noexcept {
-      h.promise().continuation = parent;
-      h.promise().engine_ptr = parent.promise().engine();
-      assert(h.promise().engine_ptr != nullptr);
-      return h;
-    }
     void await_resume() {
       if (h.promise().exception) std::rethrow_exception(h.promise().exception);
     }
   };
 
-  auto operator co_await() & = delete;
+  auto operator co_await() & = delete;  // awaiting must consume the Op
   auto operator co_await() && { return Awaiter{h_}; }
 
  private:

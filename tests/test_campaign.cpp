@@ -135,6 +135,44 @@ TEST(Validate, ZeroDaemonIntervalIsStructuredErrorForBothPolicies) {
   }
 }
 
+TEST(Validate, DegenerateTimerPeriodsAreStructuredErrors) {
+  // Periods that are not finite, round to under 1 ns, or overflow the
+  // engine's int64 nanoseconds: one issue per field, raised before the
+  // cluster is built (not the engine's bare schedule_every error).
+  const double bad[] = {0.0, -1.0, 1e-12, 4e-10, std::nan(""), INFINITY, -INFINITY, 1e300};
+  for (const double period : bad) {
+    core::CpuspeedParams cpuspeed = core::CpuspeedParams::v1_2_1();
+    cpuspeed.interval_s = period;
+    core::RunConfig cfg;
+    cfg.daemon = cpuspeed;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.sampler.period_s = period;
+    const auto issues = cfg.validate();
+    ASSERT_EQ(issues.size(), 2u) << period;
+    EXPECT_EQ(issues[0].field, "daemon.interval_s");
+    EXPECT_EQ(issues[1].field, "telemetry.sampler.period_s");
+    EXPECT_NE(issues[0].message.find("at least 1 ns"), std::string::npos);
+    try {
+      core::run_workload(apps::make_ep(kTinyScale), cfg);
+      ADD_FAILURE() << "period " << period << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid RunConfig"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The smallest period the engine can run is accepted; a sampler that
+  // never runs is not checked.
+  core::CpuspeedParams cpuspeed = core::CpuspeedParams::v1_2_1();
+  cpuspeed.interval_s = 1e-9;
+  core::RunConfig cfg;
+  cfg.daemon = cpuspeed;
+  cfg.telemetry.sampler.period_s = 0;
+  EXPECT_TRUE(cfg.validate().empty()) << core::describe(cfg.validate());
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.sample = false;
+  EXPECT_TRUE(cfg.validate().empty()) << core::describe(cfg.validate());
+}
+
 TEST(Validate, NegativeSliceAndFrequencyAreCaught) {
   core::RunConfig cfg;
   cfg.slice_s = -0.5;

@@ -1,4 +1,5 @@
-// Tests for the lazy Op<T> coroutine type used by the MPI layer.
+// Tests for the lazy Op<> coroutine type used by the MPI layer.  An Op
+// returns no value, so results come back through an out-parameter.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -13,11 +14,14 @@ namespace sim = pcd::sim;
 
 namespace {
 
-sim::Op<int> answer() { co_return 42; }
+sim::Op<> answer(int* out) {
+  *out = 42;
+  co_return;
+}
 
-sim::Op<int> delayed_value(int v, sim::SimDuration dt) {
+sim::Op<> delayed_value(int v, sim::SimDuration dt, int* out) {
   co_await sim::delay(dt);
-  co_return v;
+  *out = v;
 }
 
 sim::Op<> throws_inside() {
@@ -25,12 +29,14 @@ sim::Op<> throws_inside() {
   throw std::runtime_error("op failed");
 }
 
-sim::Op<int> sums(int n) {
+sim::Op<> sums(int n, int* out) {
   int total = 0;
   for (int i = 1; i <= n; ++i) {
-    total += co_await delayed_value(i, 10);  // nested Op
+    int v = 0;
+    co_await delayed_value(i, 10, &v);  // nested Op
+    total += v;
   }
-  co_return total;
+  *out = total;
 }
 
 }  // namespace
@@ -38,7 +44,7 @@ sim::Op<int> sums(int n) {
 TEST(Op, ReturnsValueToAwaiter) {
   sim::Engine e;
   int got = 0;
-  auto proc = [&]() -> sim::Process { got = co_await answer(); };
+  auto proc = [&]() -> sim::Process { co_await answer(&got); };
   sim::spawn(e, proc());
   e.run();
   EXPECT_EQ(got, 42);
@@ -62,7 +68,7 @@ TEST(Op, LazyUntilAwaited) {
 TEST(Op, SuspendsAcrossSimTime) {
   sim::Engine e;
   int got = 0;
-  auto proc = [&]() -> sim::Process { got = co_await delayed_value(7, sim::kSecond); };
+  auto proc = [&]() -> sim::Process { co_await delayed_value(7, sim::kSecond, &got); };
   sim::spawn(e, proc());
   e.run();
   EXPECT_EQ(got, 7);
@@ -72,7 +78,7 @@ TEST(Op, SuspendsAcrossSimTime) {
 TEST(Op, NestedOpsPropagateEngine) {
   sim::Engine e;
   int got = 0;
-  auto proc = [&]() -> sim::Process { got = co_await sums(4); };
+  auto proc = [&]() -> sim::Process { co_await sums(4, &got); };
   sim::spawn(e, proc());
   e.run();
   EXPECT_EQ(got, 10);
@@ -105,8 +111,11 @@ TEST(Op, SequentialAwaitsShareTimeline) {
   sim::Engine e;
   std::vector<int> order;
   auto proc = [&]() -> sim::Process {
-    order.push_back(co_await delayed_value(1, 100));
-    order.push_back(co_await delayed_value(2, 100));
+    int v = 0;
+    co_await delayed_value(1, 100, &v);
+    order.push_back(v);
+    co_await delayed_value(2, 100, &v);
+    order.push_back(v);
   };
   sim::spawn(e, proc());
   e.run();
@@ -115,9 +124,9 @@ TEST(Op, SequentialAwaitsShareTimeline) {
 }
 
 TEST(Op, MoveOnlySemantics) {
-  static_assert(!std::is_copy_constructible_v<sim::Op<int>>);
-  static_assert(std::is_move_constructible_v<sim::Op<int>>);
-  static_assert(!std::is_copy_assignable_v<sim::Op<int>>);
+  static_assert(!std::is_copy_constructible_v<sim::Op<>>);
+  static_assert(std::is_move_constructible_v<sim::Op<>>);
+  static_assert(!std::is_copy_assignable_v<sim::Op<>>);
 }
 
 TEST(Op, VoidSpecialization) {

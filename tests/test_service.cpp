@@ -126,6 +126,37 @@ TEST(Json, StrictModeRejectsMalformedDocuments) {
   }
 }
 
+TEST(Json, NestingPastTheLimitIsAStructuredError) {
+  // 100,000 levels would overflow the stack of a recursive parser; the cap
+  // stops at the first bracket past kJsonMaxDepth.
+  const std::size_t deep = 100000;
+  std::string arrays(deep, '[');
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"k\":";
+  for (const std::string* text : {&arrays, &objects}) {
+    service::JsonError err;
+    EXPECT_FALSE(service::json_parse(*text, &err).has_value());
+    EXPECT_NE(err.message.find("nesting too deep"), std::string::npos) << err.message;
+    EXPECT_EQ(err.pos, service::kJsonMaxDepth * (text == &arrays ? 1 : 5));
+  }
+  // Exactly at the limit parses, writes back identically and is destroyed
+  // without trouble.
+  const std::size_t max = service::kJsonMaxDepth;
+  const std::string at_limit = std::string(max, '[') + std::string(max, ']');
+  auto v = service::json_parse(at_limit);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->write(), at_limit);
+  std::string obj_at_limit;
+  for (std::size_t i = 0; i < max; ++i) obj_at_limit += "{\"k\":";
+  obj_at_limit += "1" + std::string(max, '}');
+  auto o = service::json_parse(obj_at_limit);
+  ASSERT_TRUE(o.has_value());
+  EXPECT_EQ(o->write(), obj_at_limit);
+  service::JsonError err;
+  EXPECT_FALSE(service::json_parse("[" + at_limit + "]", &err).has_value());
+  EXPECT_NE(err.message.find("nesting too deep"), std::string::npos);
+}
+
 TEST(Json, HexDoublesRoundTripExactly) {
   const double values[] = {0.1, 1.0 / 3.0, -0.0, 1e300, 5e-324, 3.14159,
                            123456789.123456789, -2.5e-10};
@@ -758,6 +789,66 @@ TEST(SocketServer, ServesPingStatsSubmitAndShutdownOverTheSocket) {
   server.stop();
   svc.drain();
   EXPECT_FALSE(std::filesystem::exists(sock));
+}
+
+TEST(SocketServer, OverLongLineGetsAStructuredErrorAndTheConnectionCloses) {
+  const std::string sock = testing::TempDir() + "pcd_test_long_" +
+                           std::to_string(::getpid()) + ".sock";
+  service::ServiceOptions opts;
+  opts.workers = 1;
+  service::CampaignService svc(opts);
+  service::SocketServer server(svc, sock);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  // A padded ping that spans many 4 KB reads but stays under the limit is
+  // still served.
+  const std::string pad(200 * 1024, 'x');
+  auto padded = service::json_parse(
+      round_trip_line(sock, "{\"op\":\"ping\",\"pad\":\"" + pad + "\"}"));
+  ASSERT_TRUE(padded.has_value());
+  EXPECT_TRUE(padded->bool_or("ok", false));
+
+  // One byte past the limit, with a ping queued behind it on the same
+  // connection: the server answers the long line with an error envelope and
+  // hangs up without reading further.
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(sock.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const std::string out = std::string(service::SocketServer::kMaxLineBytes + 1, 'y') +
+                          "\n{\"op\":\"ping\"}\n";
+  for (std::size_t off = 0; off < out.size();) {
+    const ssize_t n = ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server may hang up before the tail is sent
+    off += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) break;  // closed by the server
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply.back(), '\n');
+  reply.pop_back();
+  EXPECT_EQ(reply.find('\n'), std::string::npos) << "the queued ping was answered";
+  auto refused = service::json_parse(reply);
+  ASSERT_TRUE(refused.has_value()) << reply;
+  EXPECT_EQ(refused->str_or("status", "?"), "error");
+  EXPECT_NE(refused->str_or("reason", "").find("longer than"), std::string::npos);
+
+  // The server itself is unharmed.
+  auto ping = service::json_parse(round_trip_line(sock, "{\"op\":\"ping\"}"));
+  ASSERT_TRUE(ping.has_value());
+  EXPECT_TRUE(ping->bool_or("ok", false));
+  server.stop();
+  svc.drain();
 }
 
 TEST(SocketServer, ResponseJsonCarriesTheRejectionEnvelope) {

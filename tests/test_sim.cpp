@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -408,6 +409,26 @@ TEST(Engine, PeriodicCallbackExceptionStopsRecurrence) {
   EXPECT_EQ(e.run(), 0u);
 }
 
+TEST(Engine, NestedRunInsidePeriodicCallbackDoesNotRefireIt) {
+  sim::Engine e;
+  std::vector<std::string> order;
+  bool nested = false;
+  auto id = e.schedule_every(10, [&] {
+    order.push_back("P" + std::to_string(e.now()));
+    if (!nested) {
+      nested = true;
+      e.run_until(15);  // runs the t=12 one-shot, not this timer again
+      order.push_back("back" + std::to_string(e.now()));
+    }
+  });
+  e.schedule_at(12, [&] { order.push_back("A12"); });
+  e.run_until(30);
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"P10", "A12", "back15", "P20", "P30"}));
+  EXPECT_TRUE(e.cancel(id));
+  EXPECT_TRUE(e.empty());
+}
+
 TEST(Engine, ScheduleEverySpansWheelLevelsAndOverflow) {
   // Periods exercising different wheel levels: ~1 ms (level 0/1), 1 s
   // (level 1/2), 5 min (level 3), and 6 h (beyond the wheel horizon, parked
@@ -470,6 +491,146 @@ TEST(Engine, EventIdStaysSafeAcrossGenerationWrap) {
   EXPECT_FALSE(e.cancel(id1));
   EXPECT_TRUE(e.cancel(id2));
   e.run();
+}
+
+// --- pinned periodic/one-shot dispatch order -------------------------------
+//
+// Absolute dispatch streams recorded on the engine before periodic timers
+// moved from a hierarchical wheel onto their own heap: the count and a hash
+// of every dispatched (t, seq, site) must not move when the timer container
+// changes.  Re-pin only on an intended change of event order.
+
+namespace {
+
+class DispatchHash final : public sim::EventObserver {
+ public:
+  explicit DispatchHash(sim::Engine& e) : engine_(e) {
+    sim::Engine::DeterminismHooks hooks;
+    hooks.event_digest = &digest_;
+    hooks.observer = this;
+    hooks.per_event = true;
+    engine_.set_determinism(hooks);
+  }
+  ~DispatchHash() override { engine_.clear_determinism(); }
+
+  void on_event(const sim::EventProvenance& p) override {
+    hash_.fold((static_cast<std::uint64_t>(p.t) * 0x9e3779b97f4a7c15ULL) ^
+               (p.seq * 0xff51afd7ed558ccdULL) ^ sim::digest_cstr(p.site));
+  }
+  void on_checkpoint(std::uint64_t) override {}
+
+  std::uint64_t count() const { return hash_.count; }
+  std::uint64_t hash() const { return hash_.hash; }
+
+ private:
+  sim::Engine& engine_;
+  sim::DigestStream digest_;
+  sim::DigestStream hash_;
+};
+
+}  // namespace
+
+TEST(EnginePinned, MixedPeriodsOneShotsCancelsAndAThrow) {
+  sim::Engine e;
+  DispatchHash h(e);
+  const sim::SimDuration kMs = sim::from_millis(1.0);
+  const sim::SimDuration kS = sim::from_seconds(1.0);
+  int ms_fires = 0, quarter_fires = 0, boom_fires = 0;
+  // 1 ms, 1 s, 5 min and 6 h (past the old wheel's ~4.9 h horizon).
+  sim::EventId ms_id = e.schedule_every(kMs, [&] {
+    // Every 500th fire drops a one-shot on the same instant and one on the
+    // instant of the next fire, so ties with the re-arm are exercised.
+    if (++ms_fires % 500 == 0) {
+      e.schedule_in(0, [] {}, "o.same");
+      e.schedule_in(kMs, [] {}, "o.next");
+    }
+  }, "p.ms");
+  sim::EventId s_id = e.schedule_every(kS, [&] {
+    e.schedule_in(kS, [] {}, "o.on_s");  // lands beside the next 1 s fire
+  }, "p.s");
+  e.schedule_every(300 * kS, [&] { e.schedule_in(0, [] {}, "o.min5"); }, "p.min5");
+  e.schedule_every(kS / 2, 6 * 3600 * kS, [] {}, "p.h6");
+  // Same-instant one-shots scheduled before and after the timers' fires.
+  for (int i = 1; i <= 4; ++i) {
+    e.schedule_at(i * kS, [] {}, "o.tie");
+    e.schedule_at(i * kS + kMs, [] {}, "o.tie_ms");
+  }
+  // Cancelled from inside its own callback at its 5th fire.
+  sim::EventId quarter_id;
+  quarter_id = e.schedule_every(kS / 4, [&] {
+    if (++quarter_fires == 5) {
+      EXPECT_TRUE(e.cancel(quarter_id));
+    }
+  }, "p.quarter");
+  // Cancels a sibling timer from inside its callback, then itself.
+  sim::EventId victim_id = e.schedule_every(3 * kMs, [] {}, "p.victim");
+  sim::EventId killer_id;
+  killer_id = e.schedule_every(10 * kMs, 40 * kMs, [&] {
+    if (e.cancel(victim_id)) return;
+    EXPECT_TRUE(e.cancel(killer_id));
+  }, "p.killer");
+  // A timer whose 2nd fire throws: the recurrence stops there.
+  e.schedule_every(7 * kS, [&] {
+    if (++boom_fires == 2) throw std::runtime_error("boom");
+  }, "p.boom");
+
+  e.run_until(sim::from_seconds(3.5));
+  // Cancelled between fires, then a fresh timer takes the freed slot.
+  EXPECT_TRUE(e.cancel(ms_id));
+  EXPECT_FALSE(e.cancel(ms_id));
+  const sim::EventId reuse_id = e.schedule_every(kMs / 2, 2 * kMs, [] {}, "p.reuse");
+  e.run_until(sim::from_seconds(5.0));
+  EXPECT_TRUE(e.cancel(s_id));
+  EXPECT_THROW(e.run_until(sim::from_seconds(20.0)), std::runtime_error);
+  EXPECT_EQ(e.now(), 14 * kS);
+  EXPECT_EQ(boom_fires, 2);
+  e.run_until(sim::from_seconds(20.0));
+  EXPECT_TRUE(e.cancel(reuse_id));
+  e.schedule_every(kS, [] {}, "p.late");
+  e.run_until(sim::from_seconds(30.0));
+  e.run_until(sim::from_seconds(13.0 * 3600));
+
+  EXPECT_EQ(ms_fires, 3500);
+  EXPECT_EQ(quarter_fires, 5);
+  EXPECT_EQ(h.count(), 58888u);
+  EXPECT_EQ(h.hash(), 0x8565be9ff57e7cbdULL);
+}
+
+TEST(EnginePinned, ManyTimersWithChurn) {
+  // 64 timers at pseudo-random microsecond periods in a 1-10 ms band, while
+  // a one-shot stream cancels a random timer every 1.7 ms and arms a
+  // replacement at a new period whose callback sometimes spawns a
+  // same-instant one-shot.
+  sim::Engine e;
+  DispatchHash h(e);
+  const sim::SimDuration kUs = sim::from_micros(1.0);
+  static const char* const kSites[4] = {"t.a", "t.b", "t.c", "t.d"};
+  std::vector<sim::EventId> ids;
+  sim::Rng rng(7);
+  const auto period = [&] {
+    return static_cast<sim::SimDuration>(1000 + rng.next_u64() % 9000) * kUs;
+  };
+  for (int i = 0; i < 64; ++i) {
+    const sim::SimDuration p = period();
+    ids.push_back(e.schedule_every(p / 3, p, [] {}, kSites[i % 4]));
+  }
+  int churns = 0;
+  std::function<void()> churn = [&] {
+    const std::size_t k = rng.next_u64() % ids.size();
+    EXPECT_TRUE(e.cancel(ids[k]));
+    const sim::SimDuration p = period();
+    ids[k] = e.schedule_every(p, [&] {
+      if (rng.next_u64() % 16 == 0) e.schedule_in(0, [] {}, "o.spawn");
+    }, kSites[k % 4]);
+    if (++churns < 2000) e.schedule_in(1700 * kUs, [&] { churn(); }, "o.churn");
+  };
+  e.schedule_in(1700 * kUs, [&] { churn(); }, "o.churn");
+  e.run_until(sim::from_seconds(4.0));
+  for (const sim::EventId id : ids) EXPECT_TRUE(e.cancel(id));
+  EXPECT_TRUE(e.empty());
+  EXPECT_EQ(churns, 2000);
+  EXPECT_EQ(h.count(), 69471u);
+  EXPECT_EQ(h.hash(), 0xcef71efe0febd8a9ULL);
 }
 
 // --- InlineFunction --------------------------------------------------------
