@@ -33,6 +33,25 @@ static void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1024)->Arg(65536);
 
+static void BM_EngineScheduleBoxed(benchmark::State& state) {
+  // BM_EngineScheduleRun with a 32-byte capture, over the 16-byte limit an
+  // event node stores in place: every event boxes its callable on the heap
+  // once, and the box is freed when the event fires.
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine e;
+    std::int64_t count = 0;
+    for (int i = 0; i < n; ++i) {
+      const std::int64_t a = i, b = 2, c = 1;
+      e.schedule_at(i, [&count, a, b, c] { count += a + b - c; });
+    }
+    e.run();
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EngineScheduleBoxed)->Arg(1024)->Arg(65536);
+
 static void BM_EngineScheduleRunDigest(benchmark::State& state) {
   // Same hot loop with the determinism digest collecting: one rolling-hash
   // fold per dispatch (the cheap tier).  CI gates the overhead vs

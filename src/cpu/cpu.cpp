@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace pcd::cpu {
@@ -25,8 +26,12 @@ Cpu::Cpu(sim::Engine& engine, OperatingPointTable table, CpuConfig config, sim::
       table_(std::move(table)),
       config_(config),
       rng_(rng),
-      op_index_(table_.size() - 1),  // boot at full speed, like the paper's baseline
       last_touch_(engine.now()) {
+  if (table_.size() == 0 || table_.size() >= kNoTarget) {
+    throw std::invalid_argument("operating point table needs 1 to 65534 points");
+  }
+  // Boot at full speed, like the paper's baseline.
+  op_index_ = static_cast<OpIndex>(table_.size() - 1);
   stats_.op_residency_ns.assign(table_.size(), 0);
 }
 
@@ -116,7 +121,7 @@ void Cpu::set_frequency_mhz(int freq_mhz) {
     return;
   }
   if (transitioning_ || ckpt_stall_) {
-    pending_target_ = idx;  // coalesce to the latest request
+    pending_target_ = static_cast<OpIndex>(idx);  // coalesce to the latest request
     return;
   }
   if (idx == op_index_) return;  // writing the current speed costs nothing
@@ -126,7 +131,7 @@ void Cpu::set_frequency_mhz(int freq_mhz) {
 void Cpu::begin_transition(std::size_t target) {
   transitioning_ = true;
   transition_from_ = op_index_;
-  transition_to_ = target;
+  transition_to_ = static_cast<OpIndex>(target);
   pause_segment();
   set_state(CpuState::Transition);
   const auto span = static_cast<std::uint64_t>(config_.transition_max - config_.transition_min);
@@ -140,7 +145,7 @@ void Cpu::begin_transition(std::size_t target) {
 void Cpu::end_transition() {
   notify();            // observers integrate the stall at the old (higher) voltage
   touch_accounting();  // charge the stall to the old operating point
-  transition_event_.reset();
+  transition_event_ = {};
   op_index_ = transition_to_;
   ++stats_.transitions;
   transitioning_ = false;
@@ -149,9 +154,9 @@ void Cpu::end_transition() {
                                    table_.at(transition_from_).freq_mhz,
                                    table_.at(transition_to_).freq_mhz});
   }
-  if (pending_target_.has_value()) {
-    const std::size_t next = *pending_target_;
-    pending_target_.reset();
+  if (pending_target_ != kNoTarget) {
+    const std::size_t next = pending_target_;
+    pending_target_ = kNoTarget;
     if (next != op_index_) {
       begin_transition(next);
       return;
@@ -187,11 +192,11 @@ void Cpu::power_off() {
   if (transitioning_) {
     // The mode transition dies with the power: cancel its completion and
     // stay at the pre-transition operating point for the reboot.
-    if (transition_event_.has_value()) engine_.cancel(*transition_event_);
-    transition_event_.reset();
+    engine_.cancel(transition_event_);
+    transition_event_ = {};
     transitioning_ = false;
   }
-  pending_target_.reset();
+  pending_target_ = kNoTarget;
   ckpt_stall_ = false;
   // Order matters for energy: set_state() notifies observers, which must
   // integrate the elapsed interval at the pre-crash power level — the node
@@ -207,7 +212,7 @@ void Cpu::power_on() {
   notify();
   touch_accounting();
   offline_ = false;
-  op_index_ = table_.size() - 1;
+  op_index_ = static_cast<OpIndex>(table_.size() - 1);
   if (active_.has_value()) {
     start_segment();  // resume (re-price) the work interrupted by the crash
   } else {
@@ -227,9 +232,9 @@ void Cpu::checkpoint_stall_end() {
   if (!ckpt_stall_ || offline_) return;
   ckpt_stall_ = false;
   if (transitioning_) return;  // end_transition() resumes execution
-  if (pending_target_.has_value()) {
-    const std::size_t next = *pending_target_;
-    pending_target_.reset();
+  if (pending_target_ != kNoTarget) {
+    const std::size_t next = pending_target_;
+    pending_target_ = kNoTarget;
     if (next != op_index_) {
       begin_transition(next);
       return;

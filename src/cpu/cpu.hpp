@@ -34,7 +34,7 @@
 
 namespace pcd::cpu {
 
-enum class CpuState {
+enum class CpuState : std::uint8_t {
   Idle,
   OnChip,
   MemStall,
@@ -234,8 +234,9 @@ class Cpu {
 
   /// Registered observer, invoked immediately *before* every state or
   /// operating-point change so it can integrate the elapsed interval at the
-  /// old power level (the node power model subscribes here).
-  void set_change_listener(sim::InlineFunction<void()> cb) { listener_ = std::move(cb); }
+  /// old power level (the node power model subscribes here).  An empty
+  /// Continuation detaches it.
+  void set_change_listener(sim::Continuation cb) { listener_ = cb; }
 
   /// Attaches the telemetry hub: every *completed* transition is reported
   /// with the exact instant the new operating point became active.  Null
@@ -246,17 +247,21 @@ class Cpu {
   }
 
  private:
+  // Operating-point indices are 16-bit; kNoTarget marks "no pending target".
+  using OpIndex = std::uint16_t;
+  static constexpr OpIndex kNoTarget = 0xffff;
+
   struct ActiveWork {
-    CpuState kind = CpuState::Idle;
     double remaining_cycles = 0;
     sim::SimDuration remaining_ns = 0;
     double act_override = -1;
-    bool timed = false;
     sim::Continuation then;  // runs when the work completes
     sim::SimTime segment_start = 0;
-    int segment_freq_mhz = 0;
     double segment_eff = 1.0;
     sim::EventId finish_event{};
+    int segment_freq_mhz = 0;
+    CpuState kind = CpuState::Idle;
+    bool timed = false;
     bool segment_running = false;
   };
 
@@ -272,36 +277,37 @@ class Cpu {
   void set_state(CpuState s);
   void touch_accounting();
   double busy_weight(CpuState s) const;
-  void notify() { if (listener_) listener_(); }
+  void notify() { if (listener_.fn != nullptr) listener_(); }
 
   sim::Engine& engine_;
   OperatingPointTable table_;
   CpuConfig config_;
   sim::Rng rng_;
 
-  CpuState state_ = CpuState::Idle;
-  std::size_t op_index_;
-  bool transitioning_ = false;
-  std::size_t transition_from_ = 0;
-  std::size_t transition_to_ = 0;
-  std::optional<sim::EventId> transition_event_;
-  std::optional<std::size_t> pending_target_;
-  bool offline_ = false;
-  bool ckpt_stall_ = false;
-  bool dvs_stuck_ = false;
-  double efficiency_ = 1.0;
   std::optional<ActiveWork> active_;
   sim::Fifo<ActiveWork> work_queue_;  // FIFO backlog (e.g. isend protocol work)
-  int wait_depth_ = 0;
+  sim::EventId transition_event_{};   // invalid unless a transition is pending
+  double efficiency_ = 1.0;
 
   // accounting
   sim::SimTime last_touch_ = 0;
   double busy_weighted_accum_ns_ = 0;
   double retired_cycles_accum_ = 0;
   CpuStats stats_;
-  sim::InlineFunction<void()> listener_;
+  sim::Continuation listener_;
   telemetry::Hub* telemetry_ = nullptr;
   int telemetry_node_ = -1;
+  int wait_depth_ = 0;
+
+  OpIndex op_index_;
+  OpIndex transition_from_ = 0;
+  OpIndex transition_to_ = 0;
+  OpIndex pending_target_ = kNoTarget;  // latest request made mid-transition
+  CpuState state_ = CpuState::Idle;
+  bool transitioning_ = false;
+  bool offline_ = false;
+  bool ckpt_stall_ = false;
+  bool dvs_stuck_ = false;
 };
 
 }  // namespace pcd::cpu

@@ -1,8 +1,6 @@
 // A power-aware cluster node: CPU with DVS + node power model + ACPI battery.
 #pragma once
 
-#include <memory>
-
 #include <limits>
 #include <string>
 #include <utility>
@@ -33,9 +31,9 @@ class Node {
       : id_(id),
         cpu_(engine, config.operating_points, config.cpu, rng.split()),
         power_(engine, cpu_, config.power, arena, lane),
-        battery_(engine, power_, config.battery, rng.split()),
-        requested_mhz_(cpu_.frequency_mhz()) {
-    battery_.set_depleted([this] { handle_battery_depleted(); });
+        battery_(engine, power_, config.battery, rng.split()) {
+    requested_mhz_ = cpu_.frequency_mhz();
+    battery_.set_depleted({&Node::on_battery_depleted, this});
   }
 
   Node(const Node&) = delete;
@@ -86,6 +84,9 @@ class Node {
   }
 
  private:
+  static void on_battery_depleted(void* self) {
+    static_cast<Node*>(self)->handle_battery_depleted();
+  }
   void handle_battery_depleted() {
     if (cpu_.offline()) return;
     cpu_.power_off();
@@ -97,11 +98,11 @@ class Node {
   }
 
   int id_;
+  int requested_mhz_ = 0;
   telemetry::Hub* telemetry_ = nullptr;
   cpu::Cpu cpu_;
   power::NodePowerModel power_;
   power::AcpiBattery battery_;
-  int requested_mhz_;
 };
 
 }  // namespace pcd::machine

@@ -19,6 +19,8 @@ struct CpuPowerParams {
   /// Leakage at the top operating point's voltage (scales with V²).
   double leakage_watts_vmax = 1.8;
 
+  friend bool operator==(const CpuPowerParams&, const CpuPowerParams&) = default;
+
   /// Busy power at the top operating point (activity 1.0).
   double busy_watts_max() const {
     return dynamic_watts_max + clock_watts_max + leakage_watts_vmax;

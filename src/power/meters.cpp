@@ -95,7 +95,7 @@ void AcpiBattery::refresh_tick() {
   if (refreshes_ != nullptr) refreshes_->inc();
   if (!on_ac_ && !depleted_at_.has_value() && true_remaining_mwh() <= 0.0) {
     depleted_at_ = engine_.now();
-    if (on_depleted_) on_depleted_();
+    if (on_depleted_.fn != nullptr) on_depleted_();
   }
 }
 

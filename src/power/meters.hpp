@@ -11,6 +11,7 @@
 // error of the paper's methodology is part of the model.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -31,7 +32,7 @@ struct AcpiBatteryParams {
 
 /// Failure mode of the ACPI sensor path (the /proc/acpi reader), injectable
 /// by the fault layer.  The battery itself keeps draining either way.
-enum class SensorFault {
+enum class SensorFault : std::uint8_t {
   None,     // healthy: refreshes report the quantized true value
   Stale,    // driver wedged: refreshes keep returning the last value
   Garbage,  // flaky SMBus: refreshes report random capacities
@@ -72,7 +73,7 @@ class AcpiBattery {
   void fail_capacity(double remaining_fraction);
   /// Invoked once when a refresh tick finds the pack empty while on DC
   /// (the node browns out); re-armed by recharge_full().
-  void set_depleted(sim::InlineFunction<void()> cb) { on_depleted_ = std::move(cb); }
+  void set_depleted(sim::Continuation cb) { on_depleted_ = cb; }
   std::optional<sim::SimTime> depleted_at() const { return depleted_at_; }
 
   const AcpiBatteryParams& params() const { return params_; }
@@ -93,19 +94,19 @@ class AcpiBattery {
   sim::SimDuration refresh_period_;
   sim::SimDuration initial_phase_;
 
-  bool on_ac_ = true;
   double drained_joules_at_disconnect_ = 0;  // node energy when DC began
   double drained_mwh_before_ = 0;            // accumulated over past DC stints
   double level_mwh_;                         // capacity level (set by recharge)
   double reported_mwh_;
 
-  bool polling_ = false;
   sim::EventId next_tick_;  // persistent periodic timer; invalid when stopped
   telemetry::Counter* refreshes_ = nullptr;
-
-  SensorFault sensor_fault_ = SensorFault::None;
-  sim::InlineFunction<void()> on_depleted_;
+  sim::Continuation on_depleted_;
   std::optional<sim::SimTime> depleted_at_;
+
+  bool on_ac_ = true;
+  bool polling_ = false;
+  SensorFault sensor_fault_ = SensorFault::None;
 };
 
 struct BaytechParams {

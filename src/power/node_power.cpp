@@ -4,37 +4,10 @@
 
 namespace pcd::power {
 
-NodePowerParams NodePowerParams::nemo() {
-  NodePowerParams p;
-  p.cpu = CpuPowerParams::pentium_m();
-  p.base_watts = 7.7;
-  p.mem_idle_watts = 1.2;
-  p.mem_active_watts = 2.2;
-  p.disk_watts = 0.5;
-  p.nic_idle_watts = 0.6;
-  p.nic_active_watts = 1.2;
-  return p;
-}
-
-NodePowerParams NodePowerParams::pentium_iii_server() {
-  NodePowerParams p;
-  p.cpu = CpuPowerParams::pentium_iii();
-  p.base_watts = 26.0;  // server board, PSU loss, fans
-  p.mem_idle_watts = 4.0;
-  p.mem_active_watts = 5.0;
-  p.disk_watts = 6.0;
-  p.nic_idle_watts = 1.0;
-  p.nic_active_watts = 1.5;
-  return p;
-}
-
 NodePowerModel::NodePowerModel(sim::Engine& engine, cpu::Cpu& cpu,
                                NodePowerParams params, NodeStateArena* arena,
                                int lane)
-    : engine_(engine),
-      cpu_(cpu),
-      params_(params),
-      cpu_model_(params.cpu, cpu.table().highest()) {
+    : engine_(engine), cpu_(cpu) {
   if (arena == nullptr) {
     owned_ = std::make_unique<NodeStateArena>(1);
     arena = owned_.get();
@@ -42,17 +15,20 @@ NodePowerModel::NodePowerModel(sim::Engine& engine, cpu::Cpu& cpu,
   }
   arena_ = arena;
   lane_ = lane;
-  arena_->bind(lane_, this, engine.now());
-  cpu_.set_change_listener([this] {
-    accrue();  // integrate the closing interval at the old draw...
-    arena_->dirty_[static_cast<std::size_t>(lane_)] = 1;  // ...then mark stale
-    note_step();
-  });
+  arena_->bind(lane_, this, engine.now(), params, cpu.table().highest());
+  cpu_.set_change_listener({&NodePowerModel::on_cpu_change, this});
 }
 
 NodePowerModel::~NodePowerModel() {
   cpu_.set_change_listener({});
   arena_->unbind(lane_);
+}
+
+void NodePowerModel::on_cpu_change(void* self) {
+  const auto* m = static_cast<const NodePowerModel*>(self);
+  m->accrue();  // integrate the closing interval at the old draw...
+  m->arena_->dirty_[static_cast<std::size_t>(m->lane_)] = 1;  // ...then mark stale
+  m->note_step();
 }
 
 void NodePowerModel::set_digest(sim::DigestStream* digest, int node_id) {
@@ -78,12 +54,12 @@ void NodePowerModel::refresh_watts() const {
   if (cpu_.offline()) {
     w[0] = w[1] = w[2] = w[3] = w[4] = 0.0;  // node dark: every component at 0 W
   } else {
-    w[0] = cpu_model_.watts(cpu_.power_op(), cpu_.activity());
-    w[1] = params_.mem_idle_watts + params_.mem_active_watts * cpu_.mem_activity();
-    w[2] = params_.disk_watts;
-    w[3] = params_.nic_idle_watts +
-           (arena_->nic_flows_[i] > 0 ? params_.nic_active_watts : 0.0);
-    w[4] = params_.base_watts;
+    const NodePowerParams& p = *arena_->params_;
+    w[0] = arena_->cpu_model_->watts(cpu_.power_op(), cpu_.activity());
+    w[1] = p.mem_idle_watts + p.mem_active_watts * cpu_.mem_activity();
+    w[2] = p.disk_watts;
+    w[3] = p.nic_idle_watts + (arena_->nic_flows_[i] > 0 ? p.nic_active_watts : 0.0);
+    w[4] = p.base_watts;
   }
   arena_->dirty_[i] = 0;
 }

@@ -7,13 +7,13 @@
 //
 // Since the SoA refactor the integrator state itself (last-accrue tick,
 // cached draw, cumulative joules, NIC flows) lives in a NodeStateArena
-// lane; NodePowerModel is a thin view over that lane.  The cluster passes
-// its shared arena in; the standalone constructor (used by tests and
-// single-node setups) owns a private one-lane arena, so the public API and
-// the integration arithmetic are identical either way.
+// lane, and the arena also holds the one NodePowerParams / CpuPowerModel
+// all of its lanes share; NodePowerModel is a thin view over its lane.  The
+// cluster passes its shared arena in; the standalone constructor (used by
+// tests and single-node setups) owns a private one-lane arena, so the
+// public API and the integration arithmetic are identical either way.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "cpu/cpu.hpp"
@@ -22,21 +22,6 @@
 #include "sim/engine.hpp"
 
 namespace pcd::power {
-
-struct NodePowerParams {
-  CpuPowerParams cpu;
-  double base_watts = 9.0;        // mainboard, bridges, PSU loss, panel off
-  double mem_idle_watts = 1.2;    // DRAM refresh + standby
-  double mem_active_watts = 2.2;  // extra at full DRAM activity
-  double disk_watts = 0.8;        // spun down most of the time (no disk I/O modeled)
-  double nic_idle_watts = 0.6;
-  double nic_active_watts = 1.2;  // extra while a transfer touches this node
-
-  /// NEMO node: Dell Inspiron 8600 laptop, Pentium M 1.4 GHz.
-  static NodePowerParams nemo();
-  /// Pentium III server node used for the Figure 1 measurement.
-  static NodePowerParams pentium_iii_server();
-};
 
 /// Instantaneous per-component wattage.
 struct PowerBreakdown {
@@ -85,7 +70,8 @@ class NodePowerModel {
   void set_nic_flows(int flows);
   int nic_flows() const { return arena_->nic_flows(lane_); }
 
-  const NodePowerParams& params() const { return params_; }
+  /// The parameters shared by every lane of the backing arena.
+  const NodePowerParams& params() const { return arena_->params(); }
 
   /// The backing arena and this view's lane in it.
   NodeStateArena& arena() { return *arena_; }
@@ -112,15 +98,14 @@ class NodePowerModel {
   /// breakdown(), so cached values match a fresh compute bit for bit.
   void refresh_watts() const;
   double lane_total() const;
+  static void on_cpu_change(void* self);
 
   sim::Engine& engine_;
   cpu::Cpu& cpu_;
-  NodePowerParams params_;
-  CpuPowerModel cpu_model_;
+  NodeStateArena* arena_ = nullptr;
   std::unique_ptr<NodeStateArena> owned_;  // standalone ctor only
-  NodeStateArena* arena_;
-  int lane_;
   sim::DigestStream* digest_ = nullptr;
+  int lane_ = 0;
   int node_id_ = -1;
 };
 

@@ -6,6 +6,30 @@
 
 namespace pcd::power {
 
+NodePowerParams NodePowerParams::nemo() {
+  NodePowerParams p;
+  p.cpu = CpuPowerParams::pentium_m();
+  p.base_watts = 7.7;
+  p.mem_idle_watts = 1.2;
+  p.mem_active_watts = 2.2;
+  p.disk_watts = 0.5;
+  p.nic_idle_watts = 0.6;
+  p.nic_active_watts = 1.2;
+  return p;
+}
+
+NodePowerParams NodePowerParams::pentium_iii_server() {
+  NodePowerParams p;
+  p.cpu = CpuPowerParams::pentium_iii();
+  p.base_watts = 26.0;  // server board, PSU loss, fans
+  p.mem_idle_watts = 4.0;
+  p.mem_active_watts = 5.0;
+  p.disk_watts = 6.0;
+  p.nic_idle_watts = 1.0;
+  p.nic_active_watts = 1.5;
+  return p;
+}
+
 NodeStateArena::NodeStateArena(int nodes) {
   if (nodes <= 0) throw std::invalid_argument("arena needs at least one lane");
   const auto n = static_cast<std::size_t>(nodes);
@@ -17,10 +41,17 @@ NodeStateArena::NodeStateArena(int nodes) {
   views_.assign(n, nullptr);
 }
 
-void NodeStateArena::bind(int lane, NodePowerModel* view, sim::SimTime now) {
+void NodeStateArena::bind(int lane, NodePowerModel* view, sim::SimTime now,
+                          const NodePowerParams& params, const cpu::OperatingPoint& top) {
   const auto i = static_cast<std::size_t>(lane);
   if (i >= views_.size()) throw std::out_of_range("arena lane out of range");
   if (views_[i] != nullptr) throw std::logic_error("arena lane already bound");
+  if (!cpu_model_.has_value()) {
+    params_ = params;
+    cpu_model_.emplace(params.cpu, top);
+  } else if (!(*params_ == params) || !(cpu_model_->top() == top)) {
+    throw std::invalid_argument("every lane of an arena shares one power configuration");
+  }
   views_[i] = view;
   last_[i] = now;
   dirty_[i] = 1;

@@ -2,7 +2,8 @@
 //
 // Every node's integrator state — last-accrue tick, cached per-component
 // draw, cumulative per-component joules, NIC flow count — lives in
-// contiguous lanes owned at the cluster layer.  power::NodePowerModel is a
+// contiguous lanes owned at the cluster layer, beside the one power
+// parameter block and CPU power model all the lanes share.  power::NodePowerModel is a
 // thin view over its lane: the public API and the exact piecewise-constant
 // integration semantics are unchanged, but cluster-wide operations walk N
 // dense lanes instead of N scattered heap objects.
@@ -23,13 +24,34 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "cpu/operating_point.hpp"
+#include "power/cpu_power.hpp"
 #include "sim/time.hpp"
 
 namespace pcd::power {
 
 class NodePowerModel;
+
+struct NodePowerParams {
+  CpuPowerParams cpu;
+  double base_watts = 9.0;        // mainboard, bridges, PSU loss, panel off
+  double mem_idle_watts = 1.2;    // DRAM refresh + standby
+  double mem_active_watts = 2.2;  // extra at full DRAM activity
+  double disk_watts = 0.8;        // spun down most of the time (no disk I/O modeled)
+  double nic_idle_watts = 0.6;
+  double nic_active_watts = 1.2;  // extra while a transfer touches this node
+
+  friend bool operator==(const NodePowerParams&, const NodePowerParams&) = default;
+
+  /// NEMO node: Dell Inspiron 8600 laptop, Pentium M 1.4 GHz.
+  static NodePowerParams nemo();
+  /// Pentium III server node used for the Figure 1 measurement.
+  static NodePowerParams pentium_iii_server();
+};
+
 
 class NodeStateArena {
  public:
@@ -43,6 +65,12 @@ class NodeStateArena {
   NodeStateArena& operator=(const NodeStateArena&) = delete;
 
   int size() const { return static_cast<int>(views_.size()); }
+
+  /// The power parameters and CPU power model every lane shares: a
+  /// cluster's nodes come from one NodeConfig, so one copy serves them all.
+  /// Fixed by the first bind; valid once a lane has been bound.
+  const NodePowerParams& params() const { return *params_; }
+  const CpuPowerModel& cpu_model() const { return *cpu_model_; }
 
   /// Batch kernel: integrates every bound lane's cached draw up to `now`
   /// in one pass (dirty lanes are refreshed from live CPU state first).
@@ -76,7 +104,10 @@ class NodeStateArena {
   friend class NodePowerModel;
 
   /// Registers a view over `lane` and resets the lane's integrator state.
-  void bind(int lane, NodePowerModel* view, sim::SimTime now);
+  /// The first bind fixes the shared parameters (the CPU model's top point
+  /// is `top`); a later bind with different ones throws.
+  void bind(int lane, NodePowerModel* view, sim::SimTime now, const NodePowerParams& params,
+            const cpu::OperatingPoint& top);
   void unbind(int lane);
 
   /// Per-lane accrual, shared by the view read path and accrue_all so the
@@ -95,6 +126,8 @@ class NodeStateArena {
   std::vector<std::uint8_t> dirty_;         // watts cache stale?
   std::vector<std::int32_t> nic_flows_;     // live transfers touching node
   std::vector<NodePowerModel*> views_;      // bound view per lane (may be null)
+  std::optional<NodePowerParams> params_;   // shared by every lane
+  std::optional<CpuPowerModel> cpu_model_;
 };
 
 }  // namespace pcd::power

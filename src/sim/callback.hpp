@@ -1,12 +1,18 @@
-// InlineFunction: a move-only callable with small-buffer storage, and
-// Continuation: a plain {function, argument} pair.
+// Continuation: a plain {function, argument} pair, and InlineFunction: a
+// move-only callable with small-buffer storage.
 //
-// The event engine schedules millions of tiny lambdas per run (a captured
-// `this`, a coroutine handle, a couple of ints).  std::function heap-allocates
-// most of them and always pays for copyability; InlineFunction stores any
-// callable up to kInlineCallableSize bytes directly in the object — no heap
-// in the scheduling hot path — and falls back to the heap only for oversized
-// captures.  Move-only callables are accepted (std::function rejects them).
+// Continuation is the simulator's 16-byte callback: what CPU work, network
+// transfers, event waiters, the CPU change listener and the battery
+// depletion hook run.  The event engine stores it (and any other trivially
+// copyable callable of up to 16 bytes) directly in its 64-byte event nodes,
+// so InlineFunction is no longer on the per-event path.
+//
+// InlineFunction stores any callable up to kInlineCallableSize bytes in the
+// object itself and falls back to the heap only for oversized captures;
+// move-only callables are accepted (std::function rejects them).  It serves
+// the few once-per-run hooks that capture more than a pointer: the
+// network's NIC-activity hook, the telemetry sampler's probe and prelude,
+// and cross-shard messages waiting in a ShardedEngine outbox.
 #pragma once
 
 #include <coroutine>
@@ -35,11 +41,10 @@ struct Continuation {
   }
 };
 
-/// Inline capacity of InlineFunction.  Sized so that every callback the
-/// simulator schedules today (≤ 4 pointer-sized captures plus a vtable of
-/// one pointer) fits without touching the heap; a std::function<void()>
-/// itself (32 bytes on the usual ABIs) also fits, so wrapping legacy
-/// callables stays allocation-free.
+/// Inline capacity of InlineFunction: up to four pointer-sized captures
+/// plus a vtable of one pointer fit without touching the heap; a
+/// std::function<void()> itself (32 bytes on the usual ABIs) also fits, so
+/// wrapping legacy callables stays allocation-free.
 inline constexpr std::size_t kInlineCallableSize = 48;
 
 template <typename Signature, std::size_t Capacity = kInlineCallableSize>

@@ -21,7 +21,18 @@ bool precedes(const auto& a, const auto& b) {
 
 }  // namespace
 
-Engine::~Engine() { destroy_suspended_frames(); }
+Engine::~Engine() {
+  destroy_suspended_frames();
+  // Free the boxes of events still pending; as in release_slot, the node
+  // is cleared before the callable's destructor runs.
+  for (std::uint32_t slot = 0; slot < slab_size_; ++slot) {
+    EventNode& n = node(slot);
+    if ((n.flags & kBoxed) == 0) continue;
+    BoxBase* const box = n.fn.box;
+    n.flags = 0;
+    delete box;
+  }
+}
 
 // ---- slab -----------------------------------------------------------------
 
@@ -41,12 +52,15 @@ std::uint32_t Engine::alloc_slot() {
 
 void Engine::release_slot(std::uint32_t slot) {
   EventNode& n = node(slot);
-  n.cb.reset();
+  BoxBase* const box = (n.flags & kBoxed) != 0 ? n.fn.box : nullptr;
   n.flags = 0;
   ++n.gen;
   if (n.gen == 0) n.gen = 1;  // gen 0 is reserved for invalid EventIds
   n.next = free_head_;
   free_head_ = slot;
+  // Last: the callable's destructor may call back into the engine, which
+  // must already see the slot free.
+  delete box;
 }
 
 // ---- 4-ary heaps (one-shot strays and periodic timers) -------------------
@@ -99,7 +113,7 @@ void Engine::heap_replace_top(std::vector<HeapEntry>& heap, const HeapEntry& e) 
 // waits for the re-arm, and a nested run must not dispatch it again).
 bool Engine::live(const HeapEntry& e) {
   const EventNode& n = node(e.slot);
-  return n.gen == e.gen && n.flags == kArmed;
+  return n.gen == e.gen && (n.flags & (kArmed | kFiring)) == kArmed;
 }
 
 void Engine::prune_heap(std::vector<HeapEntry>& heap) {
@@ -127,19 +141,15 @@ void Engine::prune_runs() {
 
 // ---- scheduling -----------------------------------------------------------
 
-EventId Engine::schedule_at(SimTime t, Callback cb, const char* site) {
+EventId Engine::arm_oneshot(std::uint32_t slot, SimTime t, const char* site) {
   assert(t >= now_ && "cannot schedule events in the simulated past");
   if (t < now_) t = now_;
   const std::uint64_t seq = next_seq();
-  const std::uint32_t slot = alloc_slot();
   EventNode& n = node(slot);
-  n.t = t;
-  n.seq = seq;
   n.period = 0;
   n.parent = dispatch_parent_;
   n.site = site;
-  n.flags = kArmed;
-  n.cb = std::move(cb);
+  n.flags = static_cast<std::uint8_t>(n.flags | kArmed);
   // A fresh event's seq is the global maximum, so comparing times alone
   // decides lane membership: the event appends to the fitting lane whose
   // tail it extends the least (best fit, so lanes specialize into horizon
@@ -173,28 +183,21 @@ EventId Engine::schedule_at(SimTime t, Callback cb, const char* site) {
   return EventId{slot, n.gen};
 }
 
-EventId Engine::schedule_in(SimDuration dt, Callback cb, const char* site) {
-  assert(dt >= 0 && "cannot schedule events in the simulated past");
-  if (dt < 0) dt = 0;
-  return schedule_at(now_ + dt, std::move(cb), site);
+void Engine::check_period(SimDuration period) {
+  if (period <= 0) throw std::invalid_argument("schedule_every: period must be positive");
 }
 
-EventId Engine::schedule_every(SimDuration first_delay, SimDuration period, Callback cb,
-                               const char* site) {
+EventId Engine::arm_periodic(std::uint32_t slot, SimDuration first_delay, SimDuration period,
+                             const char* site) {
   assert(first_delay >= 0 && "cannot schedule events in the simulated past");
   if (first_delay < 0) first_delay = 0;
-  if (period <= 0) throw std::invalid_argument("schedule_every: period must be positive");
   const std::uint64_t seq = next_seq();
-  const std::uint32_t slot = alloc_slot();
   EventNode& n = node(slot);
-  n.t = now_ + first_delay;
-  n.seq = seq;
   n.period = period;
   n.parent = dispatch_parent_;
   n.site = site;
-  n.flags = kArmed;
-  n.cb = std::move(cb);
-  heap_push(timers_, HeapEntry{n.t, seq, slot, n.gen});
+  n.flags = static_cast<std::uint8_t>(n.flags | kArmed);
+  heap_push(timers_, HeapEntry{now_ + first_delay, seq, slot, n.gen});
   ++live_events_;
   return EventId{slot, n.gen};
 }
@@ -219,10 +222,10 @@ bool Engine::cancel(EventId id) {
 
 // ---- dispatch -------------------------------------------------------------
 
-void Engine::dispatch(std::uint32_t slot) {
-  EventNode& n = node(slot);
-  assert(n.t >= now_);
-  now_ = n.t;
+void Engine::dispatch(HeapEntry e) {
+  EventNode& n = node(e.slot);
+  assert(e.t >= now_);
+  now_ = e.t;
   // A one-shot id is retired before the callback runs, so cancelling the
   // event's own id from inside the callback reports false (already fired).
   // A periodic id stays armed across fires; kFiring tells cancel() that the
@@ -230,42 +233,41 @@ void Engine::dispatch(std::uint32_t slot) {
   // invoked in place — node addresses are stable even if it schedules more
   // events — and the slot joins the free list after.
   if (n.period == 0) {
-    n.flags = 0;
+    n.flags = static_cast<std::uint8_t>(n.flags & ~kArmed);
     --live_events_;
   } else {
     n.flags = static_cast<std::uint8_t>(n.flags | kFiring);
   }
   ++processed_;
   const std::uint64_t parent_before = dispatch_parent_;
-  dispatch_parent_ = n.seq;
+  dispatch_parent_ = e.seq;
   std::uint64_t draws_before = 0;
   if (det_.per_event) draws_before = RngTelemetry::draws;
   try {
-    n.cb();
+    n.call(n.fn);
   } catch (...) {
     dispatch_parent_ = parent_before;
     if ((n.flags & kArmed) != 0) --live_events_;  // the recurrence stops here
-    release_slot(slot);
+    release_slot(e.slot);
     throw;
   }
   dispatch_parent_ = parent_before;
-  // Digest/provenance note *before* a re-arm overwrites seq: the record
-  // must describe the occurrence that just fired.
-  if (det_.event_digest != nullptr) note_dispatch(n, draws_before);
+  // Digest/provenance note describes the occurrence that just fired.
+  if (det_.event_digest != nullptr) note_dispatch(e, n, draws_before);
   if ((n.flags & kArmed) == 0) {  // a one-shot, or cancelled from inside
-    release_slot(slot);
+    release_slot(e.slot);
     return;
   }
-  // Re-arm in place.  The next occurrence draws its sequence number *after*
-  // the callback returned — exactly when a self-rescheduling callback's
-  // trailing schedule_in() would have drawn it, so the global (time, seq)
-  // order is bit-identical to that pattern.  The fired entry is still on
+  // Re-arm in place, one period after now.  The next occurrence draws its
+  // sequence number and its time *after* the callback returned — exactly
+  // when a self-rescheduling callback's trailing schedule_in() would have
+  // drawn them, so the global (time, seq) order is bit-identical to that
+  // pattern, and a callback that ran a nested run_until past its next
+  // occurrence never re-arms into the past.  The fired entry is still on
   // top of timers_ unless a nested run popped it.
-  n.flags = kArmed;
-  n.seq = next_seq();
-  n.t += n.period;
-  const HeapEntry next{n.t, n.seq, slot, n.gen};
-  if (!timers_.empty() && timers_.front().slot == slot && timers_.front().gen == n.gen) {
+  n.flags = static_cast<std::uint8_t>(n.flags & ~kFiring);
+  const HeapEntry next{now_ + n.period, next_seq(), e.slot, n.gen};
+  if (!timers_.empty() && timers_.front().slot == e.slot && timers_.front().gen == n.gen) {
     heap_replace_top(timers_, next);
   } else {
     heap_push(timers_, next);
@@ -276,14 +278,15 @@ void Engine::dispatch(std::uint32_t slot) {
 // fold): per-event provenance records for the observer tier, plus the
 // periodic checkpoint callback.  Also reached on checkpoint boundaries of
 // digest-only runs with no observer, where both branches fall through.
-void Engine::note_dispatch_slow(const EventNode& n, std::uint64_t draws_before) {
+void Engine::note_dispatch_slow(const HeapEntry& e, const EventNode& n,
+                                std::uint64_t draws_before) {
   if (det_.per_event) {
     EventProvenance p;
     p.index = det_.event_digest->count;
-    p.seq = n.seq;
+    p.seq = e.seq;
     p.parent = n.parent;
     p.site = n.site;
-    p.t = n.t;
+    p.t = e.t;
     p.rng_draws = RngTelemetry::draws - draws_before;
     det_.observer->on_event(p);
   }
@@ -317,7 +320,7 @@ bool Engine::step(SimTime limit) {
     }
   }
   if (best == nullptr || best->t > limit) return false;
-  const std::uint32_t slot = best->slot;  // read before the pop moves entries
+  const HeapEntry e = *best;  // copied before the pop moves entries
   // A timer's entry stays on top of timers_ while it fires: nothing the
   // callback schedules can precede it, so dispatch re-arms it in place.
   if (from_lane != nullptr) {
@@ -325,7 +328,7 @@ bool Engine::step(SimTime limit) {
   } else if (from_heap == &heap_) {
     heap_pop(heap_);
   }
-  dispatch(slot);
+  dispatch(e);
   return true;
 }
 

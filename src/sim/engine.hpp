@@ -5,30 +5,39 @@
 // order.  All model code — CPU executors, the network, MPI processes, the
 // CPUSPEED daemon — advances exclusively through this engine.
 //
-// Internals (DESIGN.md §3.10): event state lives in a chunked slab of
-// pooled nodes addressed by generation-tagged EventIds — schedule and
-// cancel never touch a hash map, and the steady state is allocation-free
-// (callbacks are stored in an InlineFunction small buffer, cancelled slots
-// are recycled through a free list, dead heap entries are lazily skipped
-// at pop).  Node addresses are stable for the life of the engine, so a
-// callback is invoked in place — it is never moved out of its node.
-// One-shot ordering uses four sorted append-only run lanes (best-fit by
-// horizon, capturing near-monotone streams) with a 4-ary min-heap of 24-byte
-// (time, seq, slot) entries as the stray fallback; strictly periodic
-// events (schedule_every) keep their own instance of that heap and re-arm
-// their node in place after every fire.
+// Internals (DESIGN.md §3.1 "Event core internals"): event state lives in a
+// chunked slab of 64-byte pooled nodes, one cache line each, addressed by
+// generation-tagged EventIds — schedule and cancel never touch a hash map,
+// and the steady state is allocation-free.  A node stores its callable in
+// place when it is trivially copyable, trivially destructible and at most
+// 16 bytes (a Continuation, a captured `this`, a coroutine handle, a
+// pointer and an index): scheduling copies its bytes, dispatch calls one
+// function pointer, and release runs nothing.  Any other callable is boxed
+// once on the heap and the box is freed on fire, cancel, throw or
+// ~Engine.  Cancelled slots are recycled through a free list and dead queue
+// entries are lazily skipped at pop.  Node addresses are stable for the
+// life of the engine, so a callback is invoked in place — it is never moved
+// out of its node.  One-shot ordering uses four sorted append-only run
+// lanes (best-fit by horizon, capturing near-monotone streams) with a 4-ary
+// min-heap of 24-byte (time, seq, slot, gen) entries as the stray fallback;
+// strictly periodic events (schedule_every) keep their own instance of that
+// heap and re-arm their node in place after every fire.
 #pragma once
 
 #include <array>
+#include <cassert>
+#include <concepts>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "sim/callback.hpp"
 #include "sim/provenance.hpp"
 #include "sim/time.hpp"
 
@@ -51,34 +60,60 @@ struct EventId {
 /// destroys it at teardown, so external owners can drop references first.
 using FrameDetachFn = void (*)(std::coroutine_handle<>);
 
+/// Anything the engine can schedule: a callable taking no arguments.
+template <typename F>
+concept EventCallable = std::invocable<std::decay_t<F>&>;
+
 class Engine {
  public:
-  using Callback = InlineFunction<void()>;
-
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).  `site` is a
+  /// Schedules `f` at absolute time `t` (must be >= now()).  `site` is a
   /// scheduling-site label for determinism provenance; it must point at a
   /// string with static storage duration (the engine stores the pointer).
-  EventId schedule_at(SimTime t, Callback cb, const char* site = "");
-
-  /// Schedules `cb` at now() + dt (dt must be >= 0).
-  EventId schedule_in(SimDuration dt, Callback cb, const char* site = "");
-
-  /// Schedules `cb` to fire at now() + first_delay and then every `period`
-  /// after the previous fire, until cancelled.  Each occurrence draws a
-  /// fresh sequence number when the previous one completes, so a periodic
-  /// event interleaves with one-shot events exactly as if the callback
-  /// rescheduled itself with schedule_in as its last statement — but the
-  /// steady state allocates nothing: the node and its callback are reused.
-  EventId schedule_every(SimDuration first_delay, SimDuration period, Callback cb,
-                         const char* site = "");
-  EventId schedule_every(SimDuration period, Callback cb, const char* site = "") {
-    return schedule_every(period, period, std::move(cb), site);
+  /// A trivially copyable callable of at most kInlineBytes is stored in the
+  /// event node itself; anything else is moved into one heap box, freed
+  /// when the event fires or is cancelled.
+  template <EventCallable F>
+  EventId schedule_at(SimTime t, F&& f, const char* site = "") {
+    const std::uint32_t slot = alloc_slot();
+    store(slot, std::forward<F>(f));
+    return arm_oneshot(slot, t, site);
   }
+
+  /// Schedules `f` at now() + dt (dt must be >= 0).
+  template <EventCallable F>
+  EventId schedule_in(SimDuration dt, F&& f, const char* site = "") {
+    assert(dt >= 0 && "cannot schedule events in the simulated past");
+    if (dt < 0) dt = 0;
+    return schedule_at(now_ + dt, std::forward<F>(f), site);
+  }
+
+  /// Schedules `f` to fire at now() + first_delay and then `period` after
+  /// each fire completes, until cancelled.  Each occurrence draws a fresh
+  /// sequence number and its time (now() + period) when the previous one
+  /// completes, so a periodic event interleaves with one-shot events
+  /// exactly as if the callback rescheduled itself with schedule_in as its
+  /// last statement — but the steady state allocates nothing: the node and
+  /// its callable are reused.
+  template <EventCallable F>
+  EventId schedule_every(SimDuration first_delay, SimDuration period, F&& f,
+                         const char* site = "") {
+    check_period(period);
+    const std::uint32_t slot = alloc_slot();
+    store(slot, std::forward<F>(f));
+    return arm_periodic(slot, first_delay, period, site);
+  }
+  template <EventCallable F>
+  EventId schedule_every(SimDuration period, F&& f, const char* site = "") {
+    return schedule_every(period, period, std::forward<F>(f), site);
+  }
+
+  /// Largest callable stored in an event node without a heap box.
+  static constexpr std::size_t kInlineBytes = 16;
 
   /// Cancels a pending event.  Returns false for an invalid id, or if the
   /// event already ran or was already cancelled.  Cancelling a periodic
@@ -168,19 +203,54 @@ class Engine {
   enum NodeFlags : std::uint8_t {
     kArmed = 1,   // the EventId is live (cancellable)
     kFiring = 2,  // periodic event currently running its callback
+    kBoxed = 4,   // the callable lives in a heap box owned by the node
   };
 
-  struct EventNode {
-    SimTime t = 0;
-    std::uint64_t seq = 0;
+  // A boxed callable: the node owns it through the virtual destructor.
+  struct BoxBase {
+    virtual ~BoxBase() = default;
+  };
+  template <typename D>
+  struct Box final : BoxBase {
+    template <typename F>
+    explicit Box(F&& f) : fn(std::forward<F>(f)) {}
+    D fn;
+  };
+
+  // The node's callable: its bytes when it fits, else the owning box.
+  union Callable {
+    alignas(8) unsigned char bytes[kInlineBytes];
+    BoxBase* box;
+  };
+  using Thunk = void (*)(Callable&);
+
+  template <typename D>
+  static constexpr bool kStoredInline =
+      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(Callable) &&
+      std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>;
+
+  template <typename D>
+  static void call_inline(Callable& c) {
+    (*std::launder(reinterpret_cast<D*>(c.bytes)))();
+  }
+  template <typename D>
+  static void call_boxed(Callable& c) {
+    static_cast<Box<D>*>(c.box)->fn();
+  }
+
+  // One cache line.  The event's time and sequence number live only in its
+  // queue entry, which dispatch hands over.
+  struct alignas(64) EventNode {
+    Thunk call = nullptr;         // runs `fn`
+    Callable fn;
     SimDuration period = 0;       // > 0: periodic, queued on timers_
     std::uint64_t parent = 0;     // seq of the scheduling event (provenance)
     const char* site = "";        // scheduling-site label (static storage)
     std::uint32_t gen = 0;        // matches EventId.gen while armed
     std::uint32_t next = kNil;    // free list link
     std::uint8_t flags = 0;
-    Callback cb;
   };
+  static_assert(sizeof(EventNode) == 64, "an event node is one cache line");
 
   // Heap entry for both heaps.  Dead entries (generation mismatch after a
   // cancel) are skipped lazily at pop.  The heaps are 4-ary: half the depth
@@ -206,6 +276,32 @@ class Engine {
 
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t slot);
+
+  // Puts `f` into the node of a freshly allocated slot.  If boxing throws,
+  // the slot goes back to the free list and nothing is armed.
+  template <typename F>
+  void store(std::uint32_t slot, F&& f) {
+    using D = std::decay_t<F>;
+    EventNode& n = node(slot);
+    if constexpr (kStoredInline<D>) {
+      ::new (static_cast<void*>(n.fn.bytes)) D(std::forward<F>(f));
+      n.call = &call_inline<D>;
+      n.flags = 0;
+    } else {
+      try {
+        n.fn.box = new Box<D>(std::forward<F>(f));
+      } catch (...) {
+        release_slot(slot);
+        throw;
+      }
+      n.call = &call_boxed<D>;
+      n.flags = kBoxed;
+    }
+  }
+  EventId arm_oneshot(std::uint32_t slot, SimTime t, const char* site);
+  EventId arm_periodic(std::uint32_t slot, SimDuration first_delay, SimDuration period,
+                       const char* site);
+  static void check_period(SimDuration period);
   bool live(const HeapEntry& e);  // false once the entry's event is dead
   void prune_heap(std::vector<HeapEntry>& heap);  // pops dead entries off the top
   void prune_runs();  // skips dead entries at the lane fronts
@@ -216,9 +312,10 @@ class Engine {
   void throw_pending();
   // Runs the earliest live event if it is due by `limit`; false if none is.
   bool step(SimTime limit = std::numeric_limits<SimTime>::max());
-  void dispatch(std::uint32_t slot);
-  void note_dispatch(const EventNode& n, std::uint64_t draws_before);
-  void note_dispatch_slow(const EventNode& n, std::uint64_t draws_before);
+  void dispatch(HeapEntry e);
+  void note_dispatch(const HeapEntry& e, const EventNode& n, std::uint64_t draws_before);
+  void note_dispatch_slow(const HeapEntry& e, const EventNode& n,
+                          std::uint64_t draws_before);
 
   // Allocates the next sequence number, honoring the perturbation hook:
   // when next_seq_ hits perturb_seq_, seq N+1 is handed out before seq N.
@@ -302,20 +399,21 @@ class Engine {
 // only the running-hash chain is serial across events, which keeps the
 // digest-only tier inside the ≤3% overhead gate.  Observer work (per-event
 // records, checkpoints) is the out-of-line slow path.
-inline void Engine::note_dispatch(const EventNode& n, std::uint64_t draws_before) {
+inline void Engine::note_dispatch(const HeapEntry& e, const EventNode& n,
+                                  std::uint64_t draws_before) {
   std::uint64_t site_h = last_site_hash_;
   if (n.site != last_site_) {
     last_site_ = n.site;
     last_site_hash_ = site_h = digest_cstr(n.site);
   }
   const std::uint64_t w =
-      (static_cast<std::uint64_t>(n.t) * 0x9e3779b97f4a7c15ULL) ^
-      (n.seq * 0xff51afd7ed558ccdULL) ^ (n.parent * 0xc4ceb9fe1a85ec53ULL) ^
+      (static_cast<std::uint64_t>(e.t) * 0x9e3779b97f4a7c15ULL) ^
+      (e.seq * 0xff51afd7ed558ccdULL) ^ (n.parent * 0xc4ceb9fe1a85ec53ULL) ^
       site_h;
   det_.event_digest->fold(w);
   if (det_.per_event ||
       (det_.event_digest->count & det_.checkpoint_mask) == 0) [[unlikely]] {
-    note_dispatch_slow(n, draws_before);
+    note_dispatch_slow(e, n, draws_before);
   }
 }
 

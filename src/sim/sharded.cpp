@@ -37,7 +37,7 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
-void ShardedEngine::post(int from, int to, SimTime t, Engine::Callback cb,
+void ShardedEngine::post(int from, int to, SimTime t, Callback cb,
                          const char* site) {
   if (from < 0 || from >= shards() || to < 0 || to >= shards()) {
     throw std::out_of_range("ShardedEngine::post: shard index out of range");

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -54,6 +55,9 @@ struct ShardedEngineOptions {
 
 class ShardedEngine {
  public:
+  /// A cross-shard message's action, held in an outbox until the barrier.
+  using Callback = InlineFunction<void()>;
+
   static constexpr SimTime kNoLimit = std::numeric_limits<SimTime>::max();
 
   /// `lookahead` must be >= 1 ns (use Network::min_latency(); the Network
@@ -80,7 +84,7 @@ class ShardedEngine {
   /// message is a protocol bug that would silently break determinism.
   /// `site` must have static storage duration (provenance label, as for
   /// Engine::schedule_at).
-  void post(int from, int to, SimTime t, Engine::Callback cb,
+  void post(int from, int to, SimTime t, Callback cb,
             const char* site = "shard.post");
 
   struct RunStats {
@@ -107,7 +111,7 @@ class ShardedEngine {
     std::uint64_t order;  // per-source posting sequence (tie-break)
     int to;
     const char* site;
-    Engine::Callback cb;
+    Callback cb;
   };
   struct Outbox {
     std::vector<Pending> msgs;

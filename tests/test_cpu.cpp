@@ -81,6 +81,12 @@ TEST(OperatingPointTable, RejectsInvalidTables) {
   EXPECT_THROW(OperatingPointTable({{600, 1.2}, {800, 1.0}}), std::invalid_argument);
 }
 
+TEST(Cpu, RejectsAnEmptyOperatingPointTable) {
+  // Operating-point indices are 16-bit; a table must have 1 to 65534 points.
+  sim::Engine e;
+  EXPECT_THROW(Cpu(e, OperatingPointTable{}, CpuConfig{}, sim::Rng(1)), std::invalid_argument);
+}
+
 TEST(OperatingPointTable, CopiesShareStorageAndCompareEqual) {
   const OperatingPointTable t({{1400, 1.484}, {600, 0.956}, {1000, 1.308}});
   OperatingPointTable copy = t;

@@ -143,7 +143,7 @@ TEST(BatteryFaults, ClampsAtZeroAndBrownsOut) {
   CpuFixture f;
   power::AcpiBattery battery(f.engine, f.node, tiny_battery(), sim::Rng(11));
   bool browned_out = false;
-  battery.set_depleted([&] { browned_out = true; });
+  battery.set_depleted({[](void* flag) { *static_cast<bool*>(flag) = true; }, &browned_out});
   battery.disconnect_ac();
   battery.start_polling();
   f.engine.run_until(sim::from_seconds(60));

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "cpu/cpu.hpp"
@@ -526,4 +527,17 @@ TEST(NodeStateArena, TotalJoulesMatchesViewSumBitwise) {
   // the per-node path.
   const auto r = run_arena_scenario(Observe::None);
   EXPECT_EQ(r.arena_total, r.summed_views);
+}
+
+TEST(NodeStateArena, LanesShareOnePowerConfiguration) {
+  sim::Engine engine;
+  pcd::power::NodeStateArena arena(2);
+  Cpu a(engine, OperatingPointTable::pentium_m_1400(), CpuConfig{}, sim::Rng(1));
+  Cpu b(engine, OperatingPointTable::pentium_m_1400(), CpuConfig{}, sim::Rng(2));
+  NodePowerModel first(engine, a, NodePowerParams::nemo(), &arena, 0);
+  EXPECT_EQ(&first.params(), &arena.params());
+  EXPECT_THROW(NodePowerModel(engine, b, NodePowerParams::pentium_iii_server(), &arena, 1),
+               std::invalid_argument);
+  NodePowerModel second(engine, b, NodePowerParams::nemo(), &arena, 1);
+  EXPECT_EQ(&second.params(), &first.params());
 }

@@ -3,9 +3,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +21,35 @@
 #include "sim/time.hpp"
 
 namespace sim = pcd::sim;
+
+// Counting global allocator for the callback-storage footprint tests: every
+// ::operator new in this binary bumps the counter (the array and nothrow
+// forms route through these).
+namespace {
+std::atomic<std::int64_t> g_heap_allocs{0};
+
+std::int64_t heap_allocs() { return g_heap_allocs.load(std::memory_order_relaxed); }
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes != 0 ? bytes : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t bytes, std::align_val_t al) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (bytes + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: GCC 12 would otherwise see `free` applied to a pointer from
+// `operator new` at every call site and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 TEST(Time, Conversions) {
   EXPECT_EQ(sim::from_seconds(1.0), sim::kSecond);
@@ -423,8 +455,25 @@ TEST(Engine, NestedRunInsidePeriodicCallbackDoesNotRefireIt) {
   });
   e.schedule_at(12, [&] { order.push_back("A12"); });
   e.run_until(30);
-  EXPECT_EQ(order,
-            (std::vector<std::string>{"P10", "A12", "back15", "P20", "P30"}));
+  // The fire that ran the nested run completes at t=15, so (as with a
+  // trailing schedule_in) the next occurrence is one period later.
+  EXPECT_EQ(order, (std::vector<std::string>{"P10", "A12", "back15", "P25"}));
+  EXPECT_TRUE(e.cancel(id));
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(Engine, NestedRunPastTheNextFireReArmsOnePeriodAfterNow) {
+  // The first fire runs the clock to 25, past its own next occurrence at
+  // 20: the timer re-arms at 25 + 10, never in the simulated past.
+  sim::Engine e;
+  std::vector<sim::SimTime> fires;
+  auto id = e.schedule_every(10, [&] {
+    fires.push_back(e.now());
+    if (fires.size() == 1) e.run_until(25);
+  });
+  e.run_until(50);
+  EXPECT_EQ(fires, (std::vector<sim::SimTime>{10, 35, 45}));
+  EXPECT_EQ(e.now(), 50);
   EXPECT_TRUE(e.cancel(id));
   EXPECT_TRUE(e.empty());
 }
@@ -491,6 +540,227 @@ TEST(Engine, EventIdStaysSafeAcrossGenerationWrap) {
   EXPECT_FALSE(e.cancel(id1));
   EXPECT_TRUE(e.cancel(id2));
   e.run();
+}
+
+// --- callback storage -------------------------------------------------------
+//
+// A trivially copyable callable of at most Engine::kInlineBytes lives in the
+// event node; anything else is boxed on the heap and the engine owns the
+// box until the event fires, is cancelled, throws or the engine dies.
+// Tracked counts its live copies, so a leaked or double-freed box shows
+// (and the sanitizer build reports it).
+
+namespace {
+
+struct Tracked {
+  int* live;
+  int* calls;
+  std::array<char, 24> pad{};  // 40 bytes: boxed by size as well
+
+  Tracked(int* l, int* c) : live(l), calls(c) { ++*live; }
+  Tracked(const Tracked& o) : live(o.live), calls(o.calls) { ++*live; }
+  ~Tracked() { --*live; }
+  Tracked& operator=(const Tracked&) = delete;
+  void operator()() const { ++*calls; }
+};
+
+// A 16-byte trivially copyable callable, like perfbench's [this, c].
+struct SmallInline {
+  int* calls;
+  std::int64_t step;
+  void operator()() const { *calls += static_cast<int>(step); }
+};
+
+}  // namespace
+
+TEST(EngineCallbackStorage, BoxedOneShotIsFreedOnFire) {
+  int live = 0, calls = 0;
+  sim::Engine e;
+  e.schedule_at(10, Tracked(&live, &calls));
+  EXPECT_EQ(live, 1);
+  e.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(EngineCallbackStorage, BoxedOneShotIsFreedOnCancel) {
+  int live = 0, calls = 0;
+  sim::Engine e;
+  auto id = e.schedule_at(10, Tracked(&live, &calls));
+  EXPECT_TRUE(e.cancel(id));
+  EXPECT_EQ(live, 0);
+  e.run();
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(EngineCallbackStorage, BoxedOneShotCancelledFromInsideIsFreedOnce) {
+  int live = 0, calls = 0;
+  sim::Engine e;
+  sim::EventId id;
+  Tracked t(&live, &calls);
+  id = e.schedule_at(10, [&e, &id, t] {
+    t();
+    EXPECT_FALSE(e.cancel(id));  // a one-shot is retired before it runs
+  });
+  e.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(live, 1);  // only `t` itself
+}
+
+TEST(EngineCallbackStorage, BoxedOneShotIsFreedWhenItThrows) {
+  int live = 0, calls = 0;
+  sim::Engine e;
+  Tracked t(&live, &calls);
+  e.schedule_at(10, [t] {
+    t();
+    throw std::runtime_error("boom");
+  });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(live, 1);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(EngineCallbackStorage, PendingBoxesAreFreedByTheEngine) {
+  int live = 0, calls = 0;
+  {
+    sim::Engine e;
+    e.schedule_at(10, Tracked(&live, &calls));
+    e.schedule_every(5, Tracked(&live, &calls));
+    e.schedule_every(5, Tracked(&live, &calls));
+    e.run_until(7);  // the timers have fired once and re-armed
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(live, 3);
+  }
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(EngineCallbackStorage, BoxedPeriodicKeepsOneBoxAcrossFires) {
+  int live = 0, calls = 0;
+  sim::Engine e;
+  auto id = e.schedule_every(10, Tracked(&live, &calls));
+  e.run_until(55);
+  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(live, 1);
+  EXPECT_TRUE(e.cancel(id));
+  EXPECT_EQ(live, 0);
+}
+
+TEST(EngineCallbackStorage, BoxedPeriodicCancelledFromInsideIsFreedAfterItReturns) {
+  int live = 0, calls = 0;
+  sim::Engine e;
+  sim::EventId id;
+  Tracked t(&live, &calls);
+  id = e.schedule_every(10, [&e, &id, &live, t] {
+    t();
+    if (*t.calls == 2) {
+      EXPECT_TRUE(e.cancel(id));
+      EXPECT_EQ(live, 2);  // still running: the box outlives the cancel
+    }
+  });
+  e.run();
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(live, 1);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(EngineCallbackStorage, BoxedPeriodicIsFreedWhenItThrows) {
+  int live = 0, calls = 0;
+  sim::Engine e;
+  Tracked t(&live, &calls);
+  e.schedule_every(10, [t] {
+    t();
+    if (*t.calls == 3) throw std::runtime_error("boom");
+  });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(live, 1);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(EngineCallbackStorage, InlineOneShotsFireCancelAndThrow) {
+  int calls = 0;
+  sim::Engine e;
+  e.schedule_at(10, SmallInline{&calls, 1});
+  auto dropped = e.schedule_at(20, SmallInline{&calls, 100});
+  EXPECT_TRUE(e.cancel(dropped));
+  sim::EventId self;
+  self = e.schedule_at(30, [&e, &self] { EXPECT_FALSE(e.cancel(self)); });
+  e.schedule_at(40, [] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(e.now(), 40);
+  EXPECT_TRUE(e.empty());
+  e.schedule_at(50, SmallInline{&calls, 1000});  // pending at destruction
+}
+
+TEST(EngineCallbackStorage, InlinePeriodicTimersFireCancelAndThrow) {
+  int calls = 0;
+  sim::Engine e;
+  auto every = e.schedule_every(7, SmallInline{&calls, 10});
+  sim::EventId self;
+  self = e.schedule_every(10, [&e, &self] {
+    if (e.now() == 30) {
+      EXPECT_TRUE(e.cancel(self));  // cancelled from inside
+    }
+  });
+  e.run_until(15);
+  EXPECT_EQ(calls, 2 * 10);
+  EXPECT_TRUE(e.cancel(every));
+  e.run_until(100);
+  EXPECT_TRUE(e.empty());
+  e.schedule_every(5, [&e] {
+    if (e.now() == 110) throw std::runtime_error("boom");
+  });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(e.now(), 110);
+  EXPECT_TRUE(e.empty());
+  e.schedule_every(5, SmallInline{&calls, 1000});  // pending at destruction
+  e.run_until(112);
+  EXPECT_EQ(calls, 2 * 10);
+}
+
+TEST(EngineCallbackStorage, ContinuationOneShotAndThisTimerAllocateNothing) {
+  struct Ticker {
+    sim::Engine& e;
+    int ticks = 0;
+    void tick() { ++ticks; }
+  };
+  static_assert(sizeof(sim::Continuation) == sim::Engine::kInlineBytes);
+  sim::Engine e;
+  Ticker ticker{e};
+  int calls = 0;
+  const sim::Continuation bump{[](void* c) { ++*static_cast<int*>(c); }, &calls};
+  auto round = [&] {
+    const sim::SimTime t0 = e.now();
+    for (int i = 0; i < 100; ++i) e.schedule_in(i, bump);
+    auto id = e.schedule_every(10, [t = &ticker] { t->tick(); });
+    e.run_until(t0 + 1000);
+    EXPECT_TRUE(e.cancel(id));
+  };
+  // Warm the node slab and the queues; a cancelled timer's entry waits in
+  // the timer heap until it surfaces, so the heap needs room for two.
+  round();
+  round();
+  const std::int64_t before = heap_allocs();
+  round();
+  EXPECT_EQ(heap_allocs() - before, 0);
+  EXPECT_EQ(calls, 300);
+  EXPECT_EQ(ticker.ticks, 300);
+}
+
+TEST(EngineCallbackStorage, OversizedCaptureAllocatesOneBox) {
+  sim::Engine e;
+  std::array<std::int64_t, 4> big{1, 2, 3, 4};  // 32 bytes: over the inline limit
+  std::int64_t sum = 0;
+  e.schedule_at(1, [] {});
+  e.run();
+  const std::int64_t before = heap_allocs();
+  e.schedule_at(2, [big, &sum] { sum = big[0] + big[3]; });
+  EXPECT_EQ(heap_allocs() - before, 1);
+  e.run();
+  EXPECT_EQ(sum, 5);
 }
 
 // --- pinned periodic/one-shot dispatch order -------------------------------
