@@ -20,7 +20,7 @@ int checked_node_count(int nodes) {
 }  // namespace
 
 Network::Network(sim::Engine& engine, int nodes, NetworkParams params, sim::Rng rng,
-                 sim::InlineFunction<void(int, int)> nic_activity)
+                 std::function<void(int, int)> nic_activity)
     : engine_(engine),
       params_(params),
       rng_(rng),

@@ -32,6 +32,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,7 +72,7 @@ class Network {
   /// `nic_activity(node, delta)` is invoked with +1/-1 as transfers begin /
   /// end wire occupancy on a node (drives NIC power).  May be empty.
   Network(sim::Engine& engine, int nodes, NetworkParams params, sim::Rng rng,
-          sim::InlineFunction<void(int node, int delta)> nic_activity = {});
+          std::function<void(int node, int delta)> nic_activity = {});
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -187,7 +188,7 @@ class Network {
   sim::Engine& engine_;
   NetworkParams params_;
   sim::Rng rng_;
-  sim::InlineFunction<void(int, int)> nic_activity_;
+  std::function<void(int, int)> nic_activity_;
   std::vector<Port> egress_;
   std::vector<Port> ingress_;
   std::vector<Link> links_;

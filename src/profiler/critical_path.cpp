@@ -18,6 +18,7 @@
 // constraint with equality or better.
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -172,40 +173,32 @@ SlackAnalysis analyze_slack(const RunTrace& run) {
     }
   }
 
-  // 4. Backward pass in descending event time, as a k-way merge over the
-  //    per-rank (sorted) anchor arrays.  Every edge points strictly forward
-  //    in time (message protocol cost is positive, anchors are deduped), so
-  //    every successor is finalized before its predecessors are visited.
+  // 4. Backward pass in descending event time: one sort of the global
+  //    anchor ids.  Every edge points strictly forward in time (message
+  //    protocol cost is positive, anchors are deduped), so every successor
+  //    is finalized before its predecessors are visited, and anchors of one
+  //    instant (on different ranks, hence unconnected) may go in any order.
+  std::vector<std::pair<sim::SimTime, std::size_t>> order;
+  order.reserve(total);
+  for (int r = 0; r < ranks; ++r) {
+    const auto& e = ev[static_cast<std::size_t>(r)];
+    for (std::size_t i = 0; i < e.size(); ++i) {
+      order.emplace_back(e[i], base[static_cast<std::size_t>(r)] + i);
+    }
+  }
+  std::sort(order.begin(), order.end(), std::greater<>());
   std::vector<sim::SimTime> latest(total, run.t_end);
-  {
-    std::vector<std::size_t> ptr(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-      ptr[static_cast<std::size_t>(r)] = ev[static_cast<std::size_t>(r)].size();
+  for (const auto& entry : order) {
+    const std::size_t aid = entry.second;
+    sim::SimTime best = run.t_end;
+    if (aid + 1 < *std::upper_bound(base.begin(), base.end(), aid)) {  // not its rank's last
+      best = std::min(best, latest[aid + 1] - weight[aid]);
     }
-    for (std::size_t done = 0; done < total; ++done) {
-      int pick = -1;
-      sim::SimTime pick_t = std::numeric_limits<sim::SimTime>::min();
-      for (int r = 0; r < ranks; ++r) {
-        const std::size_t p = ptr[static_cast<std::size_t>(r)];
-        if (p == 0) continue;
-        const sim::SimTime t = ev[static_cast<std::size_t>(r)][p - 1];
-        if (pick < 0 || t > pick_t) {
-          pick = r;
-          pick_t = t;
-        }
-      }
-      const std::size_t i = --ptr[static_cast<std::size_t>(pick)];
-      const std::size_t aid = base[static_cast<std::size_t>(pick)] + i;
-      sim::SimTime best = run.t_end;
-      if (i + 1 < ev[static_cast<std::size_t>(pick)].size()) {
-        best = std::min(best, latest[aid + 1] - weight[aid]);
-      }
-      for (int x = edge_count[aid]; x < edge_count[aid + 1]; ++x) {
-        const auto& edge = edges[static_cast<std::size_t>(x)];
-        best = std::min(best, latest[edge.dst] - edge.lag);
-      }
-      latest[aid] = best;
+    for (int x = edge_count[aid]; x < edge_count[aid + 1]; ++x) {
+      const auto& edge = edges[static_cast<std::size_t>(x)];
+      best = std::min(best, latest[edge.dst] - edge.lag);
     }
+    latest[aid] = best;
   }
 
   // 5. Per-scope slack and critical-path aggregation.  Records are stored

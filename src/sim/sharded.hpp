@@ -40,7 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -56,7 +55,7 @@ struct ShardedEngineOptions {
 class ShardedEngine {
  public:
   /// A cross-shard message's action, held in an outbox until the barrier.
-  using Callback = InlineFunction<void()>;
+  using Callback = std::function<void()>;
 
   static constexpr SimTime kNoLimit = std::numeric_limits<SimTime>::max();
 

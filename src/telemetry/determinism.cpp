@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 namespace pcd::telemetry {
 
@@ -54,44 +56,77 @@ std::string RunDigest::to_text() const {
   return out;
 }
 
+namespace {
+
+// The fields of one digest line, split at single spaces: a doubled,
+// leading or trailing space leaves an empty field, which no reader takes.
+std::vector<std::string_view> fields(std::string_view line) {
+  std::vector<std::string_view> out;
+  for (std::size_t at = 0;;) {
+    const std::size_t space = line.find(' ', at);
+    out.push_back(line.substr(at, space - at));
+    if (space == std::string_view::npos) return out;
+    at = space + 1;
+  }
+}
+
+// A decimal field as to_text() writes it: digits only, no leading zero.
+bool read_dec(std::string_view f, std::uint64_t* out) {
+  if (f.empty() || (f.size() > 1 && f[0] == '0')) return false;
+  const auto [ptr, ec] = std::from_chars(f.data(), f.data() + f.size(), *out);
+  return ec == std::errc() && ptr == f.data() + f.size();
+}
+
+// A hash field as to_text() writes it: exactly 16 lowercase hex digits.
+bool read_hex(std::string_view f, std::uint64_t* out) {
+  if (f.size() != 16 || f.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+    return false;
+  }
+  std::from_chars(f.data(), f.data() + f.size(), *out, 16);
+  return true;
+}
+
+}  // namespace
+
 std::optional<RunDigest> RunDigest::parse(const std::string& text) {
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != "pcd-digest v1") return std::nullopt;
   RunDigest d;
+  int every_lines = 0;
   int stream_lines[kStreams] = {0, 0, 0, 0};
   int root_lines = 0;
   std::uint64_t root_read = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    char name[16];
-    std::uint64_t h, n;
-    DigestCheckpoint c;
-    if (std::sscanf(line.c_str(), "checkpoint_every %" SCNu64, &h) == 1) {
-      d.checkpoint_every = h;
-    } else if (std::sscanf(line.c_str(), "stream %15s %" SCNx64 " %" SCNu64, name,
-                           &h, &n) == 3) {
+    const auto f = fields(line);
+    if (f[0] == "checkpoint_every" && f.size() == 2) {
+      if (!read_dec(f[1], &d.checkpoint_every)) return std::nullopt;
+      ++every_lines;
+    } else if (f[0] == "stream" && f.size() == 4) {
       int s = 0;
-      while (s < kStreams && std::strcmp(name, stream_name(s)) != 0) ++s;
+      while (s < kStreams && f[1] != stream_name(s)) ++s;
       if (s == kStreams) return std::nullopt;  // unknown stream name
-      d.streams[s].hash = h;
-      d.streams[s].count = n;
+      if (!read_hex(f[2], &d.streams[s].hash) || !read_dec(f[3], &d.streams[s].count)) {
+        return std::nullopt;
+      }
       ++stream_lines[s];
-    } else if (std::sscanf(line.c_str(),
-                           "checkpoint %" SCNu64 " %" SCNx64 " %" SCNu64 " %" SCNx64
-                           " %" SCNu64 " %" SCNx64 " %" SCNu64 " %" SCNx64
-                           " %" SCNu64,
-                           &c.events, &c.hash[0], &c.count[0], &c.hash[1],
-                           &c.count[1], &c.hash[2], &c.count[2], &c.hash[3],
-                           &c.count[3]) == 9) {
+    } else if (f[0] == "checkpoint" && f.size() == 2 + 2 * kStreams) {
+      DigestCheckpoint c;
+      bool ok = read_dec(f[1], &c.events);
+      for (int s = 0; s < kStreams; ++s) {
+        ok = ok && read_hex(f[2 + 2 * s], &c.hash[s]) && read_dec(f[3 + 2 * s], &c.count[s]);
+      }
+      if (!ok) return std::nullopt;
       d.checkpoints.push_back(c);
-    } else if (std::sscanf(line.c_str(), "root %" SCNx64, &h) == 1) {
-      root_read = h;
+    } else if (f[0] == "root" && f.size() == 2) {
+      if (!read_hex(f[1], &root_read)) return std::nullopt;
       ++root_lines;
     } else {
       return std::nullopt;  // unknown record: refuse rather than mis-compare
     }
   }
+  if (every_lines != 1) return std::nullopt;
   for (const int n_lines : stream_lines) {
     if (n_lines != 1) return std::nullopt;
   }

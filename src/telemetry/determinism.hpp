@@ -88,8 +88,11 @@ struct RunDigest {
   /// Line-based text serialization (stable across versions within v1);
   /// parse() round-trips it.  Used by tools/pcd_diff digest files.  parse()
   /// refuses (nullopt) any text to_text() could not have written: an
-  /// unknown record or stream name, a stream missing or repeated, or a
-  /// `root` line missing, repeated, or disagreeing with the streams.
+  /// unknown record or stream name, a line with a field missing or left
+  /// over, a signed, padded or non-decimal count, a hash other than 16
+  /// lowercase hex digits, a `checkpoint_every` line or a stream missing or
+  /// repeated, or a `root` line missing, repeated, or disagreeing with the
+  /// streams.
   std::string to_text() const;
   static std::optional<RunDigest> parse(const std::string& text);
 };

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -87,7 +87,7 @@ struct SamplerParams {
 
 class TimeSeriesSampler {
  public:
-  using Probe = sim::InlineFunction<NodeProbe(int node)>;
+  using Probe = std::function<NodeProbe(int node)>;
 
   /// `registry` is optional; when given, each tick also refreshes the
   /// per-node gauges node_power_watts / node_freq_mhz / node_utilization.
@@ -106,7 +106,7 @@ class TimeSeriesSampler {
   /// probe.  The runner points it at the cluster arena's batch refresh
   /// (power::NodeStateArena::refresh_all) so a tick costs one dense sweep
   /// plus N cached reads instead of N scalar refreshes.
-  void set_tick_prelude(sim::InlineFunction<void()> prelude) {
+  void set_tick_prelude(std::function<void()> prelude) {
     prelude_ = std::move(prelude);
   }
 
@@ -124,7 +124,7 @@ class TimeSeriesSampler {
   sim::Engine& engine_;
   SamplerParams params_;
   Probe probe_;
-  sim::InlineFunction<void()> prelude_;
+  std::function<void()> prelude_;
   MetricsRegistry* registry_;
   std::vector<RingBuffer<NodeSample>> series_;
   std::vector<double> last_busy_ns_;

@@ -113,6 +113,63 @@ TEST(Digest, TextSerializationRoundTrips) {
   EXPECT_FALSE(telemetry::RunDigest::parse(bad_root).has_value()) << "root disagrees";
 }
 
+// Mutants of a text to_text() writes: each line must be read whole, as the
+// writer formats it, and checkpoint_every appears once.
+class DigestMutant : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_TRUE(parses(text())); }
+
+  static std::string text() {
+    telemetry::RunDigest d;
+    d.checkpoint_every = 4096;
+    d.streams[telemetry::RunDigest::kEvents].fold(7);
+    d.checkpoints.push_back({4096, {1, 2, 3, 4}, {5, 6, 7, 8}});
+    return d.to_text();
+  }
+  // `text()` with the first `from` replaced by `to`.
+  static std::string mutate(const std::string& from, const std::string& to) {
+    std::string t = text();
+    const std::size_t at = t.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return t.replace(at, from.size(), to);
+  }
+  static bool parses(const std::string& t) {
+    return telemetry::RunDigest::parse(t).has_value();
+  }
+};
+
+TEST_F(DigestMutant, RejectsTrailingTextAfterCheckpointEvery) {
+  EXPECT_FALSE(parses(mutate("checkpoint_every 4096\n", "checkpoint_every 4096junk\n")));
+  EXPECT_FALSE(parses(mutate("checkpoint_every 4096\n", "checkpoint_every 4096 5\n")));
+}
+
+TEST_F(DigestMutant, RejectsSignedCheckpointEvery) {
+  EXPECT_FALSE(parses(mutate("checkpoint_every 4096\n", "checkpoint_every -5\n")));
+  EXPECT_FALSE(parses(mutate("checkpoint_every 4096\n", "checkpoint_every +4096\n")));
+}
+
+TEST_F(DigestMutant, RejectsTrailingTextAfterRoot) {
+  const std::string t = text();
+  const std::size_t end = t.find('\n', t.find("root "));
+  std::string m = t;
+  m.insert(end, " trailing");
+  EXPECT_FALSE(parses(m));
+}
+
+TEST_F(DigestMutant, RejectsRepeatedCheckpointEvery) {
+  EXPECT_FALSE(parses(mutate("checkpoint_every 4096\n",
+                             "checkpoint_every 4096\ncheckpoint_every 4096\n")));
+  EXPECT_FALSE(parses(mutate("checkpoint_every 4096\n", "")));
+}
+
+TEST_F(DigestMutant, RejectsSignedOrPaddedCountsAndHashes) {
+  EXPECT_FALSE(parses(mutate("checkpoint 4096 ", "checkpoint +4096 ")));
+  EXPECT_FALSE(parses(mutate("checkpoint 4096 ", "checkpoint  4096 ")));
+  EXPECT_FALSE(parses(mutate("checkpoint 4096 ", "checkpoint 04096 ")));
+  EXPECT_FALSE(parses(mutate("0000000000000001 5", "0x00000000000001 5")));
+  EXPECT_FALSE(parses(mutate("0000000000000001 5", "1 5")));
+}
+
 // checkpoint_every is rounded up to a power of two; past 2^63 there is
 // none, so validate() names the field instead of letting the collector
 // round an unrepresentable interval.

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "core/runner.hpp"
 #include "core/strategies.hpp"
 #include "profiler/profiler.hpp"
+#include "sim/provenance.hpp"
 #include "sim/time.hpp"
 
 using namespace pcd;
@@ -102,6 +105,30 @@ TEST(CriticalPath, SlackIsNonNegativeOnRealTraces) {
       for (double s : rank_slack) EXPECT_GE(s, 0.0) << w.name;
     }
   }
+}
+
+// Every slack output of a profiled FT and CG run, folded bit for bit:
+// the backward pass may visit anchors of one instant in any order, but a
+// change that moves any slack, critical or elastic second shows here.
+std::uint64_t slack_bits(const profiler::SlackAnalysis& s) {
+  sim::DigestStream h;
+  auto fold = [&h](double v) { h.fold(std::bit_cast<std::uint64_t>(v)); };
+  for (const auto& rank : s.record_slack_s) {
+    h.fold(rank.size());
+    for (double v : rank) fold(v);
+  }
+  for (double v : s.rank_critical_s) fold(v);
+  for (double v : s.rank_elastic_s) fold(v);
+  for (double v : s.critical_by_cat_s) fold(v);
+  return h.hash;
+}
+
+TEST(CriticalPath, SlackPinnedOnProfiledFtAndCgRuns) {
+  const auto ft = profiled_run(apps::make_ft(0.2));
+  const auto cg = profiled_run(apps::make_cg(0.2));
+  ASSERT_TRUE(ft.profiler.has_value() && cg.profiler.has_value());
+  EXPECT_EQ(slack_bits(ft.profiler->slack), 0x7f6d0ab4b6e8b372ULL);
+  EXPECT_EQ(slack_bits(cg.profiler->slack), 0xc23b582b8f342c03ULL);
 }
 
 TEST(CriticalPath, RigidityClassification) {

@@ -903,40 +903,6 @@ TEST(EnginePinned, ManyTimersWithChurn) {
   EXPECT_EQ(h.hash(), 0xcef71efe0febd8a9ULL);
 }
 
-// --- InlineFunction --------------------------------------------------------
-
-TEST(InlineFunction, AcceptsMoveOnlyCallables) {
-  auto p = std::make_unique<int>(7);
-  sim::InlineFunction<int()> f = [q = std::move(p)] { return *q; };
-  ASSERT_TRUE(static_cast<bool>(f));
-  EXPECT_EQ(f(), 7);
-  auto g = std::move(f);
-  EXPECT_EQ(g(), 7);
-  EXPECT_FALSE(static_cast<bool>(f));  // NOLINT(bugprone-use-after-move)
-}
-
-TEST(InlineFunction, HeapFallbackForOversizedCaptures) {
-  std::array<std::int64_t, 16> big{};  // 128 bytes: exceeds the inline buffer
-  big[15] = 42;
-  sim::InlineFunction<std::int64_t()> f = [big] { return big[15]; };
-  EXPECT_EQ(f(), 42);
-  auto g = std::move(f);  // heap target: ownership transfer, no copy
-  EXPECT_EQ(g(), 42);
-  g.reset();
-  EXPECT_FALSE(static_cast<bool>(g));
-}
-
-TEST(InlineFunction, MoveAssignReplacesTarget) {
-  int a = 0, b = 0;
-  sim::InlineFunction<void()> f = [&a] { ++a; };
-  sim::InlineFunction<void()> g = [&b] { ++b; };
-  f();
-  f = std::move(g);
-  f();
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 1);
-}
-
 // --- Coroutine processes -------------------------------------------------
 
 namespace {

@@ -19,7 +19,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -27,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "parse_number.hpp"
 #include "service/json.hpp"
 
 namespace {
@@ -137,20 +137,25 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    auto number = [&](auto* out) {
+      return pcd::tools::parse_number("pcd_client", arg.c_str(), v, out);
+    };
+    bool ok = true;
     if (arg == "--socket" && (v = next())) socket_path = v;
     else if (arg == "--spec" && (v = next())) spec_file = v;
     else if (arg == "--workload" && (v = next())) workloads.push_back(v);
-    else if (arg == "--static" && (v = next())) statics.push_back(std::atoi(v));
+    else if (arg == "--static" && (v = next())) ok = number(&statics.emplace_back());
     else if (arg == "--daemon" && (v = next())) daemons.push_back(v);
-    else if (arg == "--scale" && (v = next())) scale = std::atof(v);
-    else if (arg == "--trials" && (v = next())) trials = std::atoll(v);
-    else if (arg == "--seed" && (v = next())) seed = std::atoll(v);
-    else if (arg == "--deadline-s" && (v = next())) deadline_s = std::atof(v);
-    else if (arg == "--budget-s" && (v = next())) budget_s = std::atof(v);
+    else if (arg == "--scale" && (v = next())) ok = number(&scale);
+    else if (arg == "--trials" && (v = next())) ok = number(&trials);
+    else if (arg == "--seed" && (v = next())) ok = number(&seed);
+    else if (arg == "--deadline-s" && (v = next())) ok = number(&deadline_s);
+    else if (arg == "--budget-s" && (v = next())) ok = number(&budget_s);
     else if (arg == "--no-digests") no_digests = true;
     else if (arg == "--op" && (v = next())) op = v;
     else if (arg == "--quiet") quiet = true;
     else return usage(argv[0]);
+    if (!ok) return usage(argv[0]);
   }
   if (socket_path.empty()) return usage(argv[0]);
 

@@ -26,21 +26,18 @@
 //       configuration the runner rejects.
 //
 // Digests are single-engine only: a sharded run carries no observers.
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "apps/npb.hpp"
 #include "core/runner.hpp"
+#include "parse_number.hpp"
 #include "telemetry/determinism.hpp"
 
 namespace {
@@ -48,6 +45,7 @@ namespace {
 using pcd::telemetry::DeterminismOptions;
 using pcd::telemetry::RunCapture;
 using pcd::telemetry::RunDigest;
+using pcd::tools::parse_number;
 
 struct Options {
   std::string workload = "cg";
@@ -89,24 +87,6 @@ std::optional<pcd::apps::Workload> make_workload(const std::string& name,
   return std::nullopt;
 }
 
-// Parses all of `v` as a number: no sign on integers, no leading blanks,
-// nothing trailing, no overflow, and a finite scale.  Prints the "not a
-// number" error itself so the caller only returns the usage failure.
-template <typename T>
-bool parse_number(const char* flag, const char* v, T* out) {
-  const char* end = v + std::strlen(v);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(v, end, value);
-  bool ok = ec == std::errc() && ptr == end && ptr != v;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) {
-    std::fprintf(stderr, "pcd_diff: %s: '%s' is not a number\n", flag, v);
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
 bool parse_common(int argc, char** argv, int start, Options* o) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
@@ -119,16 +99,16 @@ bool parse_common(int argc, char** argv, int start, Options* o) {
       o->workload = v;
     } else if (a == "--scale") {
       const char* v = next();
-      if (v == nullptr || !parse_number("--scale", v, &o->scale)) return false;
+      if (v == nullptr || !parse_number("pcd_diff", "--scale", v, &o->scale)) return false;
     } else if (a == "--seed") {
       const char* v = next();
-      if (v == nullptr || !parse_number("--seed", v, &o->seed)) return false;
+      if (v == nullptr || !parse_number("pcd_diff", "--seed", v, &o->seed)) return false;
     } else if (a == "--perturb") {
       const char* v = next();
-      if (v == nullptr || !parse_number("--perturb", v, &o->perturb)) return false;
+      if (v == nullptr || !parse_number("pcd_diff", "--perturb", v, &o->perturb)) return false;
     } else if (a == "--checkpoint-every") {
       const char* v = next();
-      if (v == nullptr || !parse_number("--checkpoint-every", v, &o->checkpoint_every)) return false;
+      if (v == nullptr || !parse_number("pcd_diff", "--checkpoint-every", v, &o->checkpoint_every)) return false;
     } else if (a == "--out") {
       const char* v = next();
       if (v == nullptr) return false;

@@ -11,10 +11,9 @@
 // one-line report of what survived is printed — CI's kill -9 test greps it.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "parse_number.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 
@@ -47,27 +46,32 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    auto number = [&](auto* out) {
+      return pcd::tools::parse_number("pcd_service", arg.c_str(), v, out);
+    };
+    bool ok = true;
     if (arg == "--socket" && (v = next())) {
       socket_path = v;
     } else if (arg == "--cache-dir" && (v = next())) {
       opts.cache_dir = v;
     } else if (arg == "--workers" && (v = next())) {
-      opts.workers = std::atoi(v);
+      ok = number(&opts.workers);
     } else if (arg == "--campaign-threads" && (v = next())) {
-      opts.campaign_threads = std::atoi(v);
+      ok = number(&opts.campaign_threads);
     } else if (arg == "--max-queue" && (v = next())) {
-      opts.max_queue = static_cast<std::size_t>(std::atoll(v));
+      ok = number(&opts.max_queue);
     } else if (arg == "--deadline-s" && (v = next())) {
-      opts.default_deadline_s = std::atof(v);
+      ok = number(&opts.default_deadline_s);
     } else if (arg == "--budget-s" && (v = next())) {
-      opts.default_budget_s = std::atof(v);
+      ok = number(&opts.default_budget_s);
     } else if (arg == "--max-retries" && (v = next())) {
-      opts.max_retries = std::atoi(v);
+      ok = number(&opts.max_retries);
     } else if (arg == "--no-cache-sync") {
       opts.cache_sync = false;
     } else {
       return usage(argv[0]);
     }
+    if (!ok) return usage(argv[0]);
   }
   if (socket_path.empty()) return usage(argv[0]);
 
