@@ -9,7 +9,11 @@
 //   --threads <n>  campaign worker threads (default 0 = all cores; 1 =
 //                  serial reference)
 //   --progress     live progress line on stderr
-// or the PCD_SCALE / PCD_TRIALS / PCD_THREADS environment variables.
+//   --help         print this list and exit
+// or the PCD_SCALE / PCD_TRIALS / PCD_THREADS environment variables.  Values
+// are read whole (tools/parse_number.hpp): a value that is not a number, a
+// scale that is not positive, zero trials or an unknown flag prints the
+// usage and exits 2 instead of running a different benchmark.
 //
 // Sweeps and repeated trials all go through campaign::ExperimentSpec — the
 // per-bench for-loops this header used to carry are gone; a bench declares
@@ -28,6 +32,7 @@
 #include "campaign/sweeps.hpp"
 #include "core/runner.hpp"
 #include "core/strategies.hpp"
+#include "tools/parse_number.hpp"
 
 namespace pcd::bench {
 
@@ -39,21 +44,63 @@ struct BenchArgs {
   bool progress = false;
 
   static BenchArgs parse(int argc, char** argv) {
+    const char* tool = argc > 0 ? std::strrchr(argv[0], '/') : nullptr;
+    tool = tool != nullptr ? tool + 1 : (argc > 0 ? argv[0] : "bench");
     BenchArgs a;
-    if (const char* e = std::getenv("PCD_SCALE")) a.scale = std::atof(e);
-    if (const char* e = std::getenv("PCD_TRIALS")) a.trials = std::atoi(e);
-    if (const char* e = std::getenv("PCD_THREADS")) a.threads = std::atoi(e);
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--progress") == 0) a.progress = true;
-      if (i + 1 >= argc) continue;
-      if (std::strcmp(argv[i], "--scale") == 0) a.scale = std::atof(argv[i + 1]);
-      if (std::strcmp(argv[i], "--trials") == 0) a.trials = std::atoi(argv[i + 1]);
-      if (std::strcmp(argv[i], "--seed") == 0) a.seed = std::strtoull(argv[i + 1], nullptr, 10);
-      if (std::strcmp(argv[i], "--threads") == 0) a.threads = std::atoi(argv[i + 1]);
+    bool ok = true;
+    const auto read = [&](const char* name, const char* v, auto* out) {
+      if (!ok) return;
+      if (v == nullptr) std::fprintf(stderr, "%s: %s needs a value\n", tool, name);
+      ok = v != nullptr && tools::parse_number(tool, name, v, out);
+    };
+    if (const char* e = std::getenv("PCD_SCALE")) read("PCD_SCALE", e, &a.scale);
+    if (const char* e = std::getenv("PCD_TRIALS")) read("PCD_TRIALS", e, &a.trials);
+    if (const char* e = std::getenv("PCD_THREADS")) read("PCD_THREADS", e, &a.threads);
+    for (int i = 1; ok && i < argc; ++i) {
+      const char* flag = argv[i];
+      if (std::strcmp(flag, "--help") == 0 || std::strcmp(flag, "-h") == 0) {
+        usage(stdout, tool);
+        std::exit(0);
+      }
+      if (std::strcmp(flag, "--progress") == 0) {
+        a.progress = true;
+        continue;
+      }
+      const char* v = i + 1 < argc ? argv[++i] : nullptr;
+      if (std::strcmp(flag, "--scale") == 0) {
+        read(flag, v, &a.scale);
+      } else if (std::strcmp(flag, "--trials") == 0) {
+        read(flag, v, &a.trials);
+      } else if (std::strcmp(flag, "--seed") == 0) {
+        read(flag, v, &a.seed);
+      } else if (std::strcmp(flag, "--threads") == 0) {
+        read(flag, v, &a.threads);
+      } else {
+        std::fprintf(stderr, "%s: unknown option '%s'\n", tool, flag);
+        ok = false;
+      }
     }
-    if (a.scale <= 0) a.scale = 0.5;
-    if (a.trials < 1) a.trials = 1;
+    if (ok && a.scale <= 0) {
+      std::fprintf(stderr, "%s: the scale must be positive\n", tool);
+      ok = false;
+    }
+    if (ok && a.trials < 1) {
+      std::fprintf(stderr, "%s: the trial count must be at least 1\n", tool);
+      ok = false;
+    }
+    if (!ok) {
+      usage(stderr, tool);
+      std::exit(2);
+    }
     return a;
+  }
+
+  static void usage(std::FILE* to, const char* tool) {
+    std::fprintf(to,
+                 "usage: %s [--scale X] [--trials N] [--seed N] [--threads N] "
+                 "[--progress]\n"
+                 "  (or PCD_SCALE / PCD_TRIALS / PCD_THREADS)\n",
+                 tool);
   }
 };
 

@@ -116,6 +116,45 @@ static void BM_EngineScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleCancel)->Arg(1024);
 
+static void BM_EngineZeroDelayFanout(benchmark::State& state) {
+  // The spawn/wakeup shape: one event wakes n waiters at once with
+  // zero-delay events (event.set, process.spawn), and each waiter then
+  // sleeps 1-8 us (a compute slice or a wire hop).  Half the dispatches are
+  // scheduled at now().
+  struct Round {
+    sim::Engine e;
+    int n = 0;
+    std::int64_t slept = 0;
+  };
+  struct Sleep {
+    Round* r;
+    void operator()() const { ++r->slept; }
+  };
+  struct Waiter {
+    Round* r;
+    std::int64_t i;
+    void operator()() const {
+      r->e.schedule_in(sim::from_micros(1.0 + static_cast<double>(i % 8)), Sleep{r},
+                       "bench.sleep");
+    }
+  };
+  struct Wake {
+    Round* r;
+    void operator()() const {
+      for (int i = 0; i < r->n; ++i) r->e.schedule_in(0, Waiter{r, i}, "bench.wake");
+    }
+  };
+  Round round;
+  round.n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    round.e.schedule_in(0, Wake{&round}, "bench.round");
+    round.e.run();
+  }
+  benchmark::DoNotOptimize(round.slept);
+  state.SetItemsProcessed(state.iterations() * (2 * state.range(0) + 1));
+}
+BENCHMARK(BM_EngineZeroDelayFanout)->Arg(4096);
+
 static void BM_CoroutineDelayChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

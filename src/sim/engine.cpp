@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -116,27 +117,13 @@ bool Engine::live(const HeapEntry& e) {
   return n.gen == e.gen && (n.flags & (kArmed | kFiring)) == kArmed;
 }
 
-void Engine::prune_heap(std::vector<HeapEntry>& heap) {
-  while (!heap.empty() && !live(heap.front())) heap_pop(heap);
-}
-
-void Engine::prune_runs() {
-  for (RunLane& lane : runs_) {
-    if (lane.head >= 4096 && lane.head * 2 >= lane.entries.size()) {
-      // Reclaim the consumed prefix (amortized O(1) per popped entry) so a
-      // long monotone phase doesn't hold memory for already-fired events.
-      lane.entries.erase(lane.entries.begin(),
-                         lane.entries.begin() + static_cast<std::ptrdiff_t>(lane.head));
-      lane.head = 0;
-    }
-    while (lane.head < lane.entries.size() && !live(lane.entries[lane.head])) {
-      ++lane.head;  // cancelled: skip in place
-    }
-    if (lane.head == lane.entries.size()) {
-      lane.entries.clear();
-      lane.head = 0;
-    }
-  }
+void Engine::RunLane::grow() {
+  const std::uint32_t cap = ring ? 2 * (mask + 1) : 16;
+  auto bigger = std::make_unique_for_overwrite<HeapEntry[]>(cap);
+  for (std::uint32_t i = 0; i < count; ++i) bigger[i] = at(i);
+  ring = std::move(bigger);
+  mask = cap - 1;
+  head = 0;
 }
 
 // ---- scheduling -----------------------------------------------------------
@@ -150,37 +137,45 @@ EventId Engine::arm_oneshot(std::uint32_t slot, SimTime t, const char* site) {
   n.parent = dispatch_parent_;
   n.site = site;
   n.flags = static_cast<std::uint8_t>(n.flags | kArmed);
-  // A fresh event's seq is the global maximum, so comparing times alone
-  // decides lane membership: the event appends to the fitting lane whose
-  // tail it extends the least (best fit, so lanes specialize into horizon
-  // bands instead of all drifting to the longest stream), an empty lane
-  // restarts at any time, and strays that fit nowhere go to the heap.
-  const HeapEntry entry{t, seq, slot, n.gen};
-  RunLane* best_lane = nullptr;
-  RunLane* empty_lane = nullptr;
+  // A fresh event's seq is the global maximum, so it fits behind any lane
+  // whose back is no later than t.  The one exception is the seq that the
+  // perturbation hook hands out second; it goes to the heap, which orders
+  // anything.  (Each branch builds its own entry, so the compiler writes
+  // the fields straight into the ring instead of through a stack copy whose
+  // wide reload stalls on store forwarding.)
+  const std::uint32_t gen = n.gen;
+  if (RunLane* const lane = seq + 1 == next_seq_ ? lane_for(t) : nullptr) {
+    lane->push_back(HeapEntry{t, seq, slot, gen});
+  } else {
+    heap_push(heap_, HeapEntry{t, seq, slot, gen});
+  }
+  ++live_events_;
+  return EventId{slot, gen};
+}
+
+// A zero-delay event appends to the now lane.  Any other event appends to
+// the fitting lane whose tail it extends the least (best fit, so lanes
+// specialize into horizon bands instead of all drifting to the longest
+// stream), an empty lane restarts at any time, and a stray that fits
+// nowhere gets null and goes to the heap.
+Engine::RunLane* Engine::lane_for(SimTime t) {
+  if (t == now_) return &runs_[kFitLanes];
+  RunLane* best = nullptr;
+  RunLane* empty = nullptr;
   SimTime best_back = 0;
-  for (RunLane& lane : runs_) {
-    if (lane.head == lane.entries.size()) {
-      if (empty_lane == nullptr) empty_lane = &lane;
+  for (std::size_t i = 0; i < kFitLanes; ++i) {
+    RunLane& lane = runs_[i];
+    if (lane.count == 0) {
+      if (empty == nullptr) empty = &lane;
       continue;
     }
-    const SimTime back = lane.entries.back().t;
-    if (t >= back && (best_lane == nullptr || back > best_back)) {
-      best_lane = &lane;
+    const SimTime back = lane.back().t;
+    if (t >= back && (best == nullptr || back > best_back)) {
+      best = &lane;
       best_back = back;
     }
   }
-  if (best_lane != nullptr) {
-    best_lane->entries.push_back(entry);
-  } else if (empty_lane != nullptr) {
-    empty_lane->entries.clear();
-    empty_lane->head = 0;
-    empty_lane->entries.push_back(entry);
-  } else {
-    heap_push(heap_, entry);
-  }
-  ++live_events_;
-  return EventId{slot, n.gen};
+  return best != nullptr ? best : empty;
 }
 
 void Engine::check_period(SimDuration period) {
@@ -296,36 +291,59 @@ void Engine::note_dispatch_slow(const HeapEntry& e, const EventNode& n,
   }
 }
 
-bool Engine::step(SimTime limit) {
-  prune_runs();
-  prune_heap(heap_);
-  prune_heap(timers_);
-  // Pick the global (t, seq) minimum across all containers.
-  const HeapEntry* best = nullptr;
-  const std::vector<HeapEntry>* from_heap = nullptr;
-  for (const std::vector<HeapEntry>* heap : {&heap_, &timers_}) {
-    if (!heap->empty() && (best == nullptr || precedes(heap->front(), *best))) {
-      best = &heap->front();
-      from_heap = heap;
-    }
-  }
-  RunLane* from_lane = nullptr;
-  for (RunLane& lane : runs_) {
-    if (lane.head < lane.entries.size()) {
-      const HeapEntry& r = lane.entries[lane.head];
-      if (best == nullptr || precedes(r, *best)) {
-        best = &r;
-        from_lane = &lane;
+Engine::Earliest Engine::earliest_live() {
+  for (;;) {
+    // The global (t, seq) minimum across all containers.
+    Earliest m;
+    for (std::vector<HeapEntry>* heap : {&heap_, &timers_}) {
+      if (!heap->empty() && (m.entry == nullptr || precedes(heap->front(), *m.entry))) {
+        m.entry = &heap->front();
+        m.heap = heap;
       }
     }
+    for (RunLane& lane : runs_) {
+      if (lane.count != 0 && (m.entry == nullptr || precedes(lane.front(), *m.entry))) {
+        m.entry = &lane.front();
+        m.heap = nullptr;
+        m.lane = &lane;
+      }
+    }
+    if (m.entry == nullptr || live(*m.entry)) return m;
+    // Dead: drop it and look again.
+    if (m.lane != nullptr) {
+      m.lane->pop_front();
+    } else {
+      heap_pop(*m.heap);
+    }
   }
-  if (best == nullptr || best->t > limit) return false;
-  const HeapEntry e = *best;  // copied before the pop moves entries
+}
+
+bool Engine::step(SimTime limit) {
+  const Earliest m = earliest_live();
+  if (m.entry == nullptr || m.entry->t > limit) return false;
+  const HeapEntry e = *m.entry;  // copied before the pop moves entries
   // A timer's entry stays on top of timers_ while it fires: nothing the
   // callback schedules can precede it, so dispatch re-arms it in place.
-  if (from_lane != nullptr) {
-    ++from_lane->head;
-  } else if (from_heap == &heap_) {
+  if (RunLane* const lane = m.lane; lane != nullptr) {
+    lane->pop_front();
+    // Two-stage prefetch, so lane entries reach the front with their node
+    // and callable already in cache instead of stalling live() and the call
+    // on a cold line.  The node two entries behind the popped one is fetched
+    // now; the new front's node was fetched one pop earlier, so its
+    // callable's two words can be read without a stall and fetched too:
+    // they hold a Continuation's argument (a message record, a coroutine
+    // frame), a captured `this` or handle, or the heap box pointer —
+    // whatever the call touches first.  A prefetch never faults, so a word
+    // that is not a pointer is harmless.  (Written inline: GCC 12 drops a
+    // call to a helper made only of prefetches as if it had no effect.)
+    if (lane->count > 1) {
+      __builtin_prefetch(&node(lane->at(1).slot));
+      std::uintptr_t w[2];
+      std::memcpy(w, node(lane->front().slot).fn.bytes, sizeof w);
+      __builtin_prefetch(reinterpret_cast<const void*>(w[0]));
+      __builtin_prefetch(reinterpret_cast<const void*>(w[1]));
+    }
+  } else if (m.heap == &heap_) {
     heap_pop(heap_);
   }
   dispatch(e);
@@ -333,19 +351,9 @@ bool Engine::step(SimTime limit) {
 }
 
 std::optional<SimTime> Engine::next_event_time() {
-  prune_runs();
-  prune_heap(heap_);
-  prune_heap(timers_);
-  std::optional<SimTime> t;
-  for (const std::vector<HeapEntry>* heap : {&heap_, &timers_}) {
-    if (!heap->empty() && (!t || heap->front().t < *t)) t = heap->front().t;
-  }
-  for (const RunLane& lane : runs_) {
-    if (lane.head < lane.entries.size() && (!t || lane.entries[lane.head].t < *t)) {
-      t = lane.entries[lane.head].t;
-    }
-  }
-  return t;
+  const Earliest m = earliest_live();
+  if (m.entry == nullptr) return std::nullopt;
+  return m.entry->t;
 }
 
 // ---- run loops ------------------------------------------------------------

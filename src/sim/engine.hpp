@@ -17,11 +17,14 @@
 // ~Engine.  Cancelled slots are recycled through a free list and dead queue
 // entries are lazily skipped at pop.  Node addresses are stable for the
 // life of the engine, so a callback is invoked in place — it is never moved
-// out of its node.  One-shot ordering uses four sorted append-only run
-// lanes (best-fit by horizon, capturing near-monotone streams) with a 4-ary
-// min-heap of 24-byte (time, seq, slot, gen) entries as the stray fallback;
-// strictly periodic events (schedule_every) keep their own instance of that
-// heap and re-arm their node in place after every fire.
+// out of its node.  One-shot ordering uses five sorted run lanes, each a
+// power-of-two ring of 24-byte (time, seq, slot, gen) entries: four are
+// placed best-fit by horizon (capturing near-monotone streams) and one takes
+// every zero-delay event, which is sorted by construction.  A 4-ary min-heap
+// of the same entries is the stray fallback; strictly periodic events
+// (schedule_every) keep their own instance of that heap and re-arm their
+// node in place after every fire.  Popping a lane prefetches the node two
+// entries ahead and the callable words of the new front.
 #pragma once
 
 #include <array>
@@ -303,8 +306,6 @@ class Engine {
                        const char* site);
   static void check_period(SimDuration period);
   bool live(const HeapEntry& e);  // false once the entry's event is dead
-  void prune_heap(std::vector<HeapEntry>& heap);  // pops dead entries off the top
-  void prune_runs();  // skips dead entries at the lane fronts
   static void heap_push(std::vector<HeapEntry>& heap, const HeapEntry& e);
   static void heap_pop(std::vector<HeapEntry>& heap);
   static void heap_replace_top(std::vector<HeapEntry>& heap, const HeapEntry& e);
@@ -333,30 +334,67 @@ class Engine {
     return next_seq_++;
   }
 
-  // One-shot events split between three containers (ladder-queue style).
-  // Simulations overwhelmingly schedule in near-monotone time order, so an
-  // event no earlier than a lane's newest entry appends to that lane — a
-  // sorted FIFO popped from the front in O(1) with perfectly sequential
-  // memory traffic.  Four lanes with best-fit placement: a new event goes
-  // to the fitting lane whose back is *latest* (tightest horizon band), so
-  // the lanes self-organize into bands — compute-segment ends, network
-  // hops, MPI protocol steps — and keep absorbing appends
-  // even late in a run when per-node DVS divergence turns the delay
-  // distribution into a continuum.  An empty lane is seeded only when no
-  // lane fits; each lane stays sorted because an appended event's seq is
-  // the global maximum at insert time.  Strays that fit no lane fall back
-  // to the 4-ary min-heap.  Periodic events sit in a second heap of the
-  // same kind, timers_, so thousands of far-ahead re-arms (one daemon tick
-  // per node) neither hold a run lane nor deepen the stray heap (DESIGN.md
-  // §3.10).  Dispatch always takes the global (t, seq) minimum of the lane
-  // fronts and both heap tops, so placement never affects event order.
+  // One-shot events split between run lanes and a stray heap (ladder-queue
+  // style).  Simulations overwhelmingly schedule in near-monotone time
+  // order, so an event no earlier than a lane's newest entry appends to that
+  // lane — a sorted FIFO popped from the front in O(1) with sequential
+  // memory traffic.  Four lanes with best-fit placement: a new event goes to
+  // the fitting lane whose back is *latest* (tightest horizon band), so the
+  // lanes self-organize into bands — compute-segment ends, network hops, MPI
+  // protocol steps — and keep absorbing appends even late in a run when
+  // per-node DVS divergence turns the delay distribution into a continuum.
+  // An empty lane is seeded only when no lane fits.  A fifth lane, the now
+  // lane, takes every event scheduled at t == now() (spawns, wakeups): now()
+  // never decreases and a fresh seq is the global maximum, so appending
+  // keeps it sorted without a search, and those events neither hold a band
+  // lane nor deepen the heap.  Strays that fit no lane fall back to the
+  // 4-ary min-heap, and so does the one seq that is not the maximum when it
+  // is handed out (the second of the pair the perturbation hook swaps).
+  // Periodic events sit in a second heap of the same kind, timers_, so
+  // thousands of far-ahead re-arms (one daemon tick per node) neither hold a
+  // run lane nor deepen the stray heap (DESIGN.md §3.10).  Dispatch always
+  // takes the global (t, seq) minimum of the lane fronts and both heap tops,
+  // so placement never affects event order.
+  //
+  // Each lane is a power-of-two ring holding only its queued entries, so a
+  // lane's footprint follows its backlog, not the events it has carried.
   struct RunLane {
-    std::vector<HeapEntry> entries;  // monotone (t, seq)-ascending
-    std::size_t head = 0;            // first unconsumed entry
+    std::unique_ptr<HeapEntry[]> ring;  // capacity mask + 1 once allocated
+    std::uint32_t mask = 0;
+    std::uint32_t head = 0;   // ring index of the front entry
+    std::uint32_t count = 0;  // queued entries, cancelled ones included
+
+    std::uint32_t capacity() const { return ring ? mask + 1 : 0; }
+    const HeapEntry& at(std::uint32_t i) const { return ring[(head + i) & mask]; }
+    const HeapEntry& front() const { return ring[head]; }
+    const HeapEntry& back() const { return at(count - 1); }
+    void pop_front() {
+      head = (head + 1) & mask;
+      --count;
+    }
+    void push_back(const HeapEntry& e) {
+      if (count == capacity()) grow();
+      ring[(head + count) & mask] = e;
+      ++count;
+    }
+    void grow();  // doubles the ring, front first at index 0
   };
-  std::array<RunLane, 4> runs_;
+  static constexpr std::size_t kFitLanes = 4;  // runs_[kFitLanes] is the now lane
+  std::array<RunLane, kFitLanes + 1> runs_;
   std::vector<HeapEntry> heap_;    // one-shot strays: 4-ary min-heap by (t, seq)
   std::vector<HeapEntry> timers_;  // periodic events: the same kind of heap
+
+  RunLane* lane_for(SimTime t);  // where a fresh one-shot at t appends, or null
+  // The first queued entry in (t, seq) order and the container it heads.
+  // earliest_live() drops dead entries (cancelled events, a firing timer's
+  // entry) as they surface there; `entry` is null once nothing is queued.
+  struct Earliest {
+    const HeapEntry* entry = nullptr;
+    RunLane* lane = nullptr;                 // the entry heads this lane, or
+    std::vector<HeapEntry>* heap = nullptr;  // tops this heap
+  };
+  Earliest earliest_live();
+
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
   std::uint32_t slab_size_ = 0;  // slots handed out so far (free or armed)
   std::uint32_t free_head_ = kNil;

@@ -138,6 +138,12 @@ class DigestMutant : public ::testing::Test {
   }
 };
 
+TEST_F(DigestMutant, UnmutatedTextParses) {
+  const auto d = telemetry::RunDigest::parse(text());
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->to_text(), text());
+}
+
 TEST_F(DigestMutant, RejectsTrailingTextAfterCheckpointEvery) {
   EXPECT_FALSE(parses(mutate("checkpoint_every 4096\n", "checkpoint_every 4096junk\n")));
   EXPECT_FALSE(parses(mutate("checkpoint_every 4096\n", "checkpoint_every 4096 5\n")));

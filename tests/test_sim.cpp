@@ -6,9 +6,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -504,6 +506,23 @@ TEST(Engine, ScheduleEverySpansWheelLevelsAndOverflow) {
   EXPECT_EQ(h6_times, (std::vector<sim::SimTime>{6 * 3600 * kS, 12 * 3600 * kS}));
 }
 
+TEST(Engine, SeqPerturbationSwapsTwoSameInstantEvents) {
+  // The hook hands seq N+1 to the first of two events and N to the second.
+  // Dispatch follows (t, seq), so the second runs first, for a zero-delay
+  // pair as for a pair further ahead.
+  for (const sim::SimDuration dt : {sim::SimDuration{0}, sim::SimDuration{5}}) {
+    sim::Engine e;
+    std::vector<int> order;
+    e.schedule_at(1, [] {});  // seq 1
+    e.run();
+    e.set_seq_perturbation(2);
+    e.schedule_in(dt, [&order] { order.push_back(1); });  // seq 3
+    e.schedule_in(dt, [&order] { order.push_back(2); });  // seq 2
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 1})) << "dt " << dt;
+  }
+}
+
 // --- generation wrap (white-box) ------------------------------------------
 
 namespace pcd::sim {
@@ -514,6 +533,21 @@ struct EngineTestAccess {
   }
   static void force_slot_gen(Engine& e, std::uint32_t slot, std::uint32_t gen) {
     e.node(slot).gen = gen;
+  }
+  // Entries queued on each run lane (the now lane last), then on the stray
+  // heap and on the timer heap; cancelled entries not yet skipped count.
+  static std::array<std::size_t, 7> queue_sizes(const Engine& e) {
+    std::array<std::size_t, 7> sizes{};
+    for (std::size_t i = 0; i < e.runs_.size(); ++i) sizes[i] = e.runs_[i].count;
+    sizes[5] = e.heap_.size();
+    sizes[6] = e.timers_.size();
+    return sizes;
+  }
+  // Entries the run lanes have room for, summed over all five.
+  static std::size_t lane_capacity(const Engine& e) {
+    std::size_t entries = 0;
+    for (const auto& lane : e.runs_) entries += lane.capacity();
+    return entries;
   }
 };
 
@@ -901,6 +935,230 @@ TEST(EnginePinned, ManyTimersWithChurn) {
   EXPECT_EQ(churns, 2000);
   EXPECT_EQ(h.count(), 69471u);
   EXPECT_EQ(h.hash(), 0xcef71efe0febd8a9ULL);
+}
+
+// The cases below were recorded on the engine before zero-delay events got
+// their own run lane and the lanes became rings; they pin the placement
+// paths that change introduced.
+
+TEST(EnginePinned, ZeroDelayFansBesideSameInstantFutureEvents) {
+  // A wave every 10 us fans out zero-delay events, some of which fan again,
+  // while future events pile up on shared instants — the next wave's, 3 us
+  // ahead, and a periodic fan's — so zero-delay events tie with lane
+  // fronts, heap strays and a timer at one instant.
+  sim::Engine e;
+  DispatchHash h(e);
+  const sim::SimDuration kUs = sim::from_micros(1.0);
+  sim::Rng rng(11);
+  static const char* const kFanSites[3] = {"z.fan0", "z.fan1", "z.fan2"};
+  std::function<void(int)> fan = [&](int depth) {
+    const int width = 1 + static_cast<int>(rng.next_u64() % 4);
+    for (int k = 0; k < width; ++k) {
+      if (depth < 2 && rng.next_u64() % 3 == 0) {
+        e.schedule_in(0, [&fan, depth] { fan(depth + 1); }, kFanSites[depth]);
+      } else {
+        e.schedule_in(0, [] {}, "z.leaf");
+      }
+      if (rng.next_u64() % 2 == 0) e.schedule_in(3 * kUs, [] {}, "f.plus3");
+      if (rng.next_u64() % 5 == 0) {
+        e.schedule_in(static_cast<sim::SimDuration>(rng.next_u64() % 40) * kUs, [] {},
+                      "f.rand");
+      }
+    }
+  };
+  int waves = 0;
+  std::function<void()> wave = [&] {
+    fan(0);
+    e.schedule_in(10 * kUs, [] {}, "f.on_wave");  // ties with the next wave
+    if (++waves < 3000) e.schedule_in(10 * kUs, [&] { wave(); }, "w.wave");
+  };
+  e.schedule_at(0, [&] { wave(); }, "w.wave");
+  const sim::EventId timer = e.schedule_every(5 * kUs, 10 * kUs, [&] { fan(1); }, "p.fan");
+  e.run_until(sim::from_micros(20000.0));
+  EXPECT_TRUE(e.cancel(timer));
+  e.run();
+  EXPECT_EQ(waves, 3000);
+  EXPECT_EQ(h.count(), 55505u);
+  EXPECT_EQ(h.hash(), 0x69715372a2ecb6fdULL);
+}
+
+TEST(EnginePinned, ZeroDelayEventsFromNestedRunUntil) {
+  // Each outer event fans zero-delay children, then runs a nested run_until:
+  // to its own instant (the fan only), 5 us ahead, or 5 us ahead but
+  // stopped right after the first children, which leaves zero-delay events
+  // queued for the outer run at the instant the clock stopped at.
+  sim::Engine e;
+  DispatchHash h(e);
+  const sim::SimDuration kUs = sim::from_micros(1.0);
+  sim::Rng rng(5);
+  int rounds = 0;
+  std::function<void()> outer = [&] {
+    const int r = rounds++;
+    for (int k = 0; k < 3; ++k) {
+      e.schedule_in(0, [&] {
+        e.schedule_in(0, [] {}, "n.grand");
+        e.schedule_in(2 * kUs, [] {}, "n.later");
+      }, "n.child");
+    }
+    e.schedule_in(5 * kUs, [] {}, "n.at5");
+    switch (r % 3) {
+      case 0:
+        e.run_until(e.now());
+        break;
+      case 1:
+        e.run_until(e.now() + 5 * kUs);
+        break;
+      default:
+        e.schedule_in(0, [&e] { e.stop(); }, "n.stop");
+        e.run_until(e.now() + 5 * kUs);
+        break;
+    }
+    e.schedule_in(0, [] {}, "n.after");
+    if (rounds < 2000) {
+      const auto gap = static_cast<sim::SimDuration>(7 + rng.next_u64() % 3) * kUs;
+      e.schedule_in(gap, [&] { outer(); }, "n.outer");
+    }
+  };
+  e.schedule_at(0, [&] { outer(); }, "n.outer");
+  e.run();
+  EXPECT_EQ(rounds, 2000);
+  EXPECT_EQ(h.count(), 24666u);
+  EXPECT_EQ(h.hash(), 0x7855ca0cf769d7c6ULL);
+}
+
+TEST(EnginePinned, LaneRingWrapsAndGrowsBehindCancelledFront) {
+  // A monotone stream keeps a dozen entries queued on one lane while
+  // thousands pass through it, so the lane's ring wraps again and again.
+  // Every 50th event cancels the next three queued stream events — the
+  // lane's front — and appends a burst behind them, and queues zero-delay
+  // events, cancels the first few and queues more behind them.  A few
+  // bursts are large enough to grow the rings while they are wrapped.
+  sim::Engine e;
+  DispatchHash h(e);
+  std::deque<sim::EventId> pending;  // queued stream events, earliest first
+  sim::SimTime last = 0;
+  int fired = 0;
+  std::function<void()> tick;
+  const auto push = [&](sim::SimDuration gap, const char* site) {
+    last += gap;
+    pending.push_back(e.schedule_at(last, [&tick] { tick(); }, site));
+  };
+  tick = [&] {
+    pending.pop_front();
+    if (++fired >= 20000) return;
+    if (fired % 50 == 0) {
+      for (int k = 0; k < 3 && !pending.empty(); ++k) {
+        EXPECT_TRUE(e.cancel(pending.front()));
+        pending.pop_front();
+      }
+      const int burst = fired % 5000 == 0 ? 40 * (fired / 5000) * 8 : 40;
+      for (int k = 0; k < burst; ++k) push(1 + k % 3, "r.burst");
+      std::vector<sim::EventId> zero;
+      for (int k = 0; k < 20; ++k) zero.push_back(e.schedule_in(0, [] {}, "r.zero"));
+      for (int k = 0; k < 5; ++k) EXPECT_TRUE(e.cancel(zero[static_cast<std::size_t>(k)]));
+      for (int k = 0; k < burst; ++k) e.schedule_in(0, [] {}, "r.zero_more");
+    }
+    while (pending.size() < 12) push(7, "r.stream");
+  };
+  push(1, "r.stream");
+  e.run();
+  EXPECT_TRUE(pending.empty());
+  EXPECT_GE(fired, 20000);
+  EXPECT_EQ(h.count(), 43756u);
+  EXPECT_EQ(h.hash(), 0x186d037f427399bcULL);
+}
+
+TEST(EnginePinned, NextEventTimeAcrossAllLanesAndHeaps) {
+  // Seeds every container — the now lane, four horizon bands, the stray
+  // heap and the timer heap — cancels the earliest entry of several, and
+  // then steps one event at a time while each event schedules a random mix
+  // of zero-delay, banded and stray events and cancels an older one;
+  // next_event_time() must name the instant of the event the step runs.
+  sim::Engine e;
+  DispatchHash h(e);
+  sim::Rng rng(3);
+  std::vector<sim::EventId> ids;
+  std::function<void()> churn = [&] {
+    switch (rng.next_u64() % 5) {
+      case 0:
+        ids.push_back(e.schedule_in(0, [&] { churn(); }, "q.now"));
+        break;
+      case 1:
+        ids.push_back(e.schedule_in(100, [&] { churn(); }, "q.band100"));
+        break;
+      case 2:
+        ids.push_back(e.schedule_in(37, [&] { churn(); }, "q.band37"));
+        break;
+      default:
+        ids.push_back(e.schedule_in(static_cast<sim::SimDuration>(rng.next_u64() % 150),
+                                    [&] { churn(); }, "q.stray"));
+        break;
+    }
+    if (rng.next_u64() % 3 == 0) {
+      ids.push_back(e.schedule_in(static_cast<sim::SimDuration>(rng.next_u64() % 60),
+                                  [&] { churn(); }, "q.extra"));
+    }
+    if (ids.size() > 8 && rng.next_u64() % 4 == 0) {
+      e.cancel(ids[static_cast<std::size_t>(rng.next_u64() % ids.size())]);
+    }
+  };
+  std::vector<sim::EventId> now_ids;
+  for (int k = 0; k < 3; ++k) now_ids.push_back(e.schedule_at(0, [&] { churn(); }, "q.now"));
+  e.schedule_at(100, [&] { churn(); }, "q.a");
+  e.schedule_at(200, [&] { churn(); }, "q.a");
+  e.schedule_at(50, [&] { churn(); }, "q.b");
+  e.schedule_at(60, [&] { churn(); }, "q.b");
+  e.schedule_at(20, [&] { churn(); }, "q.c");
+  const sim::EventId band_front = e.schedule_at(10, [&] { churn(); }, "q.d");
+  e.schedule_at(12, [&] { churn(); }, "q.d");
+  const sim::EventId heap_top = e.schedule_at(5, [&] { churn(); }, "q.heap");
+  e.schedule_at(7, [&] { churn(); }, "q.heap");
+  const sim::EventId timer = e.schedule_every(3, 41, [&] { churn(); }, "q.timer");
+  for (const std::size_t queued : sim::EngineTestAccess::queue_sizes(e)) {
+    EXPECT_GT(queued, 0u);
+  }
+  EXPECT_EQ(e.next_event_time(), 0);
+  EXPECT_TRUE(e.cancel(now_ids[0]));
+  EXPECT_TRUE(e.cancel(heap_top));
+  EXPECT_TRUE(e.cancel(band_front));
+  EXPECT_EQ(e.next_event_time(), 0);
+  EXPECT_TRUE(e.cancel(now_ids[1]));
+  EXPECT_TRUE(e.cancel(now_ids[2]));
+  EXPECT_EQ(e.next_event_time(), 3);  // the timer, ahead of the strays at 7
+  int steps = 0;
+  while (const std::optional<sim::SimTime> t = e.next_event_time()) {
+    if (++steps > 30000) break;
+    ASSERT_EQ(e.run(1), 1u);
+    ASSERT_EQ(e.now(), *t);
+    if (steps == 15000) {
+      EXPECT_TRUE(e.cancel(timer));
+    }
+  }
+  EXPECT_EQ(steps, 30001);
+  EXPECT_EQ(h.count(), 30000u);
+  EXPECT_EQ(h.hash(), 0xf1dc0d55e62c8c7eULL);
+}
+
+// --- run-lane footprint ------------------------------------------------------
+
+TEST(EngineFootprint, LaneRingsFollowTheBacklogNotTheTraffic) {
+  // 1M events through 4,096 self-rescheduling chains in four horizon bands,
+  // about 1,024 queued per band.  A lane holds only its queued entries, so
+  // the rings together stay within twice the backlog's power-of-two
+  // round-up.  Lanes that kept their consumed prefix until a compaction
+  // held thousands of fired entries each.
+  struct Chain {
+    sim::Engine* e;
+    sim::SimDuration delay;
+    void operator()() const { e->schedule_in(delay, *this, "c.chain"); }
+  };
+  static_assert(sizeof(Chain) <= sim::Engine::kInlineBytes);
+  constexpr std::array<sim::SimDuration, 4> kDelays = {4096, 8193, 12291, 16391};
+  sim::Engine e;
+  for (int i = 0; i < 4096; ++i) e.schedule_at(i, Chain{&e, kDelays[i % 4]}, "c.chain");
+  EXPECT_EQ(e.run(1'000'000), 1'000'000u);
+  EXPECT_EQ(e.pending_events(), 4096u);
+  EXPECT_LE(sim::EngineTestAccess::lane_capacity(e), 2u * 8192u);
 }
 
 // --- Coroutine processes -------------------------------------------------

@@ -1,5 +1,6 @@
-// Strict numeric command-line values for pcd_diff, pcd_service and
-// pcd_client: a flag's value is a number only if all of it is one.
+// Strict numeric command-line values for pcd_diff, pcd_service, pcd_client
+// and the bench_* binaries: a flag's value is a number only if all of it is
+// one.
 #pragma once
 
 #include <charconv>
