@@ -28,6 +28,7 @@
 
 #include "apps/workload.hpp"
 #include "core/runner.hpp"
+#include "tools/parse_number.hpp"
 #include "mpi/comm.hpp"
 #include "sim/process.hpp"
 
@@ -105,20 +106,57 @@ void append_entry(std::string& out, const char* name, const char* run_type,
   out += buf;
 }
 
+
+void usage(std::FILE* to) {
+  std::fprintf(to,
+               "usage: bench_run_throughput [--nodes N] [--cycles N] [--reps N] [--out FILE]\n"
+               "  --nodes N   ranks of the CG-shaped workload (default 4096)\n"
+               "  --cycles N  compute/exchange cycles per rank (default 64)\n"
+               "  --reps N    repetitions (default 3)\n"
+               "  --out FILE  benchmark JSON to write (default BENCH_run.json)\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kTool = "bench_run_throughput";
   int nodes = 4096;
   int cycles = 64;
   int reps = 3;
   std::string out_path = "BENCH_run.json";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--nodes") == 0) nodes = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--cycles") == 0) cycles = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--reps") == 0) reps = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
+  bool ok = true;
+  for (int i = 1; ok && i < argc; ++i) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--help") == 0 || std::strcmp(flag, "-h") == 0) {
+      usage(stdout);
+      return 0;
+    }
+    const char* v = i + 1 < argc ? argv[++i] : nullptr;
+    if (std::strcmp(flag, "--nodes") != 0 && std::strcmp(flag, "--cycles") != 0 &&
+        std::strcmp(flag, "--reps") != 0 && std::strcmp(flag, "--out") != 0) {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, flag);
+      ok = false;
+    } else if (v == nullptr) {
+      std::fprintf(stderr, "%s: %s needs a value\n", kTool, flag);
+      ok = false;
+    } else if (std::strcmp(flag, "--out") == 0) {
+      out_path = v;
+    } else {
+      int* out = std::strcmp(flag, "--nodes") == 0    ? &nodes
+                 : std::strcmp(flag, "--cycles") == 0 ? &cycles
+                                                      : &reps;
+      ok = tools::parse_number(kTool, flag, v, out);
+    }
   }
-  if (reps < 1) reps = 1;
+  if (ok && (nodes < 2 || cycles < 1 || reps < 1)) {
+    std::fprintf(stderr, "%s: --nodes must be at least 2, --cycles and --reps at least 1\n",
+                 kTool);
+    ok = false;
+  }
+  if (!ok) {
+    usage(stderr);
+    return 2;
+  }
 
   core::RunConfig cfg;
   cfg.daemon = core::CpuspeedParams{};  // the paper's daemon is on the hot path

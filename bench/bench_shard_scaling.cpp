@@ -29,7 +29,11 @@
 // Usage:
 //   bench_shard_scaling [--nodes N] [--horizon-ms T] [--big-nodes N]
 //                       [--obs-steps N] [--obs-reps N]
-//                       [--out FILE] [--no-check]
+//                       [--out FILE] [--no-check] [--help]
+//
+// Every numeric flag is read whole (tools/parse_number.hpp); a bad value
+// or an unknown flag prints the usage and exits 2, and --help prints it
+// and exits 0 without running anything.
 //
 // When the host has >= 8 hardware threads, the run *asserts* >= 3x
 // aggregate events/s at 8 shards over 1 shard (the acceptance criterion)
@@ -51,6 +55,7 @@
 #include "machine/partition.hpp"
 #include "sim/sharded.hpp"
 #include "sim/time.hpp"
+#include "tools/parse_number.hpp"
 
 #ifndef PCD_BUILD_TYPE
 #define PCD_BUILD_TYPE "unknown"
@@ -241,9 +246,24 @@ void append_json_entry(std::string& out, const Measurement& m,
   out += buf;
 }
 
+void usage(std::FILE* to) {
+  std::fprintf(to,
+               "usage: bench_shard_scaling [--nodes N] [--horizon-ms T] [--big-nodes N]\n"
+               "                           [--obs-steps N] [--obs-reps N] [--out FILE]\n"
+               "                           [--no-check]\n"
+               "  --nodes N       nodes of the scaling runs (default 4096)\n"
+               "  --horizon-ms T  simulated horizon of each run in ms (default 20)\n"
+               "  --big-nodes N   nodes of the huge run (default 131072)\n"
+               "  --obs-steps N   iterations of the observability runs (default 12000)\n"
+               "  --obs-reps N    interleaved observability repetitions (default 9)\n"
+               "  --out FILE      benchmark JSON to write (default BENCH_shard.json)\n"
+               "  --no-check      skip the >= 3x at 8 shards assertion\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kTool = "bench_shard_scaling";
   int nodes = 4096;
   double horizon_ms = 20.0;
   int big_nodes = 131072;
@@ -251,15 +271,49 @@ int main(int argc, char** argv) {
   int obs_reps = 9;
   std::string out_path = "BENCH_shard.json";
   bool check = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-check") == 0) check = false;
-    if (i + 1 >= argc) continue;
-    if (std::strcmp(argv[i], "--nodes") == 0) nodes = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--horizon-ms") == 0) horizon_ms = std::atof(argv[i + 1]);
-    if (std::strcmp(argv[i], "--big-nodes") == 0) big_nodes = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--obs-steps") == 0) obs_steps = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--obs-reps") == 0) obs_reps = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
+  bool ok = true;
+  for (int i = 1; ok && i < argc; ++i) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--help") == 0 || std::strcmp(flag, "-h") == 0) {
+      usage(stdout);
+      return 0;
+    }
+    if (std::strcmp(flag, "--no-check") == 0) {
+      check = false;
+      continue;
+    }
+    int* int_out = std::strcmp(flag, "--nodes") == 0       ? &nodes
+                   : std::strcmp(flag, "--big-nodes") == 0 ? &big_nodes
+                   : std::strcmp(flag, "--obs-steps") == 0 ? &obs_steps
+                   : std::strcmp(flag, "--obs-reps") == 0  ? &obs_reps
+                                                           : nullptr;
+    const bool is_horizon = std::strcmp(flag, "--horizon-ms") == 0;
+    const bool is_out = std::strcmp(flag, "--out") == 0;
+    if (int_out == nullptr && !is_horizon && !is_out) {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, flag);
+      ok = false;
+      break;
+    }
+    const char* v = i + 1 < argc ? argv[++i] : nullptr;
+    if (v == nullptr) {
+      std::fprintf(stderr, "%s: %s needs a value\n", kTool, flag);
+      ok = false;
+    } else if (is_out) {
+      out_path = v;
+    } else if (is_horizon) {
+      ok = pcd::tools::parse_number(kTool, flag, v, &horizon_ms);
+    } else {
+      ok = pcd::tools::parse_number(kTool, flag, v, int_out);
+    }
+  }
+  if (ok && (nodes < 1 || big_nodes < 1 || obs_steps < 1 || obs_reps < 1 || horizon_ms <= 0)) {
+    std::fprintf(stderr, "%s: node, step and repetition counts and the horizon must be positive\n",
+                 kTool);
+    ok = false;
+  }
+  if (!ok) {
+    usage(stderr);
+    return 2;
   }
   const auto horizon =
       static_cast<pcd::sim::SimTime>(horizon_ms * 1e6);  // ms -> ns

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
       "Table 1: operating points for the Pentium M 1.4 GHz processor").c_str());
 
   const auto table = cpu::OperatingPointTable::pentium_m_1400();
-  const power::CpuPowerModel model(power::CpuPowerParams::pentium_m(), table.highest());
+  const power::CpuPowerModel model(power::CpuPowerParams::pentium_m(), table);
 
   analysis::TextTable t({"Frequency", "Supply voltage", "busy CPU power (model)",
                          "idle CPU power (model)"});

@@ -300,7 +300,7 @@ void build_rig(Rig& rig, const RunConfig& config, int ranks) {
           return p;
         },
         &rig.hub->registry());
-    // Batch path: one dense dirty-lane refresh over the arena per tick; the
+    // Batch path: one dirty-lane refresh over the arena per tick; the
     // per-node breakdown() calls above then read clean cached lanes.
     rig.sampler->set_tick_prelude([cl = &cluster] { cl->arena().refresh_all(); });
     rig.sampler->start();

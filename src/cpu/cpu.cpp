@@ -21,21 +21,41 @@ const char* to_string(CpuState s) {
   return "?";
 }
 
-Cpu::Cpu(sim::Engine& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng)
-    : engine_(engine),
-      table_(std::move(table)),
-      config_(config),
-      rng_(rng),
-      last_touch_(engine.now()) {
-  if (table_.size() == 0 || table_.size() >= kNoTarget) {
-    throw std::invalid_argument("operating point table needs 1 to 65534 points");
+namespace {
+
+void check_table(const OperatingPointTable& table) {
+  if (table.size() == 0 || table.size() > kMaxOperatingPoints) {
+    throw std::invalid_argument("operating point table needs 1 to 8 points");
   }
+}
+
+// Validates before allocating, so a rejected table leaks nothing.
+const CpuPlatform& new_platform(sim::Engine& engine, OperatingPointTable table,
+                                CpuConfig config) {
+  check_table(table);
+  return *new CpuPlatform{engine, std::move(table), config};
+}
+
+}  // namespace
+
+Cpu::Cpu(const CpuPlatform& platform, sim::Rng rng)
+    : rng_(rng), platform_(&platform), last_touch_(platform.engine.now()) {
+  check_table(platform.table);
   // Boot at full speed, like the paper's baseline.
-  op_index_ = static_cast<OpIndex>(table_.size() - 1);
-  stats_.op_residency_ns.assign(table_.size(), 0);
+  op_index_ = static_cast<OpIndex>(platform.table.size() - 1);
+}
+
+Cpu::Cpu(sim::Engine& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng)
+    : Cpu(new_platform(engine, std::move(table), config), rng) {
+  owns_platform_ = true;
+}
+
+Cpu::~Cpu() {
+  if (owns_platform_) delete platform_;
 }
 
 void Cpu::begin_work(const WorkAwaitable& w, sim::Continuation then) {
+  assert(w.kind != CpuState::Idle);
   ActiveWork a;
   a.kind = w.kind;
   a.timed = (w.kind == CpuState::MemStall);
@@ -43,7 +63,7 @@ void Cpu::begin_work(const WorkAwaitable& w, sim::Continuation then) {
   a.remaining_ns = w.fixed;
   a.act_override = w.act_override;
   a.then = then;
-  if (active_.has_value()) {
+  if (has_active()) {
     work_queue_.push_back(a);  // runs when the current unit finishes
     return;
   }
@@ -53,50 +73,48 @@ void Cpu::begin_work(const WorkAwaitable& w, sim::Continuation then) {
 }
 
 void Cpu::start_segment() {
-  assert(active_.has_value() && !active_->segment_running);
-  set_state(active_->kind);
-  active_->segment_start = engine_.now();
-  active_->segment_freq_mhz = frequency_mhz();
-  active_->segment_eff = efficiency_;
+  assert(has_active() && !active_.segment_running);
+  set_state(active_.kind);
+  active_.segment_start = engine().now();
   sim::SimDuration dur;
-  if (active_->timed) {
-    dur = active_->remaining_ns;  // memory stalls are frequency/eff-insensitive
+  if (active_.timed) {
+    dur = active_.remaining_ns;  // memory stalls are frequency/eff-insensitive
   } else {
     // cycles at f MHz: 1 cycle = 1000/f ns; a straggler retires cycles at
     // eff * f.  (eff == 1 reproduces the healthy arithmetic bit-exactly.)
     dur = static_cast<sim::SimDuration>(
-        std::llround(active_->remaining_cycles * 1000.0 /
-                     (active_->segment_freq_mhz * active_->segment_eff)));
+        std::llround(active_.remaining_cycles * 1000.0 /
+                     (frequency_mhz() * efficiency_)));
   }
   if (dur < 0) dur = 0;
-  active_->segment_running = true;
-  active_->finish_event = engine_.schedule_in(dur, [this] { finish_work(); }, "cpu.finish_work");
+  active_.segment_running = true;
+  active_.finish_event = engine().schedule_in(dur, [this] { finish_work(); }, "cpu.finish_work");
 }
 
 void Cpu::pause_segment() {
-  if (!active_.has_value() || !active_->segment_running) return;
-  engine_.cancel(active_->finish_event);
-  const sim::SimDuration elapsed = engine_.now() - active_->segment_start;
-  if (active_->timed) {
-    active_->remaining_ns = std::max<sim::SimDuration>(0, active_->remaining_ns - elapsed);
+  if (!has_active() || !active_.segment_running) return;
+  engine().cancel(active_.finish_event);
+  const sim::SimDuration elapsed = engine().now() - active_.segment_start;
+  if (active_.timed) {
+    active_.remaining_ns = std::max<sim::SimDuration>(0, active_.remaining_ns - elapsed);
   } else {
-    const double consumed = static_cast<double>(elapsed) * active_->segment_freq_mhz *
-                            active_->segment_eff * 1e-3;
-    active_->remaining_cycles = std::max(0.0, active_->remaining_cycles - consumed);
+    const double consumed =
+        static_cast<double>(elapsed) * frequency_mhz() * efficiency_ * 1e-3;
+    active_.remaining_cycles = std::max(0.0, active_.remaining_cycles - consumed);
   }
-  active_->segment_running = false;
+  active_.segment_running = false;
 }
 
 void Cpu::finish_work() {
-  assert(active_.has_value());
-  const sim::Continuation then = active_->then;
+  assert(has_active());
+  const sim::Continuation then = active_.then;
   // Let observers integrate the finished interval while the work (and its
   // activity override) is still visible; set_state() alone would not fire
   // when the next unit has the same kind.
   notify();
   touch_accounting();
   ++stats_.work_completed;
-  active_.reset();
+  active_ = ActiveWork{};
   if (!work_queue_.empty()) {
     active_ = work_queue_.pop_front();
     if (!transitioning_ && !halted()) start_segment();
@@ -107,7 +125,7 @@ void Cpu::finish_work() {
 }
 
 void Cpu::set_frequency_mhz(int freq_mhz) {
-  const std::size_t idx = table_.index_of(freq_mhz);
+  const std::size_t idx = table().index_of(freq_mhz);
   if (dvs_stuck_) {
     // The /proc write is silently lost (wedged driver); the daemon gets no
     // error and the operating point stays pinned.
@@ -134,12 +152,12 @@ void Cpu::begin_transition(std::size_t target) {
   transition_to_ = static_cast<OpIndex>(target);
   pause_segment();
   set_state(CpuState::Transition);
-  const auto span = static_cast<std::uint64_t>(config_.transition_max - config_.transition_min);
+  const auto span = static_cast<std::uint64_t>(config().transition_max - config().transition_min);
   const sim::SimDuration latency =
-      config_.transition_min +
+      config().transition_min +
       (span == 0 ? 0 : static_cast<sim::SimDuration>(rng_.uniform_int(span + 1)));
   stats_.transition_stall_ns += latency;
-  transition_event_ = engine_.schedule_in(latency, [this] { end_transition(); }, "cpu.end_transition");
+  transition_event_ = engine().schedule_in(latency, [this] { end_transition(); }, "cpu.end_transition");
 }
 
 void Cpu::end_transition() {
@@ -150,9 +168,9 @@ void Cpu::end_transition() {
   ++stats_.transitions;
   transitioning_ = false;
   if (telemetry_ != nullptr) {
-    telemetry_->record_transition({engine_.now(), telemetry_node_,
-                                   table_.at(transition_from_).freq_mhz,
-                                   table_.at(transition_to_).freq_mhz});
+    telemetry_->record_transition({engine().now(), telemetry_node_,
+                                   table().at(transition_from_).freq_mhz,
+                                   table().at(transition_to_).freq_mhz});
   }
   if (pending_target_ != kNoTarget) {
     const std::size_t next = pending_target_;
@@ -168,7 +186,7 @@ void Cpu::end_transition() {
     set_state(CpuState::CkptStall);
     return;
   }
-  if (active_.has_value()) {
+  if (has_active()) {
     start_segment();
   } else {
     set_state(base_state());
@@ -177,13 +195,13 @@ void Cpu::end_transition() {
 
 void Cpu::enter_wait() {
   ++wait_depth_;
-  if (!active_.has_value() && !transitioning_ && !halted()) set_state(CpuState::WaitPoll);
+  if (!has_active() && !transitioning_ && !halted()) set_state(CpuState::WaitPoll);
 }
 
 void Cpu::leave_wait() {
   assert(wait_depth_ > 0);
   --wait_depth_;
-  if (!active_.has_value() && !transitioning_ && !halted()) set_state(base_state());
+  if (!has_active() && !transitioning_ && !halted()) set_state(base_state());
 }
 
 void Cpu::power_off() {
@@ -192,7 +210,7 @@ void Cpu::power_off() {
   if (transitioning_) {
     // The mode transition dies with the power: cancel its completion and
     // stay at the pre-transition operating point for the reboot.
-    engine_.cancel(transition_event_);
+    engine().cancel(transition_event_);
     transition_event_ = {};
     transitioning_ = false;
   }
@@ -212,8 +230,8 @@ void Cpu::power_on() {
   notify();
   touch_accounting();
   offline_ = false;
-  op_index_ = static_cast<OpIndex>(table_.size() - 1);
-  if (active_.has_value()) {
+  op_index_ = static_cast<OpIndex>(table().size() - 1);
+  if (has_active()) {
     start_segment();  // resume (re-price) the work interrupted by the crash
   } else {
     set_state(base_state());
@@ -240,7 +258,7 @@ void Cpu::checkpoint_stall_end() {
       return;
     }
   }
-  if (active_.has_value()) {
+  if (has_active()) {
     start_segment();
   } else {
     set_state(base_state());
@@ -255,7 +273,7 @@ void Cpu::set_efficiency(double eff) {
   // residency views are rate-independent, but retired cycles are not.
   touch_accounting();
   efficiency_ = eff;
-  if (active_.has_value() && !transitioning_ && !halted()) start_segment();
+  if (has_active() && !transitioning_ && !halted()) start_segment();
 }
 
 CpuState Cpu::base_state() const {
@@ -270,7 +288,7 @@ void Cpu::set_state(CpuState s) {
 }
 
 void Cpu::touch_accounting() {
-  const sim::SimTime now = engine_.now();
+  const sim::SimTime now = engine().now();
   const sim::SimDuration dt = now - last_touch_;
   if (dt > 0) {
     busy_weighted_accum_ns_ += static_cast<double>(dt) * busy_weight(state_);
@@ -278,69 +296,22 @@ void Cpu::touch_accounting() {
     if (state_ == CpuState::OnChip || state_ == CpuState::CommProc) {
       // ns * MHz * 1e-3 = cycles; stragglers retire at eff * f.
       retired_cycles_accum_ += static_cast<double>(dt) *
-                               table_.get(op_index_).freq_mhz * efficiency_ * 1e-3;
+                               table().get(op_index_).freq_mhz * efficiency_ * 1e-3;
     }
   }
   last_touch_ = now;
 }
 
-double Cpu::busy_weight(CpuState s) const {
-  switch (s) {
-    case CpuState::Idle: return 0.0;
-    case CpuState::Off: return 0.0;
-    case CpuState::WaitPoll: return config_.waitpoll_busy_fraction;
-    default: return 1.0;  // CkptStall: the checkpoint writer looks busy to /proc
-  }
-}
-
-const OperatingPoint& Cpu::power_op() const {
-  if (transitioning_) {
-    const OperatingPoint& a = table_.get(transition_from_);
-    const OperatingPoint& b = table_.get(transition_to_);
-    return a.voltage >= b.voltage ? a : b;
-  }
-  return table_.get(op_index_);
-}
-
-double Cpu::activity() const {
-  if (active_.has_value() && state_ == active_->kind && active_->act_override >= 0) {
-    return active_->act_override;
-  }
-  switch (state_) {
-    case CpuState::Idle: return config_.act_idle;
-    case CpuState::OnChip: return config_.act_onchip;
-    case CpuState::MemStall: return config_.act_memstall;
-    case CpuState::CommProc: return config_.act_commproc;
-    case CpuState::Transition: return config_.act_transition;
-    case CpuState::WaitPoll: return config_.act_waitpoll;
-    case CpuState::CkptStall: return config_.act_checkpoint;
-    case CpuState::Off: return 0.0;
-  }
-  return config_.act_idle;
-}
-
-double Cpu::mem_activity() const {
-  switch (state_) {
-    case CpuState::MemStall: return 1.0;
-    case CpuState::OnChip: return 0.30;
-    case CpuState::CommProc: return 0.20;
-    case CpuState::WaitPoll: return 0.08;
-    case CpuState::CkptStall: return 0.50;  // checkpoint image streams through DRAM
-    case CpuState::Off: return 0.0;
-    default: return 0.05;
-  }
-}
-
 double Cpu::busy_weighted_ns() const {
-  const sim::SimDuration dt = engine_.now() - last_touch_;
+  const sim::SimDuration dt = engine().now() - last_touch_;
   return busy_weighted_accum_ns_ + static_cast<double>(dt) * busy_weight(state_);
 }
 
 double Cpu::retired_sensitive_cycles() const {
   double cycles = retired_cycles_accum_;
   if (state_ == CpuState::OnChip || state_ == CpuState::CommProc) {
-    const sim::SimDuration dt = engine_.now() - last_touch_;
-    cycles += static_cast<double>(dt) * table_.get(op_index_).freq_mhz * efficiency_ * 1e-3;
+    const sim::SimDuration dt = engine().now() - last_touch_;
+    cycles += static_cast<double>(dt) * table().get(op_index_).freq_mhz * efficiency_ * 1e-3;
   }
   return cycles;
 }

@@ -17,11 +17,11 @@
 // new frequency.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "cpu/operating_point.hpp"
 #include "sim/callback.hpp"
@@ -73,22 +73,41 @@ struct CpuConfig {
   double act_checkpoint = 0.60;
 };
 
+/// The most operating points a Cpu runs: its residency counters are a fixed
+/// array in the Cpu record, not a heap vector sized by the table.
+inline constexpr std::size_t kMaxOperatingPoints = 8;
+
 /// Cumulative counters exposed for reports and tests.
 struct CpuStats {
   std::int64_t transitions = 0;
   sim::SimDuration transition_stall_ns = 0;
-  std::vector<sim::SimDuration> op_residency_ns;  // indexed like the OP table
   /// Work units (compute slices, stalls, protocol chunks) run to completion
   /// — a progress signal the MPI-timeout watchdog can difference.
   std::int64_t work_completed = 0;
   /// set_frequency_mhz() writes silently lost to a stuck DVS driver or a
   /// powered-off node.
   std::int64_t dvs_requests_dropped = 0;
+  /// Time spent at each operating point, indexed like the OP table (entries
+  /// past table().size() stay 0).  Closed at every state change.
+  std::array<sim::SimDuration, kMaxOperatingPoints> op_residency_ns{};
+};
+
+/// What every Cpu of a cluster shares: the engine it runs on, the
+/// operating-point table and the tunables.  A cluster keeps one and each of
+/// its Cpus holds a pointer to it, not a copy.
+struct CpuPlatform {
+  sim::Engine& engine;
+  OperatingPointTable table;
+  CpuConfig config;
 };
 
 class Cpu {
  public:
+  /// A Cpu of a cluster: refers to `platform`, which must outlive it.
+  Cpu(const CpuPlatform& platform, sim::Rng rng);
+  /// A standalone Cpu: keeps a private platform (one heap block).
   Cpu(sim::Engine& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng);
+  ~Cpu();
 
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -129,7 +148,7 @@ class Cpu {
   }
   /// On-chip work sized as `seconds` at the table's highest frequency.
   WorkAwaitable run_onchip_seconds_at_max(double seconds) {
-    return run_onchip_cycles(seconds * table_.highest().freq_mhz * 1e6);
+    return run_onchip_cycles(seconds * table().highest().freq_mhz * 1e6);
   }
   /// Frequency-insensitive memory-stall time.  `act_override` sets the
   /// power activity of the stall (e.g. cache-miss-heavy compute keeps the
@@ -165,12 +184,12 @@ class Cpu {
   /// Requests arriving mid-transition coalesce to the latest target.
   void set_frequency_mhz(int freq_mhz);
 
-  sim::Engine& engine() const { return engine_; }
-  int frequency_mhz() const { return table_.get(op_index_).freq_mhz; }
+  sim::Engine& engine() const { return platform_->engine; }
+  int frequency_mhz() const { return table().get(op_index_).freq_mhz; }
   std::size_t op_index() const { return op_index_; }
   bool transitioning() const { return transitioning_; }
-  const OperatingPointTable& table() const { return table_; }
-  const CpuConfig& config() const { return config_; }
+  const OperatingPointTable& table() const { return platform_->table; }
+  const CpuConfig& config() const { return platform_->config; }
 
   // ---- fault / robustness API ----
   //
@@ -210,15 +229,49 @@ class Cpu {
 
   CpuState state() const { return state_; }
 
-  /// Operating point to use for power evaluation right now.  During a
-  /// transition this is the higher-voltage endpoint.
-  const OperatingPoint& power_op() const;
+  /// Index of the operating point to use for power evaluation right now.
+  /// During a transition this is the higher-voltage endpoint (the source
+  /// on a tie).
+  std::size_t power_index() const {
+    if (transitioning_) {
+      const OperatingPointTable& t = table();
+      return t.get(transition_from_).voltage >= t.get(transition_to_).voltage
+                 ? transition_from_
+                 : transition_to_;
+    }
+    return op_index_;
+  }
+  const OperatingPoint& power_op() const { return table().get(power_index()); }
 
   /// Power activity factor for the current state.
-  double activity() const;
+  double activity() const {
+    if (state_ == active_.kind && active_.act_override >= 0) return active_.act_override;
+    const CpuConfig& c = config();
+    switch (state_) {
+      case CpuState::Idle: return c.act_idle;
+      case CpuState::OnChip: return c.act_onchip;
+      case CpuState::MemStall: return c.act_memstall;
+      case CpuState::CommProc: return c.act_commproc;
+      case CpuState::Transition: return c.act_transition;
+      case CpuState::WaitPoll: return c.act_waitpoll;
+      case CpuState::CkptStall: return c.act_checkpoint;
+      case CpuState::Off: return 0.0;
+    }
+    return c.act_idle;
+  }
 
   /// DRAM activity factor (drives the memory component of node power).
-  double mem_activity() const;
+  double mem_activity() const {
+    switch (state_) {
+      case CpuState::MemStall: return 1.0;
+      case CpuState::OnChip: return 0.30;
+      case CpuState::CommProc: return 0.20;
+      case CpuState::WaitPoll: return 0.08;
+      case CpuState::CkptStall: return 0.50;  // checkpoint image streams through DRAM
+      case CpuState::Off: return 0.0;
+      default: return 0.05;
+    }
+  }
 
   /// Weighted busy time (ns) accumulated so far — the /proc/stat view the
   /// CPUSPEED daemon differentiates over its polling interval.
@@ -247,24 +300,28 @@ class Cpu {
   }
 
  private:
-  // Operating-point indices are 16-bit; kNoTarget marks "no pending target".
-  using OpIndex = std::uint16_t;
-  static constexpr OpIndex kNoTarget = 0xffff;
+  // Operating-point indices are 8-bit; kNoTarget marks "no pending target".
+  using OpIndex = std::uint8_t;
+  static constexpr OpIndex kNoTarget = 0xff;
 
+  // The unit of work in flight.  kind == Idle means none: the work kinds
+  // are OnChip, MemStall and CommProc.  activity() reads kind and
+  // act_override on every power refresh, so they lead.  A running segment
+  // retires cycles at frequency_mhz() * efficiency_: every change of either
+  // pauses the segment first, so neither is copied in here.
   struct ActiveWork {
-    double remaining_cycles = 0;
-    sim::SimDuration remaining_ns = 0;
-    double act_override = -1;
-    sim::Continuation then;  // runs when the work completes
-    sim::SimTime segment_start = 0;
-    double segment_eff = 1.0;
-    sim::EventId finish_event{};
-    int segment_freq_mhz = 0;
     CpuState kind = CpuState::Idle;
     bool timed = false;
     bool segment_running = false;
+    double act_override = -1;
+    double remaining_cycles = 0;
+    sim::SimDuration remaining_ns = 0;
+    sim::Continuation then;  // runs when the work completes
+    sim::SimTime segment_start = 0;
+    sim::EventId finish_event{};
   };
 
+  bool has_active() const { return active_.kind != CpuState::Idle; }
   void begin_work(const WorkAwaitable& w, sim::Continuation then);
   void start_segment();
   void pause_segment();
@@ -276,30 +333,45 @@ class Cpu {
   CpuState base_state() const;
   void set_state(CpuState s);
   void touch_accounting();
-  double busy_weight(CpuState s) const;
+  double busy_weight(CpuState s) const {
+    switch (s) {
+      case CpuState::Idle: return 0.0;
+      case CpuState::Off: return 0.0;
+      case CpuState::WaitPoll: return config().waitpoll_busy_fraction;
+      default: return 1.0;  // CkptStall: the checkpoint writer looks busy to /proc
+    }
+  }
   void notify() { if (listener_.fn != nullptr) listener_(); }
 
-  sim::Engine& engine_;
-  OperatingPointTable table_;
-  CpuConfig config_;
-  sim::Rng rng_;
-
-  std::optional<ActiveWork> active_;
+  // ---- cold: DVS requests, telemetry, the work backlog ----
   sim::Fifo<ActiveWork> work_queue_;  // FIFO backlog (e.g. isend protocol work)
+  sim::Rng rng_;
   sim::EventId transition_event_{};   // invalid unless a transition is pending
-  double efficiency_ = 1.0;
-
-  // accounting
-  sim::SimTime last_touch_ = 0;
-  double busy_weighted_accum_ns_ = 0;
-  double retired_cycles_accum_ = 0;
-  CpuStats stats_;
-  sim::Continuation listener_;
   telemetry::Hub* telemetry_ = nullptr;
   int telemetry_node_ = -1;
   int wait_depth_ = 0;
+  bool dvs_stuck_ = false;
+  bool owns_platform_ = false;  // standalone ctor: platform_ is ours to delete
 
-  OpIndex op_index_;
+  // ---- warm: the counters, the residency written per accounting
+  // interval, and the work in flight (activity() reads its head) ----
+  CpuStats stats_;
+  ActiveWork active_;
+
+  // ---- hot line: every field a state change reads or writes ----
+  // The listener, the platform pointer, the accounting accumulators, the
+  // efficiency, the operating-point indices and the state flags fill the
+  // Cpu's last 64 bytes.  In a cluster the Cpu leads its 64-byte-aligned
+  // machine::Node record and is a whole number of cache lines long, so
+  // this is exactly one line, and the node's power lane (the first member
+  // of its power model) starts on the next one.
+  sim::Continuation listener_;
+  const CpuPlatform* platform_;
+  sim::SimTime last_touch_ = 0;
+  double busy_weighted_accum_ns_ = 0;
+  double retired_cycles_accum_ = 0;
+  double efficiency_ = 1.0;
+  OpIndex op_index_ = 0;
   OpIndex transition_from_ = 0;
   OpIndex transition_to_ = 0;
   OpIndex pending_target_ = kNoTarget;  // latest request made mid-transition
@@ -307,7 +379,6 @@ class Cpu {
   bool transitioning_ = false;
   bool offline_ = false;
   bool ckpt_stall_ = false;
-  bool dvs_stuck_ = false;
 };
 
 }  // namespace pcd::cpu

@@ -5,39 +5,60 @@
 
 namespace pcd::machine {
 
+namespace {
+
+constexpr std::align_val_t kNodeAlign{alignof(Node)};
+
+}  // namespace
+
+Cluster::NodeArray::NodeArray(int capacity)
+    : data_(static_cast<Node*>(
+          ::operator new(sizeof(Node) * static_cast<std::size_t>(capacity), kNodeAlign))) {}
+
+Cluster::NodeArray::~NodeArray() {
+  for (int i = 0; i < size_; ++i) data_[i].~Node();
+  ::operator delete(data_, kNodeAlign);
+}
+
 Cluster::Cluster(sim::Engine& engine, const ClusterConfig& config)
     : engine_(engine),
       config_(config),
+      platform_{engine, config.node.operating_points, config.node.cpu},
       rng_(config.seed),
-      arena_(config.nodes > 0 ? config.nodes : 1) {
+      arena_(config.nodes > 0 ? config.nodes : 1),
+      nodes_(config.nodes > 0 ? config.nodes : 1) {
   if (config.nodes <= 0) throw std::invalid_argument("cluster needs at least one node");
-  nodes_.reserve(config.nodes);
   for (int i = 0; i < config.nodes; ++i) {
-    nodes_.push_back(std::make_unique<Node>(engine, config.first_node_id + i,
-                                            config.node, rng_.split(), &arena_, i));
+    nodes_.emplace_back(platform_, config.first_node_id + i, config_.node, rng_.split(),
+                        arena_, i);
   }
   network_ = std::make_unique<net::Network>(
       engine, config.nodes, config.network, rng_.split(),
-      [this](int node_id, int delta) {
-        auto& pm = nodes_.at(node_id)->power();
+      [nodes = nodes_.data()](int node_id, int delta) {
+        auto& pm = nodes[node_id].power();
         pm.set_nic_flows(pm.nic_flows() + delta);
       });
   std::vector<power::NodePowerModel*> outlets;
-  outlets.reserve(nodes_.size());
-  for (auto& n : nodes_) outlets.push_back(&n->power());
+  outlets.reserve(static_cast<std::size_t>(nodes_.size()));
+  for (int i = 0; i < nodes_.size(); ++i) outlets.push_back(&nodes_[i].power());
   baytech_ = std::make_unique<power::BaytechStrip>(engine, std::move(outlets),
                                                    config.baytech);
 }
 
+std::size_t Cluster::checked(int i) const {
+  if (i < 0 || i >= nodes_.size()) throw std::out_of_range("cluster node index out of range");
+  return static_cast<std::size_t>(i);
+}
+
 void Cluster::set_all_cpuspeed(int mhz) {
-  for (auto& n : nodes_) {
-    n->set_cpuspeed(mhz, telemetry::DvsCause::External,
+  for (int i = 0; i < nodes_.size(); ++i) {
+    nodes_[i].set_cpuspeed(mhz, telemetry::DvsCause::External,
                     std::numeric_limits<double>::quiet_NaN(), "psetcpuspeed");
   }
 }
 
 void Cluster::attach_telemetry(telemetry::Hub* hub) {
-  for (auto& n : nodes_) n->attach_telemetry(hub);
+  for (int i = 0; i < nodes_.size(); ++i) nodes_[i].attach_telemetry(hub);
   network_->attach_telemetry(hub);
   baytech_->attach_telemetry(hub);
 }

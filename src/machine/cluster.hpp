@@ -3,7 +3,10 @@
 // all outlets).
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "machine/node.hpp"
@@ -36,15 +39,17 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   sim::Engine& engine() { return engine_; }
-  int size() const { return static_cast<int>(nodes_.size()); }
-  Node& node(int i) { return *nodes_.at(i); }
-  const Node& node(int i) const { return *nodes_.at(i); }
+  int size() const { return nodes_.size(); }
+  /// Node `i` (throws std::out_of_range outside [0, size())).  The nodes are
+  /// one array in id order: &node(i + 1) == &node(i) + 1.
+  Node& node(int i) { return nodes_[checked(i)]; }
+  const Node& node(int i) const { return nodes_[checked(i)]; }
   net::Network& network() { return *network_; }
   power::BaytechStrip& baytech() { return *baytech_; }
   const ClusterConfig& config() const { return config_; }
 
-  /// The cluster-owned structure-of-arrays power state; every node's power
-  /// model is a view over one lane.
+  /// The cluster-wide power view: the shared power parameters and CPU power
+  /// model, and the batch kernels over every node's lane.
   power::NodeStateArena& arena() { return arena_; }
   const power::NodeStateArena& arena() const { return arena_; }
 
@@ -64,11 +69,37 @@ class Cluster {
   sim::Rng rng_stream() { return rng_.split(); }
 
  private:
+  /// Nodes in one 64-byte-aligned allocation, constructed in place in id
+  /// order and destroyed in the same order.
+  class NodeArray {
+   public:
+    explicit NodeArray(int capacity);
+    ~NodeArray();
+    NodeArray(const NodeArray&) = delete;
+    NodeArray& operator=(const NodeArray&) = delete;
+
+    template <typename... Args>
+    void emplace_back(Args&&... args) {
+      new (&data_[size_]) Node(std::forward<Args>(args)...);
+      ++size_;
+    }
+    Node* data() const { return data_; }
+    int size() const { return size_; }
+    Node& operator[](std::size_t i) const { return data_[i]; }
+
+   private:
+    Node* data_;
+    int size_ = 0;
+  };
+
+  std::size_t checked(int i) const;
+
   sim::Engine& engine_;
   ClusterConfig config_;
+  cpu::CpuPlatform platform_;    // declared before the nodes: outlives them
   sim::Rng rng_;
-  power::NodeStateArena arena_;  // declared before nodes_: views unbind first
-  std::vector<std::unique_ptr<Node>> nodes_;
+  power::NodeStateArena arena_;  // declared before the nodes: views unbind first
+  NodeArray nodes_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<power::BaytechStrip> baytech_;
 };

@@ -21,19 +21,32 @@ struct NodeConfig {
   power::AcpiBatteryParams battery;
 };
 
-class Node {
+/// One rank's record.  In a cluster the nodes are one contiguous array
+/// (machine::Cluster).  A node is 64-byte aligned and leads with its Cpu,
+/// a whole number of cache lines whose last line holds every field a state
+/// change touches; the power model's lane starts on the next line, so a
+/// state change integrates into the line after the one it updates.
+class alignas(64) Node {
  public:
-  /// `arena`/`lane` select the node's backing lane in a cluster-owned
-  /// power::NodeStateArena; without them the node's power model owns a
-  /// private one-lane arena (standalone construction keeps working).
-  Node(sim::Engine& engine, int id, const NodeConfig& config, sim::Rng rng,
-       power::NodeStateArena* arena = nullptr, int lane = 0)
-      : id_(id),
-        cpu_(engine, config.operating_points, config.cpu, rng.split()),
-        power_(engine, cpu_, config.power, arena, lane),
-        battery_(engine, power_, config.battery, rng.split()) {
-    requested_mhz_ = cpu_.frequency_mhz();
-    battery_.set_depleted({&Node::on_battery_depleted, this});
+  /// A node of a cluster: its Cpu refers to the cluster's `platform` and
+  /// its power model binds `lane` of the cluster's `arena`.
+  Node(const cpu::CpuPlatform& platform, int id, const NodeConfig& config, sim::Rng rng,
+       power::NodeStateArena& arena, int lane)
+      : cpu_(platform, rng.split()),
+        power_(platform.engine, cpu_, config.power, &arena, lane),
+        battery_(platform.engine, power_, config.battery, rng.split()),
+        id_(id) {
+    init();
+  }
+
+  /// A standalone node: the Cpu keeps a private platform and the power
+  /// model a private one-lane arena.
+  Node(sim::Engine& engine, int id, const NodeConfig& config, sim::Rng rng)
+      : cpu_(engine, config.operating_points, config.cpu, rng.split()),
+        power_(engine, cpu_, config.power),
+        battery_(engine, power_, config.battery, rng.split()),
+        id_(id) {
+    init();
   }
 
   Node(const Node&) = delete;
@@ -84,6 +97,10 @@ class Node {
   }
 
  private:
+  void init() {
+    requested_mhz_ = cpu_.frequency_mhz();
+    battery_.set_depleted({&Node::on_battery_depleted, this});
+  }
   static void on_battery_depleted(void* self) {
     static_cast<Node*>(self)->handle_battery_depleted();
   }
@@ -97,12 +114,17 @@ class Node {
     }
   }
 
+  cpu::Cpu cpu_;                 // first: 64-byte aligned, hot line last
+  power::NodePowerModel power_;  // lane first: right after the Cpu's hot line
+  power::AcpiBattery battery_;
+  telemetry::Hub* telemetry_ = nullptr;
   int id_;
   int requested_mhz_ = 0;
-  telemetry::Hub* telemetry_ = nullptr;
-  cpu::Cpu cpu_;
-  power::NodePowerModel power_;
-  power::AcpiBattery battery_;
 };
+
+// The power lane starts on the line after the Cpu's hot line only while the
+// Cpu is a whole number of cache lines (Cluster.NodesAreOneArrayInIdOrder
+// checks the lane's offset in the record).
+static_assert(sizeof(cpu::Cpu) % 64 == 0, "cpu::Cpu must be whole cache lines");
 
 }  // namespace pcd::machine

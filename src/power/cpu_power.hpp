@@ -2,8 +2,12 @@
 //
 // Power is split into a dynamic part that scales with activity·V²·f and a
 // leakage part that scales with V².  Both are normalized against the top
-// operating point, so a model is parameterized by just two wattages.
+// operating point of the model's table.
 #pragma once
+
+#include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "cpu/operating_point.hpp"
 
@@ -34,24 +38,50 @@ struct CpuPowerParams {
 
 class CpuPowerModel {
  public:
-  CpuPowerModel(CpuPowerParams params, cpu::OperatingPoint top)
-      : params_(params), top_(top) {}
+  /// A model over `table`, normalized against its highest point.  Each
+  /// point's leakage term L[i] and activity slope D[i] are precomputed, so
+  /// watts_at(i, a) = L[i] + a * D[i] is one multiply and one add.
+  CpuPowerModel(CpuPowerParams params, cpu::OperatingPointTable table)
+      : params_(params), table_(std::move(table)) {
+    coeffs_.reserve(table_.size());
+    for (const cpu::OperatingPoint& op : table_.points()) {
+      const double vr = op.voltage / top().voltage;
+      const double fr = static_cast<double>(op.freq_mhz) / top().freq_mhz;
+      // The same operations, in the same order, as watts(): the cached
+      // form is bit-identical to it.
+      coeffs_.push_back({params_.leakage_watts_vmax * vr * vr,
+                         params_.dynamic_watts_max * vr * vr * fr + params_.clock_watts_max * fr});
+    }
+  }
 
   /// Instantaneous CPU power at `op` with power activity factor `activity`.
   double watts(const cpu::OperatingPoint& op, double activity) const {
-    const double vr = op.voltage / top_.voltage;
-    const double fr = static_cast<double>(op.freq_mhz) / top_.freq_mhz;
+    const double vr = op.voltage / top().voltage;
+    const double fr = static_cast<double>(op.freq_mhz) / top().freq_mhz;
     return params_.leakage_watts_vmax * vr * vr +
            activity * (params_.dynamic_watts_max * vr * vr * fr +
                        params_.clock_watts_max * fr);
   }
 
+  /// watts(table().get(i), activity), from the precomputed coefficients.
+  double watts_at(std::size_t i, double activity) const {
+    const Coeffs& c = coeffs_[i];
+    return c.leakage + activity * c.slope;
+  }
+
   const CpuPowerParams& params() const { return params_; }
-  const cpu::OperatingPoint& top() const { return top_; }
+  const cpu::OperatingPointTable& table() const { return table_; }
+  const cpu::OperatingPoint& top() const { return table_.highest(); }
 
  private:
+  struct Coeffs {
+    double leakage;  // L[i] = leak * vr * vr
+    double slope;    // D[i] = dyn * vr * vr * fr + clock * fr
+  };
+
   CpuPowerParams params_;
-  cpu::OperatingPoint top_;
+  cpu::OperatingPointTable table_;
+  std::vector<Coeffs> coeffs_;
 };
 
 }  // namespace pcd::power

@@ -5,12 +5,12 @@
 // simulation state, so energy is integrated exactly: the model accrues
 // joules whenever any input changes and on every read.
 //
-// Since the SoA refactor the integrator state itself (last-accrue tick,
-// cached draw, cumulative joules, NIC flows) lives in a NodeStateArena
-// lane, and the arena also holds the one NodePowerParams / CpuPowerModel
-// all of its lanes share; NodePowerModel is a thin view over its lane.  The
-// cluster passes its shared arena in; the standalone constructor (used by
-// tests and single-node setups) owns a private one-lane arena, so the
+// The integrator state itself (last-accrue tick, dirty bit, NIC flows,
+// cached draw, cumulative joules) is the model's own PowerLane, its first
+// member; the NodeStateArena it binds to holds the one NodePowerParams /
+// CpuPowerModel all of its lanes share and walks the lanes for batch reads.
+// The cluster passes its shared arena in; the standalone constructor (used
+// by tests and single-node setups) owns a private one-lane arena, so the
 // public API and the integration arithmetic are identical either way.
 #pragma once
 
@@ -45,7 +45,7 @@ struct EnergyBreakdown {
 
 class NodePowerModel {
  public:
-  /// View over `lane` of `arena`; with arena == nullptr the model owns a
+  /// Bound to `lane` of `arena`; with arena == nullptr the model owns a
   /// private one-lane arena (standalone use keeps working unchanged).
   NodePowerModel(sim::Engine& engine, cpu::Cpu& cpu, NodePowerParams params,
                  NodeStateArena* arena = nullptr, int lane = 0);
@@ -68,15 +68,15 @@ class NodePowerModel {
   /// Number of network transfers currently touching this node (drives NIC
   /// active power).  Maintained by the network model.
   void set_nic_flows(int flows);
-  int nic_flows() const { return arena_->nic_flows(lane_); }
+  int nic_flows() const { return lane_.nic_flows; }
 
   /// The parameters shared by every lane of the backing arena.
   const NodePowerParams& params() const { return arena_->params(); }
 
-  /// The backing arena and this view's lane in it.
+  /// The backing arena and this model's lane in it.
   NodeStateArena& arena() { return *arena_; }
   const NodeStateArena& arena() const { return *arena_; }
-  int lane() const { return lane_; }
+  int lane() const { return lane_index_; }
 
   /// Determinism observability: while set, every *simulation-driven*
   /// integration step (CPU state change, NIC flow change) folds one record
@@ -88,24 +88,45 @@ class NodePowerModel {
  private:
   friend class NodeStateArena;
 
-  void accrue() const { arena_->accrue_lane(lane_, engine_.now()); }
+  sim::SimTime now() const { return engine_.now(); }
+  // The no-elapsed-time case (several notifies at one instant) is the
+  // common one on the listener path; keep it call-free.
+  void accrue() const {
+    const sim::SimTime t = now();
+    if (t != lane_.last) accrue_slow(t);
+  }
+  void accrue_slow(sim::SimTime now) const;
+  /// Adds watts * dt to every component, in component order.
+  void integrate(double dt) const {
+    double* j = lane_.joules;
+    const double* w = lane_.watts;
+    j[0] += w[0] * dt;
+    j[1] += w[1] * dt;
+    j[2] += w[2] * dt;
+    j[3] += w[3] * dt;
+    j[4] += w[4] * dt;
+  }
   void note_step() const {
     if (digest_ != nullptr) note_step_slow();
   }
   void note_step_slow() const;
   /// Recomputes the lane's cached per-component draw from live CPU state
-  /// and clears the dirty bit.  The expressions are exactly the old eager
-  /// breakdown(), so cached values match a fresh compute bit for bit.
+  /// and clears the dirty bit.  The values are exactly the old eager
+  /// breakdown()'s, so cached values match a fresh compute bit for bit.
   void refresh_watts() const;
   double lane_total() const;
   static void on_cpu_change(void* self);
 
+  // The lane leads (in a machine::Node it directly follows the Cpu's hot
+  // line): the CPU change listener and the NIC hook land on it.  Reads
+  // accrue lazily, so it is mutable.
+  mutable PowerLane lane_;
   sim::Engine& engine_;
   cpu::Cpu& cpu_;
   NodeStateArena* arena_ = nullptr;
-  std::unique_ptr<NodeStateArena> owned_;  // standalone ctor only
   sim::DigestStream* digest_ = nullptr;
-  int lane_ = 0;
+  std::unique_ptr<NodeStateArena> owned_;  // standalone ctor only
+  int lane_index_ = 0;
   int node_id_ = -1;
 };
 

@@ -1,20 +1,24 @@
-// Structure-of-arrays backing store for per-node power state.
+// Per-node power integrator lanes and the cluster-wide view over them.
 //
-// Every node's integrator state — last-accrue tick, cached per-component
-// draw, cumulative per-component joules, NIC flow count — lives in
-// contiguous lanes owned at the cluster layer, beside the one power
-// parameter block and CPU power model all the lanes share.  power::NodePowerModel is a
-// thin view over its lane: the public API and the exact piecewise-constant
-// integration semantics are unchanged, but cluster-wide operations walk N
-// dense lanes instead of N scattered heap objects.
+// Each node's integrator state — last-accrue tick, dirty bit, NIC flow
+// count, cached per-component draw, cumulative per-component joules — is a
+// PowerLane held inside its power::NodePowerModel, which a cluster keeps
+// inside the node's contiguous machine::Node record right behind the CPU.
+// A CPU state change therefore integrates into memory at a fixed offset
+// from the CPU it came from.
+//
+// NodeStateArena is what stays cluster-wide: the one parameter block and
+// CPU power model (with its per-point coefficients) that every lane
+// shares, and a table of the bound views, in lane order, for the batch
+// kernels (accrue_all, refresh_all, total_joules).
 //
 // Integration protocol (bit-identical to the per-object model):
-//   - watts_[lane] caches the node's per-component draw as of the last
-//     refresh; dirty_[lane] is set whenever simulation state may have
+//   - lane.watts caches the node's per-component draw as of the last
+//     refresh; lane.dirty is set whenever simulation state may have
 //     changed since (the CPU change listener fires *before* every change
 //     and marks the lane after integrating the closing interval).
-//   - accrue_lane/accrue_all refresh dirty lanes from live CPU state, then
-//     integrate joules += watts * dt.  Because every state change is
+//   - An accrual refreshes a dirty lane from live CPU state, then
+//     integrates joules += watts * dt.  Because every state change is
 //     preceded by an accrual at the old draw, any un-integrated interval
 //     is entirely under the *current* state, so a refresh at read time is
 //     exact — the cached path reproduces the eager recompute bit for bit.
@@ -53,12 +57,24 @@ struct NodePowerParams {
 };
 
 
-class NodeStateArena {
- public:
+/// One node's integrator state.
+struct PowerLane {
   /// Component lanes per node, in EnergyBreakdown order:
   /// cpu, memory, disk, nic, other.
   static constexpr int kComponents = 5;
 
+  sim::SimTime last = 0;      // last-accrue tick
+  std::int32_t nic_flows = 0; // live transfers touching the node
+  bool dirty = true;          // watts cache stale?
+  double watts[kComponents] = {};   // cached draw
+  double joules[kComponents] = {};  // cumulative energy
+};
+
+class NodeStateArena {
+ public:
+  static constexpr int kComponents = PowerLane::kComponents;
+
+  /// An arena of `nodes` lanes; lane i is served by the view bound to it.
   explicit NodeStateArena(int nodes);
 
   NodeStateArena(const NodeStateArena&) = delete;
@@ -87,44 +103,26 @@ class NodeStateArena {
   /// as summing NodePowerModel::energy_joules() node by node.
   double total_joules() const;
 
-  // ---- lane accessors ----
+  // ---- lane accessors (an unbound lane reads as zeros) ----
 
-  int nic_flows(int lane) const { return nic_flows_[static_cast<std::size_t>(lane)]; }
-  bool dirty(int lane) const { return dirty_[static_cast<std::size_t>(lane)] != 0; }
+  int nic_flows(int lane) const { return lane_of(lane).nic_flows; }
+  bool dirty(int lane) const { return lane_of(lane).dirty; }
   /// Cached per-component draw (kComponents doubles).  Valid when !dirty().
-  const double* watts(int lane) const {
-    return &watts_[static_cast<std::size_t>(lane) * kComponents];
-  }
+  const double* watts(int lane) const { return lane_of(lane).watts; }
   /// Cumulative per-component joules (kComponents doubles).
-  const double* joules(int lane) const {
-    return &joules_[static_cast<std::size_t>(lane) * kComponents];
-  }
+  const double* joules(int lane) const { return lane_of(lane).joules; }
 
  private:
   friend class NodePowerModel;
 
-  /// Registers a view over `lane` and resets the lane's integrator state.
-  /// The first bind fixes the shared parameters (the CPU model's top point
-  /// is `top`); a later bind with different ones throws.
-  void bind(int lane, NodePowerModel* view, sim::SimTime now, const NodePowerParams& params,
-            const cpu::OperatingPoint& top);
+  /// Registers a view over `lane`.  The first bind fixes the shared
+  /// parameters (the CPU model is built over `table`); a later bind with
+  /// different ones throws.
+  void bind(int lane, NodePowerModel* view, const NodePowerParams& params,
+            const cpu::OperatingPointTable& table);
   void unbind(int lane);
+  const PowerLane& lane_of(int lane) const;
 
-  /// Per-lane accrual, shared by the view read path and accrue_all so the
-  /// arithmetic (and therefore the doubles) is identical in both.
-  // The no-elapsed-time case (several notifies at one instant) is the
-  // common one on the listener path; keep it call-free.
-  void accrue_lane(int lane, sim::SimTime now) {
-    if (now == last_[static_cast<std::size_t>(lane)]) return;
-    accrue_lane_slow(lane, now);
-  }
-  void accrue_lane_slow(int lane, sim::SimTime now);
-
-  std::vector<sim::SimTime> last_;          // last-accrue tick
-  std::vector<double> watts_;               // cached draw   [lane*5 + c]
-  std::vector<double> joules_;              // cumulative    [lane*5 + c]
-  std::vector<std::uint8_t> dirty_;         // watts cache stale?
-  std::vector<std::int32_t> nic_flows_;     // live transfers touching node
   std::vector<NodePowerModel*> views_;      // bound view per lane (may be null)
   std::optional<NodePowerParams> params_;   // shared by every lane
   std::optional<CpuPowerModel> cpu_model_;

@@ -260,6 +260,7 @@ void CampaignService::worker_loop() {
       resp.status = Status::Cancelled;
       resp.reason = "cancelled while queued";
     } else {
+      if (before_run_) before_run_();
       resp = run_request(*job);
     }
 

@@ -32,6 +32,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -154,6 +155,9 @@ class CampaignService {
   bool draining() const;
 
  private:
+  // Tests reach before_run_ through this peer; nothing else sets it.
+  friend struct CampaignServiceTestPeer;
+
   struct Job {
     std::uint64_t id = 0;
     SpecRequest req;
@@ -174,6 +178,10 @@ class CampaignService {
 
   ServiceOptions options_;
   ResultCache cache_;
+  // Runs on the worker after a job is taken off the queue and found not
+  // cancelled, just before it executes: lets a test hold a worker busy for
+  // as long as it needs.  Set before the first submit(); empty otherwise.
+  std::function<void()> before_run_;
 
   std::mutex stop_mu_;  // serializes worker joins (drain vs shutdown_now)
   mutable std::mutex mu_;

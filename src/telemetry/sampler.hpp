@@ -104,7 +104,7 @@ class TimeSeriesSampler {
 
   /// Optional hook run once at the top of every tick, before any per-node
   /// probe.  The runner points it at the cluster arena's batch refresh
-  /// (power::NodeStateArena::refresh_all) so a tick costs one dense sweep
+  /// (power::NodeStateArena::refresh_all) so a tick costs one lane sweep
   /// plus N cached reads instead of N scalar refreshes.
   void set_tick_prelude(std::function<void()> prelude) {
     prelude_ = std::move(prelude);

@@ -183,6 +183,44 @@ TEST(Validate, NegativeSliceAndFrequencyAreCaught) {
                std::invalid_argument);
 }
 
+// --- Cancellation -----------------------------------------------------------
+
+namespace {
+
+constexpr int kCancelTickBound = 1'000'000;
+
+// Raises `flag` one simulated tick into the run, then keeps the engine busy
+// with up to kCancelTickBound further ticks, counting them in `ticks`.
+sim::Process cancel_after_first_tick(std::atomic<bool>* flag, int* ticks) {
+  co_await sim::delay(sim::kMillisecond);
+  flag->store(true, std::memory_order_relaxed);
+  for (; *ticks < kCancelTickBound; ++*ticks) co_await sim::delay(sim::kMillisecond);
+}
+
+}  // namespace
+
+// A cancel raised while the run is under way (here from inside the
+// simulation, so the instant is deterministic) aborts the run at the next
+// event-batch boundary with a structured failure, long before the rank
+// would have finished.
+TEST(Cancel, RaisedMidRunAbortsAtTheNextBatch) {
+  std::atomic<bool> flag{false};
+  int ticks = 0;
+  apps::Workload w;
+  w.name = "CANCEL";
+  w.ranks = 1;
+  w.make_rank = [&flag, &ticks](apps::AppContext&, int) -> sim::Process {
+    return cancel_after_first_tick(&flag, &ticks);
+  };
+  core::RunConfig cfg;
+  cfg.cancel = &flag;
+  const auto r = core::run_workload(w, cfg);
+  EXPECT_TRUE(r.failed);
+  EXPECT_NE(r.failure.find("run cancelled"), std::string::npos) << r.failure;
+  EXPECT_GT(ticks, 0);
+  EXPECT_LT(ticks, kCancelTickBound);
+}
+
 // --- Pool -------------------------------------------------------------------
 
 TEST(Pool, EffectiveThreadsClampsToItems) {

@@ -82,9 +82,21 @@ TEST(OperatingPointTable, RejectsInvalidTables) {
 }
 
 TEST(Cpu, RejectsAnEmptyOperatingPointTable) {
-  // Operating-point indices are 16-bit; a table must have 1 to 65534 points.
+  // A Cpu keeps its residency counters in its record: a table must have 1
+  // to kMaxOperatingPoints (8) points.
   sim::Engine e;
   EXPECT_THROW(Cpu(e, OperatingPointTable{}, CpuConfig{}, sim::Rng(1)), std::invalid_argument);
+}
+
+TEST(Cpu, RejectsATableLargerThanItsResidencyCounters) {
+  sim::Engine e;
+  std::vector<OperatingPoint> points;
+  for (int i = 0; i < 9; ++i) points.push_back({600 + 100 * i, 0.9 + 0.05 * i});
+  EXPECT_THROW(Cpu(e, OperatingPointTable(points), CpuConfig{}, sim::Rng(1)),
+               std::invalid_argument);
+  points.pop_back();
+  Cpu eight(e, OperatingPointTable(points), CpuConfig{}, sim::Rng(1));
+  EXPECT_EQ(eight.frequency_mhz(), 1300);
 }
 
 TEST(OperatingPointTable, CopiesShareStorageAndCompareEqual) {

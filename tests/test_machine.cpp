@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -95,6 +96,154 @@ TEST(Cluster, RejectsEmptyCluster) {
   ClusterConfig cfg;
   cfg.nodes = 0;
   EXPECT_THROW(Cluster(e, cfg), std::invalid_argument);
+}
+
+TEST(Cluster, NodesAreOneArrayInIdOrder) {
+  sim::Engine e;
+  ClusterConfig cfg;
+  cfg.nodes = 9;
+  cfg.first_node_id = 100;  // a shard's nodes keep machine-wide ids
+  Cluster c(e, cfg);
+  for (int i = 0; i < c.size(); ++i) {
+    const pcd::machine::Node& n = c.node(i);
+    EXPECT_EQ(n.id(), 100 + i);
+    if (i + 1 < c.size()) {
+      EXPECT_EQ(&c.node(i + 1), &n + 1) << i;
+    }
+    // 64-byte aligned, so the Cpu's hot line is one cache line.
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&n) % 64, 0u) << i;
+    EXPECT_EQ(static_cast<const void*>(&n.cpu()), static_cast<const void*>(&n));
+    // The power lane lives inside the record, starting right after the Cpu
+    // (whose hot line is its last), and every Cpu refers to the cluster's
+    // one CpuConfig.
+    const auto* joules = reinterpret_cast<const char*>(c.arena().joules(i));
+    EXPECT_EQ(joules - reinterpret_cast<const char*>(&n),
+              static_cast<std::ptrdiff_t>(sizeof(pcd::cpu::Cpu) +
+                                          offsetof(pcd::power::PowerLane, joules)))
+        << i;
+    EXPECT_EQ(&n.cpu().config(), &c.node(0).cpu().config());
+  }
+  EXPECT_THROW(c.node(c.size()), std::out_of_range);
+  EXPECT_THROW(c.node(-1), std::out_of_range);
+}
+
+// CPU accounting conservation, per node of a cluster, after a run mixing
+// work of every kind with DVS transitions (one mid-work, requests
+// coalesced mid-transition and parked through a checkpoint stall), a
+// power outage, a checkpoint stall and a straggler slowdown:
+//   - the residency counters add up to the elapsed simulated time;
+//   - the busy-weighted /proc time is at most the elapsed time;
+//   - the retired frequency-sensitive cycles are the sum, over the OnChip
+//     and CommProc intervals, of dt * f * eff.
+// The oracle replaces each Cpu's change listener (detaching its power
+// model, which this test does not read): the listener fires before every
+// state and operating-point change, so it sees each interval's state, and
+// the test records one more sample before each efficiency change it makes.
+TEST(Cluster, CpuAccountingIsConservedPerNode) {
+  constexpr int kNodes = 4;
+  sim::Engine e;
+  ClusterConfig cfg;
+  cfg.nodes = kNodes;
+  Cluster c(e, cfg);
+
+  struct Oracle {
+    pcd::cpu::Cpu* cpu = nullptr;
+    sim::SimTime last = 0;
+    std::vector<sim::SimDuration> residency;
+    double busy_ns = 0;
+    double cycles = 0;
+    // Closes the interval [last, now) under the CPU's current state.
+    void sample() {
+      const sim::SimDuration dt = cpu->engine().now() - last;
+      const pcd::cpu::CpuState s = cpu->state();
+      residency[cpu->op_index()] += dt;
+      if (s == pcd::cpu::CpuState::WaitPoll) {
+        busy_ns += static_cast<double>(dt) * cpu->config().waitpoll_busy_fraction;
+      } else if (s != pcd::cpu::CpuState::Idle && s != pcd::cpu::CpuState::Off) {
+        busy_ns += static_cast<double>(dt);
+      }
+      if (s == pcd::cpu::CpuState::OnChip || s == pcd::cpu::CpuState::CommProc) {
+        cycles += static_cast<double>(dt) * cpu->frequency_mhz() * cpu->efficiency() * 1e-3;
+      }
+      last = cpu->engine().now();
+    }
+  };
+  std::vector<Oracle> oracles(kNodes);
+  for (int i = 0; i < kNodes; ++i) {
+    Oracle& o = oracles[static_cast<std::size_t>(i)];
+    o.cpu = &c.node(i).cpu();
+    o.residency.assign(o.cpu->table().size(), 0);
+    o.cpu->set_change_listener({[](void* self) { static_cast<Oracle*>(self)->sample(); }, &o});
+  }
+
+  auto rank = [](pcd::cpu::Cpu& cpu) -> sim::Process {
+    for (int it = 0; it < 40; ++it) {
+      co_await cpu.run_onchip_cycles(1.4e6);                  // ~1 ms at 1.4 GHz
+      co_await cpu.run_memstall(sim::from_micros(300), 0.55);  // per-phase activity
+      co_await cpu.run_commproc_cycles(2.0e5);
+      {
+        auto wait = cpu.wait_scope();
+        co_await sim::delay(sim::from_micros(250));
+      }
+      co_await sim::delay(sim::from_micros(100));  // idle
+    }
+  };
+  for (int i = 0; i < kNodes; ++i) sim::spawn(e, rank(c.node(i).cpu()));
+
+  auto at = [&](double ms, auto fn) { e.schedule_at(sim::from_seconds(ms * 1e-3), fn); };
+  // Node 0: transitions, one requested mid-transition (coalesced).
+  at(3.3, [&] { c.node(0).set_cpuspeed(800); });
+  at(3.31, [&] { c.node(0).set_cpuspeed(600); });
+  at(20.7, [&] { c.node(0).set_cpuspeed(1200); });
+  // Node 1: an outage mid-work, rebooting at full speed.
+  at(5.0, [&] { c.node(1).set_cpuspeed(1000); });
+  at(11.2, [&] { c.node(1).power_off(); });
+  at(17.9, [&] { c.node(1).power_on(); });
+  // Node 2: a checkpoint stall with a DVS request parked through it.
+  at(7.4, [&] { c.node(2).cpu().checkpoint_stall_begin(); });
+  at(8.0, [&] { c.node(2).set_cpuspeed(800); });
+  at(13.6, [&] { c.node(2).cpu().checkpoint_stall_end(); });
+  // Node 3: a straggler slowdown and recovery, plus a transition.
+  at(6.1, [&] {
+    oracles[3].sample();
+    c.node(3).cpu().set_efficiency(0.6);
+  });
+  at(9.5, [&] { c.node(3).set_cpuspeed(1000); });
+  at(25.3, [&] {
+    oracles[3].sample();
+    c.node(3).cpu().set_efficiency(1.0);
+  });
+
+  // End the run with a power cut at T: it closes every node's accounting
+  // interval at T (node 1 is back on by then).
+  const sim::SimTime kEnd = sim::from_seconds(60e-3);
+  e.run_until(kEnd);
+  for (int i = 0; i < kNodes; ++i) c.node(i).power_off();
+
+  for (int i = 0; i < kNodes; ++i) {
+    const Oracle& o = oracles[static_cast<std::size_t>(i)];
+    const pcd::cpu::Cpu& cpu = c.node(i).cpu();
+    sim::SimDuration total = 0;
+    for (std::size_t p = 0; p < cpu.table().size(); ++p) {
+      EXPECT_EQ(cpu.stats().op_residency_ns[p], o.residency[p]) << "node " << i << " point " << p;
+      total += cpu.stats().op_residency_ns[p];
+    }
+    EXPECT_EQ(total, kEnd) << "node " << i;
+    EXPECT_LE(cpu.busy_weighted_ns(), static_cast<double>(kEnd)) << "node " << i;
+    EXPECT_EQ(cpu.busy_weighted_ns(), o.busy_ns) << "node " << i;
+    EXPECT_GT(cpu.retired_sensitive_cycles(), 0.0) << "node " << i;
+    EXPECT_EQ(cpu.retired_sensitive_cycles(), o.cycles) << "node " << i;
+  }
+  // The scenario did what it says.
+  EXPECT_EQ(c.node(0).cpu().stats().transitions, 3);  // 800, the coalesced 600, 1200
+  EXPECT_EQ(c.node(0).cpu().frequency_mhz(), 1200);
+  EXPECT_EQ(c.node(1).cpu().frequency_mhz(), 1400);
+  EXPECT_EQ(c.node(2).cpu().frequency_mhz(), 800);
+  EXPECT_LT(oracles[3].cycles, oracles[2].cycles + oracles[0].cycles);
+
+  // Let the ranks finish, so no suspended frame outlives its Cpu.
+  for (int i = 0; i < kNodes; ++i) c.node(i).power_on();
+  e.run();
 }
 
 TEST(Cluster, SetAllCpuspeedIsPsetcpuspeed) {
@@ -271,10 +420,10 @@ TEST(Cluster, SetAllCpuspeedMatchesAPerNodeLoopInEveryNodeState) {
 // ---- Memory footprint --------------------------------------------------------
 //
 // A 4096-rank run is bound by its per-rank working set, so the per-node
-// allocation count of the machine build is pinned: a node costs its Node
-// object and its CPU's per-operating-point residency counters; queues that
-// are idle (CPU work backlog, switch port waiters), the link state and the
-// operating-point table cost no allocation of their own.
+// allocation count of the machine build is pinned: the nodes are one
+// allocation, with each CPU's residency counters and power lane inside its
+// record; queues that are idle (CPU work backlog, switch port waiters), the
+// link state and the operating-point table cost no allocation of their own.
 
 TEST(Footprint, ClusterAndCommBuildAllocatesAtMostFourTimesPerNode) {
   constexpr int kNodes = 1024;
@@ -290,13 +439,34 @@ TEST(Footprint, ClusterAndCommBuildAllocatesAtMostFourTimesPerNode) {
   EXPECT_LE(allocs, 4 * kNodes) << allocs << " allocations for " << kNodes << " nodes";
 }
 
-// Bytes per node: the Node object (CPU, power view, battery) is kept within
-// a fixed budget, and the live heap a 4,096-node build leaves is bounded.
-// The build leaves 4,051,416 live bytes (989 per node, 656-byte Node);
-// before Node dropped its per-node parameter copies and 64-byte callback
-// hooks it was 1,008 bytes and the same build left 5,493,208.
+// The nodes are one allocation, with their residency counters and power
+// lanes inside, so building a cluster allocates the same number of blocks
+// at any size (12 with its Comm at 4,096 nodes, against 8,208 when every
+// node and every residency vector was its own block).
+TEST(Footprint, ClusterBuildAllocationsDoNotGrowWithNodes) {
+  auto build_allocs = [](int nodes) {
+    sim::Engine e;
+    ClusterConfig cfg;
+    cfg.nodes = nodes;
+    const std::int64_t before = heap_allocs();
+    Cluster c(e, cfg);
+    return heap_allocs() - before;
+  };
+  EXPECT_EQ(build_allocs(64), build_allocs(1024));
+}
+
+// Bytes per rank: the rank record — the Node (CPU with its residency
+// counters, power model with its integrator lane, battery) plus the
+// arena's one view pointer per lane — is kept within a fixed budget, and
+// the live heap a 4,096-node build leaves is bounded.  The record is 712
+// bytes (a 704-byte, 64-byte-aligned Node) and the build leaves 3,670,536
+// live bytes (896 per node).  Before the record held its lane and
+// residency counters it was a 656-byte Node plus 101 bytes of arena
+// vectors and a 56-byte residency block (813), and the same build left
+// 4,051,416; before Node dropped its per-node parameter copies and 64-byte
+// callback hooks it left 5,493,208.
 TEST(Footprint, NodeStaysWithinItsByteBudget) {
-  EXPECT_LE(sizeof(pcd::machine::Node), 704u);
+  EXPECT_LE(sizeof(pcd::machine::Node) + sizeof(pcd::power::NodePowerModel*), 712u);
 }
 
 TEST(Footprint, ClusterAndCommBuildOf4096NodesStaysUnderItsHeapBytes) {
@@ -311,15 +481,25 @@ TEST(Footprint, ClusterAndCommBuildOf4096NodesStaysUnderItsHeapBytes) {
   pcd::mpi::Comm comm(c, ids);
   const std::int64_t bytes = heap_bytes() - before;
   RecordProperty("live_bytes", std::to_string(bytes));
-  EXPECT_LE(bytes, 4'300'000) << bytes << " live bytes after building " << kNodes << " nodes";
+  EXPECT_LE(bytes, 3'750'000) << bytes << " live bytes after building " << kNodes << " nodes";
 }
 
-TEST(Footprint, IdleCpuAllocatesOnlyItsResidencyCounters) {
+// A Cpu's residency counters are part of its record and its table and
+// CpuConfig are the platform it refers to, so a Cpu of a cluster allocates
+// nothing; a standalone Cpu allocates only its private platform.
+TEST(Footprint, IdleCpuAllocatesNothing) {
   sim::Engine e;
+  const pcd::cpu::CpuPlatform platform{e, pcd::cpu::OperatingPointTable::pentium_m_1400(),
+                                       pcd::cpu::CpuConfig{}};
+  std::int64_t before = heap_allocs();
+  {
+    pcd::cpu::Cpu cpu(platform, sim::Rng(1));
+    EXPECT_EQ(heap_allocs() - before, 0);
+  }
   const auto table = pcd::cpu::OperatingPointTable::pentium_m_1400();
-  const std::int64_t before = heap_allocs();
-  pcd::cpu::Cpu cpu(e, table, pcd::cpu::CpuConfig{}, sim::Rng(1));
-  EXPECT_EQ(heap_allocs() - before, 1);  // stats().op_residency_ns
+  before = heap_allocs();
+  pcd::cpu::Cpu standalone(e, table, pcd::cpu::CpuConfig{}, sim::Rng(1));
+  EXPECT_EQ(heap_allocs() - before, 1);
 }
 
 TEST(Footprint, CpuWorkWithEmptyBacklogAllocatesNothing) {

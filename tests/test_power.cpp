@@ -2,6 +2,7 @@
 // ACPI battery / Baytech strip measurement instruments.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -56,14 +57,14 @@ sim::Process run_onchip(Cpu& cpu, double cycles) { co_await cpu.run_onchip_cycle
 TEST(CpuPowerModel, TopOpFullActivity) {
   const auto table = OperatingPointTable::pentium_m_1400();
   const auto params = CpuPowerParams::pentium_m();
-  CpuPowerModel m(params, table.highest());
+  CpuPowerModel m(params, table);
   EXPECT_NEAR(m.watts(table.highest(), 1.0), params.busy_watts_max(), 1e-9);
 }
 
 TEST(CpuPowerModel, DynamicPartScalesWithV2FPlusClock) {
   const auto table = OperatingPointTable::pentium_m_1400();
   const auto params = CpuPowerParams::pentium_m();
-  CpuPowerModel m(params, table.highest());
+  CpuPowerModel m(params, table);
   const OperatingPoint low = table.lowest();  // 600 MHz / 0.956 V
   const double dyn_lo = m.watts(low, 1.0) - m.watts(low, 0.0);
   const double vr2 = (0.956 * 0.956) / (1.484 * 1.484);
@@ -74,7 +75,7 @@ TEST(CpuPowerModel, DynamicPartScalesWithV2FPlusClock) {
 
 TEST(CpuPowerModel, LeakageScalesWithV2) {
   const auto table = OperatingPointTable::pentium_m_1400();
-  CpuPowerModel m(CpuPowerParams::pentium_m(), table.highest());
+  CpuPowerModel m(CpuPowerParams::pentium_m(), table);
   const double leak_hi = m.watts(table.highest(), 0.0);
   const double leak_lo = m.watts(table.lowest(), 0.0);
   EXPECT_NEAR(leak_lo / leak_hi, (0.956 * 0.956) / (1.484 * 1.484), 1e-12);
@@ -82,12 +83,72 @@ TEST(CpuPowerModel, LeakageScalesWithV2) {
 
 TEST(CpuPowerModel, MonotonicInFrequency) {
   const auto table = OperatingPointTable::pentium_m_1400();
-  CpuPowerModel m(CpuPowerParams::pentium_m(), table.highest());
+  CpuPowerModel m(CpuPowerParams::pentium_m(), table);
   double prev = 0;
   for (const auto& op : table.points()) {
     const double w = m.watts(op, 1.0);
     EXPECT_GT(w, prev);
     prev = w;
+  }
+}
+
+namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace
+
+// Every power refresh prices the CPU as L[i] + a * D[i] from the model's
+// per-point coefficients; that must be watts(op, a) to the last bit, or
+// every energy figure would move.  Both node types' parameters, Table 1 and
+// Figure 1's single server point, every state activity of CpuConfig and
+// the per-phase overrides the NPB kernels pass.
+TEST(CpuPowerModel, CoefficientsMatchWattsBitForBit) {
+  const OperatingPointTable tables[] = {OperatingPointTable::pentium_m_1400(),
+                                        OperatingPointTable({{1000, 1.75}})};
+  const CpuPowerParams params[] = {NodePowerParams::nemo().cpu,
+                                   NodePowerParams::pentium_iii_server().cpu};
+  const CpuConfig c;
+  const double activities[] = {0.0,          c.act_idle,       c.act_memstall,
+                               c.act_commproc, c.act_transition, c.act_onchip,
+                               c.act_waitpoll, c.act_checkpoint, 0.95,
+                               0.55};
+  int checked = 0;
+  for (const auto& table : tables) {
+    for (const auto& p : params) {
+      const CpuPowerModel m(p, table);
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        for (const double a : activities) {
+          EXPECT_EQ(bits(m.watts_at(i, a)), bits(m.watts(table.get(i), a)))
+              << table.get(i).freq_mhz << " MHz, activity " << a;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, (5 + 1) * 2 * 10);
+}
+
+// Mid-transition the lane is priced at the higher-voltage endpoint, in
+// both directions between every pair of Table 1 points.
+TEST(NodePower, TransitionRefreshPricesTheHigherVoltagePointBitForBit) {
+  const auto table = OperatingPointTable::pentium_m_1400();
+  const CpuPowerModel m(NodePowerParams::nemo().cpu, table);
+  for (const auto& from : table.points()) {
+    for (const auto& to : table.points()) {
+      if (from == to) continue;
+      PowerFixture f;
+      f.cpu.set_frequency_mhz(from.freq_mhz);
+      f.engine.run();
+      ASSERT_EQ(f.cpu.frequency_mhz(), from.freq_mhz);
+      f.cpu.set_frequency_mhz(to.freq_mhz);
+      ASSERT_TRUE(f.cpu.transitioning());
+      const OperatingPoint& high = from.voltage >= to.voltage ? from : to;
+      EXPECT_EQ(f.cpu.power_op(), high);
+      EXPECT_EQ(bits(f.node.breakdown().cpu),
+                bits(m.watts(high, f.cpu.config().act_transition)))
+          << from.freq_mhz << " -> " << to.freq_mhz;
+    }
   }
 }
 
@@ -120,8 +181,7 @@ TEST(NodePower, EnergyAcrossStateChange) {
   const double busy_joules_expected = [&] {
     // Busy power: query via a fresh fixture mid-work is awkward; instead
     // compute from the model directly.
-    CpuPowerModel m(NodePowerParams::nemo().cpu,
-                    OperatingPointTable::pentium_m_1400().highest());
+    CpuPowerModel m(NodePowerParams::nemo().cpu, OperatingPointTable::pentium_m_1400());
     const auto& p = NodePowerParams::nemo();
     const double cpu_w =
         m.watts(OperatingPointTable::pentium_m_1400().highest(), f.cpu.config().act_onchip);

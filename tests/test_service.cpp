@@ -14,12 +14,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/result.hpp"
@@ -34,7 +38,57 @@
 using namespace pcd;
 using service::JsonValue;
 
+namespace pcd::service {
+
+/// Sets the service's before-run seam (see CampaignService::before_run_).
+struct CampaignServiceTestPeer {
+  static void set_before_run(CampaignService& svc, std::function<void()> fn) {
+    svc.before_run_ = std::move(fn);
+  }
+};
+
+}  // namespace pcd::service
+
 namespace {
+
+/// Holds the first request a service starts executing until open(), so a
+/// test can order submissions against a busy worker without sleeping.
+/// Declare it before the service (it must outlive the worker) and an
+/// Opener after it (so the worker is released on every exit path before
+/// the service joins it).
+class FirstRunGate {
+ public:
+  void install(service::CampaignService& svc) {
+    service::CampaignServiceTestPeer::set_before_run(svc, [this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (started_) return;  // only the first request waits
+      started_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    });
+  }
+  /// Blocks until the first request is being held on its worker.
+  bool wait_started() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(60), [this] { return started_; });
+  }
+  void open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  struct Opener {
+    FirstRunGate& gate;
+    ~Opener() { gate.open(); }
+  };
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool started_ = false;
+  bool open_ = false;
+};
 
 /// Fresh empty directory under the test temp root, wiped on destruction.
 struct TempDir {
@@ -443,15 +497,17 @@ TEST(CampaignService, ShedsWhenTheAdmissionQueueIsFull) {
   opts.campaign_threads = 1;
   telemetry::MetricsRegistry metrics;
   opts.metrics = &metrics;
+  FirstRunGate gate;
   service::CampaignService svc(opts);
+  gate.install(svc);
+  const FirstRunGate::Opener opener{gate};
 
-  // Occupy the worker, then the single queue slot; the third submission
-  // must shed immediately with a structured rejection.
+  // Occupy the worker (the gate holds t1 on it), then the single queue
+  // slot; the third submission must shed immediately with a structured
+  // rejection.
   auto t1 = svc.submit(tiny_request({"FT", "CG"}, 11));
-  for (int i = 0; i < 200 && svc.queue_depth() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(svc.queue_depth(), 0u);  // worker picked up t1
+  ASSERT_TRUE(gate.wait_started());
+  EXPECT_EQ(svc.queue_depth(), 0u);  // the worker took t1
   auto t2 = svc.submit(tiny_request({"EP"}, 12));
   auto t3 = svc.submit(tiny_request({"IS"}, 13));
 
@@ -460,6 +516,7 @@ TEST(CampaignService, ShedsWhenTheAdmissionQueueIsFull) {
   EXPECT_NE(r3.reason.find("queue full"), std::string::npos);
   EXPECT_GT(r3.retry_after_s, 0.0);
 
+  gate.open();
   EXPECT_EQ(svc.wait(t1).status, service::Status::Ok);
   EXPECT_EQ(svc.wait(t2).status, service::Status::Ok);
   EXPECT_DOUBLE_EQ(metrics.counter("campaign_service_shed_total").value(), 1.0);
@@ -523,16 +580,25 @@ TEST(CampaignService, CancelCompletesQueuedAndRunningRequests) {
   service::ServiceOptions opts;
   opts.workers = 1;
   opts.campaign_threads = 1;
+  FirstRunGate gate;
   service::CampaignService svc(opts);
+  gate.install(svc);
+  const FirstRunGate::Opener opener{gate};
 
+  // The gate holds `running` on the worker until `queued` is submitted and
+  // cancelled, so `queued` is always cancelled before it starts.  `running`
+  // is cancelled right after the gate opens, usually mid-run (the runner
+  // aborts its cell at the next batch boundary); a cancel that lands after
+  // the cell finished still makes the request Cancelled.  The mid-run abort
+  // itself is pinned deterministically by Cancel.RaisedMidRunAbortsAtTheNextBatch
+  // in test_campaign.
   auto slow = tiny_request({"CG"}, 21);
-  slow.scale = 1.0;  // ~100 ms: a wide window to land the cancel in
+  slow.scale = 1.0;
   auto running = svc.submit(slow);
-  for (int i = 0; i < 200 && svc.queue_depth() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(gate.wait_started());
   auto queued = svc.submit(tiny_request({"EP", "IS"}, 22));
   svc.cancel(queued);
+  gate.open();
   svc.cancel(running);
 
   const auto rq = svc.wait(queued);
