@@ -25,6 +25,7 @@ namespace {
 // Tag space for the replicas' explicit point-to-point messages.
 constexpr int kTagExchangeA = 101;
 constexpr int kTagExchangeB = 102;
+constexpr int kExchangeTags[] = {kTagExchangeA, kTagExchangeB};  // CG's two per cycle
 constexpr int kTagSweep = 110;
 
 // ---- FT: communication-bound, all-to-all transposes ------------------------
@@ -91,27 +92,26 @@ sim::Process cg_rank(AppContext& ctx, CgSpec spec, double scale, int rank) {
   const int cycles = std::max(1, static_cast<int>(std::lround(spec.cycles * scale)));
   const auto bytes = static_cast<std::int64_t>(spec.exchange_kb * 1024);
 
-  auto exchange = [&](int tag) -> sim::Op<> {
-    ctx.call(ctx.hooks ? ctx.hooks->before_any_comm : nullptr, rank);
-    auto rr = comm.irecv(rank, partner, tag);
-    auto sr = comm.isend(rank, partner, tag, bytes);
-    ctx.call(ctx.hooks ? ctx.hooks->before_wait : nullptr, rank);
-    std::vector<mpi::Comm::Request> reqs;
-    reqs.push_back(std::move(sr));
-    reqs.push_back(std::move(rr));
-    co_await comm.waitall(rank, std::move(reqs));
-    ctx.call(ctx.hooks ? ctx.hooks->after_wait : nullptr, rank);
-    ctx.call(ctx.hooks ? ctx.hooks->after_any_comm : nullptr, rank);
-  };
-
   for (int it = 0; it < cycles; ++it) {
     if (ctx.tracer && it % 24 == 0) ctx.tracer->mark_iteration(rank);
     co_await compute_phase(ctx, rank, spec.onchip_s, spec.mem_base_s);
-    co_await exchange(kTagExchangeA);
-    if (lower) {
-      co_await compute_phase(ctx, rank, 0.0, spec.mem_extra_s);
+    // Two partner exchanges per cycle, the lower half computing between
+    // them: post both sides, then wait for the send and the receive.
+    for (const int tag : kExchangeTags) {
+      if (tag == kTagExchangeB && lower) {
+        co_await compute_phase(ctx, rank, 0.0, spec.mem_extra_s);
+      }
+      ctx.call(ctx.hooks ? ctx.hooks->before_any_comm : nullptr, rank);
+      auto rr = comm.irecv(rank, partner, tag);
+      auto sr = comm.isend(rank, partner, tag, bytes);
+      ctx.call(ctx.hooks ? ctx.hooks->before_wait : nullptr, rank);
+      std::vector<mpi::Comm::Request> reqs;
+      reqs.push_back(std::move(sr));
+      reqs.push_back(std::move(rr));
+      co_await comm.waitall(rank, std::move(reqs));
+      ctx.call(ctx.hooks ? ctx.hooks->after_wait : nullptr, rank);
+      ctx.call(ctx.hooks ? ctx.hooks->after_any_comm : nullptr, rank);
     }
-    co_await exchange(kTagExchangeB);
     co_await comm.allreduce(rank, 16);  // rho
   }
 }

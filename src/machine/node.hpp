@@ -34,7 +34,7 @@ class alignas(64) Node {
        power::NodeStateArena& arena, int lane)
       : cpu_(platform, rng.split()),
         power_(platform.engine, cpu_, config.power, &arena, lane),
-        battery_(platform.engine, power_, config.battery, rng.split()),
+        battery_(power_, config.battery, rng.split()),
         id_(id) {
     init();
   }
@@ -44,7 +44,7 @@ class alignas(64) Node {
   Node(sim::Engine& engine, int id, const NodeConfig& config, sim::Rng rng)
       : cpu_(engine, config.operating_points, config.cpu, rng.split()),
         power_(engine, cpu_, config.power),
-        battery_(engine, power_, config.battery, rng.split()),
+        battery_(power_, config.battery, rng.split()),
         id_(id) {
     init();
   }

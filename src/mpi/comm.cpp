@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -64,14 +64,13 @@ double CommBase::speed_ratio(int rank) {
 // event digest folds (t, seq, parent, site), so digest roots and goldens
 // depend on it; tests/test_mpi.cpp MpiPinned.* pins every branch.
 
-// Header shared by both sides.  `keep` is the protocol's own reference:
-// set by adopt(), dropped by release(), so a Request dropped mid-flight
-// never cuts the protocol short.
-struct Comm::Record {
-  explicit Record(Comm& c) : req(c.engine_), comm(&c) {}
-  RequestState req;  // what the returned Request aliases
+// Header shared by both sides.  A record is its request's state: the
+// Requests isend/irecv return are handles on it, and the protocol holds one
+// more reference, taken by adopt() and dropped by release(), so a Request
+// dropped mid-flight never cuts the protocol short.
+struct Comm::Record : RequestState {
+  explicit Record(Comm& c) : RequestState(c.engine_), comm(&c) {}
   Comm* comm;
-  std::shared_ptr<Record> keep;
   Record* prev = nullptr;  // Comm::live_ list
   Record* next = nullptr;
 };
@@ -85,7 +84,7 @@ struct Comm::SendRecord : Record {
   bool awaiting_grant = false;  // rendezvous send parked on recv_posted
   bool delivered = false;
   bool queued = false;          // in the destination's unexpected queue
-  std::int64_t bytes = 0;
+  std::int64_t size = 0;        // message bytes
   std::int64_t log_seq = -1;    // index into the tracer's message log
   RecvRecord* peer = nullptr;   // matched receive still waiting for delivery
 };
@@ -97,14 +96,43 @@ struct Comm::RecvRecord : Record {
   int tag = kAnyTag;
   bool delivered = false;          // the matched message has arrived
   bool awaiting_delivery = false;  // parked until the send delivers
-  std::int64_t bytes = 0;          // the matched message
+  std::int64_t size = 0;           // the matched message's bytes
   std::int64_t log_seq = -1;
 };
 
+namespace {
+
+template <typename T>
+void free_pooled(T* p) noexcept {
+  p->~T();
+  sim::pool_free(p, sizeof(T));
+}
+
+}  // namespace
+
+void CommBase::Request::destroy(RequestState* s) noexcept {
+  switch (s->kind) {
+    case RequestState::Kind::Standalone:
+      free_pooled(s);
+      return;
+    case RequestState::Kind::Send:
+      free_pooled(static_cast<Comm::SendRecord*>(s));
+      return;
+    case RequestState::Kind::Recv:
+      free_pooled(static_cast<Comm::RecvRecord*>(s));
+      return;
+  }
+}
+
+CommBase::Request CommBase::standalone_request(sim::Engine& engine) {
+  return Request(::new (sim::pool_alloc(sizeof(RequestState))) RequestState(engine));
+}
+
 Comm::~Comm() {
-  // Release what is still in flight (an abandoned or failed run).  Pending
-  // engine events, CPU work and transfers may still name these records;
-  // nothing runs them once the communicator is gone.
+  // Drop the protocol's reference on what is still in flight (an abandoned
+  // or failed run).  Pending engine events, CPU work and transfers may
+  // still name these records; nothing runs them once the communicator is
+  // gone.  A record some Request still holds lives until that handle goes.
   while (live_ != nullptr) release(*live_);
 }
 
@@ -114,12 +142,12 @@ std::size_t Comm::live_records() const {
   return n;
 }
 
-void Comm::adopt(std::shared_ptr<Record> rec) {
-  Record& r = *rec;
-  r.next = live_;
-  if (live_ != nullptr) live_->prev = &r;
-  live_ = &r;
-  r.keep = std::move(rec);
+void Comm::adopt(Record& rec, RequestState::Kind kind) {
+  rec.kind = kind;
+  ++rec.refs;  // the protocol's reference
+  rec.next = live_;
+  if (live_ != nullptr) live_->prev = &rec;
+  live_ = &rec;
 }
 
 void Comm::release(Record& rec) {
@@ -129,41 +157,39 @@ void Comm::release(Record& rec) {
     live_ = rec.next;
   }
   if (rec.next != nullptr) rec.next->prev = rec.prev;
-  auto last = std::move(rec.keep);  // may free the record on scope exit
+  Request::unref(&rec);  // frees the record unless a Request still holds it
 }
 
 CommBase::Request Comm::isend(int rank, int dst, int tag, std::int64_t bytes) {
   assert(rank >= 0 && rank < size() && dst >= 0 && dst < size());
-  auto rec = std::allocate_shared<SendRecord>(sim::PoolAllocator<SendRecord>{}, *this);
+  auto* rec = ::new (sim::pool_alloc(sizeof(SendRecord))) SendRecord(*this);
   rec->rank = rank;
   rec->dst = dst;
   rec->tag = tag;
-  rec->bytes = bytes;
-  adopt(rec);
-  engine_.schedule_in(0, sim::Continuation{&send_start, rec.get()}, "process.spawn");
-  RequestState* view = &rec->req;
-  return Request(std::move(rec), view);
+  rec->size = bytes;
+  adopt(*rec, RequestState::Kind::Send);
+  engine_.schedule_in(0, sim::Continuation{&send_start, rec}, "process.spawn");
+  return Request(rec);
 }
 
 CommBase::Request Comm::irecv(int rank, int src, int tag) {
   assert(rank >= 0 && rank < size());
-  auto rec = std::allocate_shared<RecvRecord>(sim::PoolAllocator<RecvRecord>{}, *this);
+  auto* rec = ::new (sim::pool_alloc(sizeof(RecvRecord))) RecvRecord(*this);
   rec->rank = rank;
   rec->src = src;
   rec->tag = tag;
-  adopt(rec);
-  engine_.schedule_in(0, sim::Continuation{&recv_start, rec.get()}, "process.spawn");
-  RequestState* view = &rec->req;
-  return Request(std::move(rec), view);
+  adopt(*rec, RequestState::Kind::Recv);
+  engine_.schedule_in(0, sim::Continuation{&recv_start, rec}, "process.spawn");
+  return Request(rec);
 }
 
 void Comm::send_start(void* p) {
   auto& s = *static_cast<SendRecord*>(p);
   Comm& c = *s.comm;
   // The send's causal anchor: the sender enters the protocol.
-  if (c.tracer_ != nullptr) s.log_seq = c.tracer_->log_send(s.rank, s.dst, s.tag, s.bytes);
+  if (c.tracer_ != nullptr) s.log_seq = c.tracer_->log_send(s.rank, s.dst, s.tag, s.size);
   auto& cpu = c.node(s.rank).cpu();
-  cpu.run(cpu.run_commproc_cycles(c.protocol_cycles(s.bytes)), {&send_announce, &s});
+  cpu.run(cpu.run_commproc_cycles(c.protocol_cycles(s.size)), {&send_announce, &s});
 }
 
 void Comm::send_announce(void* p) {
@@ -180,13 +206,13 @@ void Comm::send_announce(void* p) {
     c.match(s, r);
     c.engine_.schedule_in(0, sim::Continuation{&recv_matched, &r}, "event.set");
     s.recv_posted = true;
-    c.note_match(s.rank, s.dst, s.tag, s.bytes);
+    c.note_match(s.rank, s.dst, s.tag, s.size);
   } else {
     s.queued = true;
     c.mailboxes_[static_cast<std::size_t>(s.dst)].sends.push_back(&s);
   }
   // Rendezvous: large messages stall until the receive is posted.
-  if (s.bytes > c.costs_.eager_limit && !s.recv_posted) {
+  if (s.size > c.costs_.eager_limit && !s.recv_posted) {
     s.awaiting_grant = true;
     return;
   }
@@ -198,7 +224,7 @@ void Comm::send_transfer(void* p) {
   Comm& c = *s.comm;
   c.cluster_.network().start_transfer(c.node_ids_[static_cast<std::size_t>(s.rank)],
                                       c.node_ids_[static_cast<std::size_t>(s.dst)],
-                                      s.bytes, c.speed_ratio(s.rank),
+                                      s.size, c.speed_ratio(s.rank),
                                       {&send_delivered, &s});
 }
 
@@ -215,9 +241,9 @@ void Comm::send_delivered(void* p) {
   }
   if (c.tracer_ != nullptr) c.tracer_->log_delivered(s.log_seq);
   ++c.stats_.messages;
-  c.stats_.bytes += s.bytes;
-  s.req.bytes = s.bytes;
-  s.req.done.set();
+  c.stats_.bytes += s.size;
+  s.bytes = s.size;
+  s.done.set();
   // An unmatched eager send waits in the unexpected queue for its receive.
   if (!s.queued) c.release(s);
 }
@@ -242,7 +268,7 @@ void Comm::recv_start(void* p) {
     s.awaiting_grant = false;
     c.engine_.schedule_in(0, sim::Continuation{&send_transfer, &s}, "event.set");
   }
-  c.note_match(s.rank, r.rank, s.tag, s.bytes);
+  c.note_match(s.rank, r.rank, s.tag, s.size);
   if (s.delivered) c.release(s);  // its protocol finished while it queued
   recv_matched(&r);
 }
@@ -261,22 +287,22 @@ void Comm::recv_copy(void* p) {
   auto& r = *static_cast<RecvRecord*>(p);
   Comm& c = *r.comm;
   auto& cpu = c.node(r.rank).cpu();
-  cpu.run(cpu.run_commproc_cycles(c.protocol_cycles(r.bytes)), {&recv_done, &r});
+  cpu.run(cpu.run_commproc_cycles(c.protocol_cycles(r.size)), {&recv_done, &r});
 }
 
 void Comm::recv_done(void* p) {
   auto& r = *static_cast<RecvRecord*>(p);
   Comm& c = *r.comm;
   if (c.tracer_ != nullptr) c.tracer_->log_recv_done(r.log_seq);
-  r.req.bytes = r.bytes;
-  r.req.done.set();
+  r.bytes = r.size;
+  r.done.set();
   c.release(r);
 }
 
 // Copies the message into the receive; a send not yet delivered keeps a
 // pointer to it so delivery can wake it.
 void Comm::match(SendRecord& s, RecvRecord& r) {
-  r.bytes = s.bytes;
+  r.size = s.size;
   r.log_seq = s.log_seq;
   if (s.delivered) {
     r.delivered = true;

@@ -35,8 +35,8 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "machine/cluster.hpp"
@@ -64,12 +64,26 @@ struct CommStats {
 /// here, so every transport exhibits the same traffic patterns.
 class CommBase {
  public:
+  class Request;
+
+  /// What a request reports: `done` is set, and `bytes` filled in, when its
+  /// message side completes.  The state sits in a pooled block (in Comm the
+  /// message side's own record, in ShardedComm a standalone block for each
+  /// cross-shard request) and counts its own references (see Request).
   struct RequestState {
     explicit RequestState(sim::Engine& e) : done(e) {}
     sim::Event done;
     std::int64_t bytes = 0;
+
+   private:
+    friend class CommBase;
+    friend class CommBase::Request;
+    friend class Comm;
+    // Which block holds the state, so the last reference frees its type.
+    enum class Kind : std::uint8_t { Standalone, Send, Recv };
+    std::uint32_t refs = 0;  // handles, plus the protocol's own while it runs
+    Kind kind = Kind::Standalone;
   };
-  using Request = std::shared_ptr<RequestState>;
 
   static constexpr int kAnySource = -1;
   static constexpr int kAnyTag = -1;
@@ -143,6 +157,10 @@ class CommBase {
   CommBase(CostParams costs, trace::Tracer* tracer)
       : costs_(costs), tracer_(tracer) {}
 
+  /// A request whose state is a pooled block of its own, freed with its
+  /// last handle (ShardedComm's cross-shard messages).
+  static Request standalone_request(sim::Engine& engine);
+
   /// Wait without opening a trace scope (collective internals): the
   /// Blocking awaiter over one request, no coroutine frame.
   class WaitAwaiter;
@@ -167,6 +185,49 @@ class CommBase {
   sim::Op<> alltoallv_body(int rank, std::vector<std::int64_t> bytes_to, bool burst);
 
   std::vector<int> coll_seq_;
+};
+
+/// A handle on a request's state: one pointer, and an intrusive count
+/// with no atomics.  Copying a handle takes a reference, moving one passes
+/// it on, and dropping one gives it back; the transport holds one more
+/// while the message side runs, so a dropped handle never cuts the
+/// protocol short.  The last reference frees the pooled block.  Every
+/// reference to a state is taken and dropped on the thread of the engine
+/// that runs its rank (ShardedComm creates and completes each cross-shard
+/// request on the rank's own shard), so the count is a plain integer.
+class CommBase::Request {
+ public:
+  Request() noexcept = default;
+  Request(const Request& other) noexcept : s_(other.s_) {
+    if (s_ != nullptr) ++s_->refs;
+  }
+  Request(Request&& other) noexcept : s_(std::exchange(other.s_, nullptr)) {}
+  Request& operator=(Request other) noexcept {
+    std::swap(s_, other.s_);
+    return *this;
+  }
+  ~Request() {
+    if (s_ != nullptr) unref(s_);
+  }
+
+  RequestState* operator->() const noexcept { return s_; }
+  RequestState& operator*() const noexcept { return *s_; }
+  explicit operator bool() const noexcept { return s_ != nullptr; }
+  /// References to the state: handles, plus the transport's while it runs.
+  std::uint32_t use_count() const noexcept { return s_ != nullptr ? s_->refs : 0; }
+
+ private:
+  friend class CommBase;
+  friend class Comm;
+  /// A new handle on `s`: takes a reference.
+  explicit Request(RequestState* s) noexcept : s_(s) { ++s->refs; }
+  static void unref(RequestState* s) noexcept {
+    if (--s->refs == 0) destroy(s);
+  }
+  /// Destroys the state and returns its block to the pool.
+  static void destroy(RequestState* s) noexcept;
+
+  RequestState* s_ = nullptr;
 };
 
 /// What every blocking call and every wait inside a collective awaits: it
@@ -361,16 +422,19 @@ inline CommBase::SendrecvCall CommBase::sendrecv(int rank, int dst, int send_tag
 ///
 /// Each isend/irecv allocates one pooled record (DESIGN.md §3.5): the send
 /// record carries the envelope and the delivery state, the receive record
-/// the post and the matched message, and the returned Request is an
-/// aliasing view of the record's RequestState.  No process is spawned per
+/// the post and the matched message.  A record is its request's state, so
+/// the returned Request is an intrusive handle on the record itself, with
+/// no separate control block.  No process is spawned per
 /// message: the protocol runs as step functions the engine, the CPU and the
 /// network call back (spawn step -> protocol work -> match -> rendezvous
 /// grant -> transfer -> delivery -> receive copy -> done), scheduled under
 /// the site labels a send and a receive coroutine would use.
-/// A record lives while its protocol runs (or, for an eager send delivered
-/// before any receive matched it, while it waits in the unexpected queue);
-/// a dropped Request does not stop the protocol.  ~Comm releases the
-/// records still in flight.
+/// The protocol holds a reference to its record while it runs (or, for an
+/// eager send delivered before any receive matched it, while it waits in
+/// the unexpected queue), so a dropped Request does not stop the protocol;
+/// the record is freed when that reference and the last handle are gone.
+/// ~Comm drops the protocol's reference on every record still in flight;
+/// a Request that outlives the communicator stays readable.
 class Comm final : public CommBase {
  public:
   /// Creates a communicator over `ranks` nodes of the cluster; rank r runs
@@ -416,8 +480,10 @@ class Comm final : public CommBase {
   static void recv_copy(void* rec);
   static void recv_done(void* rec);
 
+  friend class CommBase::Request;  // frees the records by kind
+
   void match(SendRecord& s, RecvRecord& r);
-  void adopt(std::shared_ptr<Record> rec);
+  void adopt(Record& rec, RequestState::Kind kind);
   void release(Record& rec);
   void note_match(int src, int dst, int tag, std::int64_t bytes);
 

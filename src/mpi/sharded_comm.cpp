@@ -71,7 +71,7 @@ CommBase::Request ShardedComm::isend(int rank, int dst, int tag,
     return inner_[static_cast<std::size_t>(a)]->isend(
         plan_.local_of(rank), plan_.local_of(dst), tag, bytes);
   }
-  auto req = std::allocate_shared<RequestState>(sim::PoolAllocator<RequestState>{}, engines_.shard(a));
+  Request req = standalone_request(engines_.shard(a));
   sim::spawn(engines_.shard(a), xsend_proc(rank, dst, tag, bytes, req));
   return req;
 }
@@ -89,7 +89,7 @@ CommBase::Request ShardedComm::irecv(int rank, int src, int tag) {
     return inner_[static_cast<std::size_t>(a)]->irecv(plan_.local_of(rank),
                                                       plan_.local_of(src), tag);
   }
-  auto req = std::allocate_shared<RequestState>(sim::PoolAllocator<RequestState>{}, engines_.shard(a));
+  Request req = standalone_request(engines_.shard(a));
   sim::spawn(engines_.shard(a), xrecv_proc(rank, src, tag, req));
   return req;
 }

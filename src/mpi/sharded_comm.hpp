@@ -101,6 +101,9 @@ class ShardedComm final : public CommBase {
     std::vector<std::shared_ptr<XRecvPost>> recvs;  // posted, unmatched
   };
 
+  // A cross-shard Request is created on the rank's own shard and its
+  // process completes it there, so its count never crosses threads; only
+  // XMsg, XSendState and XRecvPost do, and they keep shared_ptr.
   sim::Process xsend_proc(int rank, int dst, int tag, std::int64_t bytes,
                           Request req);
   sim::Process xrecv_proc(int rank, int src, int tag, Request req);

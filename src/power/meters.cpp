@@ -9,24 +9,23 @@ namespace {
 constexpr double kJoulesPerMwh = 3.6;  // 1 mWh = 3.6 J (paper §4.2)
 }
 
-AcpiBattery::AcpiBattery(sim::Engine& engine, NodePowerModel& node,
-                         AcpiBatteryParams params, sim::Rng rng)
-    : engine_(engine),
-      node_(node),
-      params_(params),
+AcpiBattery::AcpiBattery(NodePowerModel& node, AcpiBatteryParams params, sim::Rng rng)
+    : node_(node),
+      capacity_mwh_(params.capacity_mwh),
+      quantum_mwh_(params.quantum_mwh),
       rng_(rng),
       level_mwh_(params.capacity_mwh),
       reported_mwh_(params.capacity_mwh) {
   // Draw from the stored stream in the same order as before it was kept:
   // period first, then phase.  Garbage-sensor readings continue the stream
   // and perturb nothing else.
-  const double period_s = rng_.uniform(params_.refresh_min_s, params_.refresh_max_s);
+  const double period_s = rng_.uniform(params.refresh_min_s, params.refresh_max_s);
   refresh_period_ = sim::from_seconds(period_s);
   initial_phase_ = static_cast<sim::SimDuration>(rng_.uniform(0.0, period_s) * 1e9);
 }
 
 void AcpiBattery::recharge_full() {
-  level_mwh_ = params_.capacity_mwh;
+  level_mwh_ = capacity_mwh_;
   drained_mwh_before_ = 0;
   if (!on_ac_) drained_joules_at_disconnect_ = node_.energy_joules();
   reported_mwh_ = quantize(true_remaining_mwh());
@@ -60,7 +59,7 @@ void AcpiBattery::fail_capacity(double remaining_fraction) {
 }
 
 double AcpiBattery::quantize(double mwh) const {
-  return std::floor(mwh / params_.quantum_mwh) * params_.quantum_mwh;
+  return std::floor(mwh / quantum_mwh_) * quantum_mwh_;
 }
 
 void AcpiBattery::start_polling() {
@@ -70,14 +69,14 @@ void AcpiBattery::start_polling() {
   // First refresh after the random phase, then strictly every refresh
   // period: one pooled periodic timer for the whole polling lifetime.
   next_tick_ =
-      engine_.schedule_every(initial_phase_, refresh_period_, [this] { refresh_tick(); },
+      node_.engine().schedule_every(initial_phase_, refresh_period_, [this] { refresh_tick(); },
                              "acpi.refresh");
 }
 
 void AcpiBattery::stop_polling() {
   if (!polling_) return;
   polling_ = false;
-  engine_.cancel(next_tick_);
+  node_.engine().cancel(next_tick_);
   next_tick_ = {};
 }
 
@@ -89,12 +88,12 @@ void AcpiBattery::refresh_tick() {
     case SensorFault::Stale:
       break;  // wedged driver: keep returning the last refreshed value
     case SensorFault::Garbage:
-      reported_mwh_ = quantize(rng_.uniform(0.0, params_.capacity_mwh));
+      reported_mwh_ = quantize(rng_.uniform(0.0, capacity_mwh_));
       break;
   }
   if (refreshes_ != nullptr) refreshes_->inc();
   if (!on_ac_ && !depleted_at_.has_value() && true_remaining_mwh() <= 0.0) {
-    depleted_at_ = engine_.now();
+    depleted_at_ = node_.engine().now();
     if (on_depleted_.fn != nullptr) on_depleted_();
   }
 }

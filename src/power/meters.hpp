@@ -38,11 +38,12 @@ enum class SensorFault : std::uint8_t {
   Garbage,  // flaky SMBus: refreshes report random capacities
 };
 
-/// ACPI smart battery attached to one node.
+/// ACPI smart battery attached to one node, polled on the node's engine.
+/// It keeps only the parameters it reads after construction (the refresh
+/// bounds are drawn from once, in the constructor).
 class AcpiBattery {
  public:
-  AcpiBattery(sim::Engine& engine, NodePowerModel& node, AcpiBatteryParams params,
-              sim::Rng rng);
+  AcpiBattery(NodePowerModel& node, AcpiBatteryParams params, sim::Rng rng);
   ~AcpiBattery() { stop_polling(); }
 
   AcpiBattery(const AcpiBattery&) = delete;
@@ -76,7 +77,7 @@ class AcpiBattery {
   void set_depleted(sim::Continuation cb) { on_depleted_ = cb; }
   std::optional<sim::SimTime> depleted_at() const { return depleted_at_; }
 
-  const AcpiBatteryParams& params() const { return params_; }
+  double capacity_mwh() const { return capacity_mwh_; }
   sim::SimDuration refresh_period() const { return refresh_period_; }
 
   /// Counts ACPI refresh events as acpi_refreshes_total{node=...} so the
@@ -87,9 +88,9 @@ class AcpiBattery {
   void refresh_tick();
   double quantize(double mwh) const;
 
-  sim::Engine& engine_;
   NodePowerModel& node_;
-  AcpiBatteryParams params_;
+  double capacity_mwh_;
+  double quantum_mwh_;
   sim::Rng rng_;  // private stream for Garbage readings (drawn only then)
   sim::SimDuration refresh_period_;
   sim::SimDuration initial_phase_;

@@ -70,6 +70,9 @@ class NodePowerModel {
   void set_nic_flows(int flows);
   int nic_flows() const { return lane_.nic_flows; }
 
+  /// The engine the node runs on.
+  sim::Engine& engine() const { return engine_; }
+
   /// The parameters shared by every lane of the backing arena.
   const NodePowerParams& params() const { return arena_->params(); }
 

@@ -9,9 +9,11 @@
 //
 // Layout: 128 buckets at 16-byte granularity (up to 2048 bytes), so a
 // block wastes at most 15 bytes: the MPI layer's send and receive records
-// (144 and 128 bytes with their shared_ptr control block) and the small Op
-// frames are under 150 bytes, where 64-byte classes would waste up to 56
-// bytes each and spread a 4096-rank working set over more cache lines.
+// (112 and 104 bytes; each is its request's state, reached through an
+// intrusive handle, with no control block), the network's 64-byte transfer
+// records and the small Op frames are under 150 bytes, where 64-byte
+// classes would waste up to 56 bytes each and spread a 4096-rank working
+// set over more cache lines.
 // Larger requests fall through to ::operator new/delete.  Each thread owns
 // its lists outright — no locks; blocks freed on a different thread than
 // they were allocated on simply migrate to the freeing thread's pool.
@@ -121,8 +123,10 @@ inline void pool_free(void* ptr, [[maybe_unused]] std::size_t bytes) noexcept {
 #endif
 }
 
-/// Minimal allocator over the pool, for allocate_shared of the MPI layer's
-/// per-message records (control block + record become one pooled block).
+/// Minimal allocator over the pool, for allocate_shared of the state that
+/// ShardedComm's cross-shard messages share between shard threads (control
+/// block + state become one pooled block).  The MPI requests themselves are
+/// intrusive handles on pooled blocks and need no allocator.
 template <typename T>
 struct PoolAllocator {
   using value_type = T;

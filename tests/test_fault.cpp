@@ -141,7 +141,7 @@ power::AcpiBatteryParams tiny_battery() {
 
 TEST(BatteryFaults, ClampsAtZeroAndBrownsOut) {
   CpuFixture f;
-  power::AcpiBattery battery(f.engine, f.node, tiny_battery(), sim::Rng(11));
+  power::AcpiBattery battery(f.node, tiny_battery(), sim::Rng(11));
   bool browned_out = false;
   battery.set_depleted({[](void* flag) { *static_cast<bool*>(flag) = true; }, &browned_out});
   battery.disconnect_ac();
@@ -165,7 +165,7 @@ TEST(BatteryFaults, StaleSensorFreezesReadings) {
   CpuFixture f;
   auto params = tiny_battery();
   params.capacity_mwh = 53000;
-  power::AcpiBattery battery(f.engine, f.node, params, sim::Rng(11));
+  power::AcpiBattery battery(f.node, params, sim::Rng(11));
   battery.disconnect_ac();
   battery.start_polling();
   f.engine.run_until(sim::from_seconds(5));
@@ -181,7 +181,7 @@ TEST(BatteryFaults, GarbageSensorReportsNoise) {
   CpuFixture f;
   auto params = tiny_battery();
   params.capacity_mwh = 53000;
-  power::AcpiBattery battery(f.engine, f.node, params, sim::Rng(11));
+  power::AcpiBattery battery(f.node, params, sim::Rng(11));
   // On AC the true level never moves; any change in readings is noise.
   battery.set_sensor_fault(power::SensorFault::Garbage);
   battery.start_polling();

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "machine/cluster.hpp"
@@ -814,5 +815,85 @@ TEST(MpiTeardown, RankDestroyedMidWaitallLeavesWaitPollAndClosesItsScope) {
   EXPECT_STREQ(tracer.records(0)[0].label, "mpi_waitall");
   EXPECT_EQ(tracer.records(0)[0].end, sim::from_millis(5));
   comm.reset();
+  cluster.reset();
+}
+
+// ---- Request handles ----------------------------------------------------------
+//
+// A Request is one pointer on its record, counted without atomics: each
+// handle holds one reference and the protocol one more while it runs.
+
+TEST(MpiRequest, HandleIsOnePointer) {
+  EXPECT_EQ(sizeof(Comm::Request), sizeof(void*));
+  const Comm::Request none;
+  EXPECT_FALSE(none);
+  EXPECT_EQ(none.use_count(), 0u);
+}
+
+TEST(MpiRequest, CountsFollowCopyMoveSelfAssignmentAndDrop) {
+  MpiFixture f(2);
+  Comm::Request send = f.comm.isend(0, 1, 1, 4096);
+  ASSERT_TRUE(send);
+  EXPECT_EQ(send.use_count(), 2u);  // this handle and the protocol
+
+  Comm::Request copy = send;
+  EXPECT_EQ(send.use_count(), 3u);
+  EXPECT_EQ(&*copy, &*send);
+
+  Comm::Request moved = std::move(copy);
+  EXPECT_FALSE(copy);  // a moved-from handle is empty
+  EXPECT_EQ(moved.use_count(), 3u);
+
+  Comm::Request& alias = moved;
+  moved = alias;  // self copy-assignment
+  EXPECT_EQ(moved.use_count(), 3u);
+  moved = std::move(alias);  // self move-assignment
+  ASSERT_TRUE(moved);
+  EXPECT_EQ(moved.use_count(), 3u);
+
+  // Assigning over a handle gives its old state's reference back.
+  Comm::Request recv = f.comm.irecv(1, 0, 1);
+  Comm::Request other = recv;
+  EXPECT_EQ(recv.use_count(), 3u);
+  other = send;
+  EXPECT_EQ(recv.use_count(), 2u);
+  EXPECT_EQ(send.use_count(), 4u);
+
+  moved = Comm::Request{};  // drop
+  other = Comm::Request{};
+  EXPECT_FALSE(moved);
+  EXPECT_EQ(send.use_count(), 2u);
+
+  // Finished protocols give their references back; the handles remain.
+  f.engine.run();
+  EXPECT_EQ(f.comm.live_records(), 0u);
+  EXPECT_EQ(send.use_count(), 1u);
+  EXPECT_EQ(recv.use_count(), 1u);
+  EXPECT_TRUE(send->done.signaled());
+  EXPECT_EQ(recv->bytes, 4096);
+}
+
+TEST(MpiRequest, RequestOutlivesItsComm) {
+  // A finished request and an in-flight one are both still readable after
+  // the communicator is gone; the last handle frees each record (the ASan
+  // tree with detect_leaks=1 checks that nothing is left).
+  sim::Engine engine;
+  std::optional<Cluster> cluster(std::in_place, engine, small_cluster(2));
+  std::optional<Comm> comm(std::in_place, *cluster, MpiFixture::iota(2));
+  Comm::Request done = comm->isend(0, 1, 1, 512);
+  Comm::Request recv = comm->irecv(1, 0, 1);
+  Comm::Request parked = comm->isend(0, 1, 2, 400'000);  // rendezvous, never received
+  engine.run();
+  EXPECT_EQ(comm->live_records(), 1u);
+  EXPECT_EQ(parked.use_count(), 2u);
+  comm.reset();
+  EXPECT_EQ(done.use_count(), 1u);
+  EXPECT_TRUE(done->done.signaled());
+  EXPECT_EQ(done->bytes, 512);
+  EXPECT_EQ(recv->bytes, 512);
+  EXPECT_EQ(parked.use_count(), 1u);  // only this handle holds it now
+  EXPECT_FALSE(parked->done.signaled());
+  EXPECT_EQ(parked->bytes, 0);
+  parked = Comm::Request{};
   cluster.reset();
 }

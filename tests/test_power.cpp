@@ -247,7 +247,7 @@ namespace {
 struct BatteryFixture : PowerFixture {
   AcpiBattery battery;
   BatteryFixture()
-      : battery(engine, node, AcpiBatteryParams{}, sim::Rng(17)) {}
+      : battery(node, AcpiBatteryParams{}, sim::Rng(17)) {}
 };
 
 }  // namespace
@@ -298,7 +298,7 @@ TEST(AcpiBattery, RefreshPeriodWithinPaperBounds) {
     sim::Engine e;
     Cpu cpu(e, OperatingPointTable::pentium_m_1400(), CpuConfig{}, sim::Rng(seed));
     NodePowerModel node(e, cpu, NodePowerParams::nemo());
-    AcpiBattery b(e, node, AcpiBatteryParams{}, sim::Rng(seed * 7 + 1));
+    AcpiBattery b(node, AcpiBatteryParams{}, sim::Rng(seed * 7 + 1));
     EXPECT_GE(b.refresh_period(), sim::from_seconds(15.0));
     EXPECT_LE(b.refresh_period(), sim::from_seconds(20.0));
   }

@@ -202,6 +202,37 @@ TEST(ShardedComm, RendezvousMessagesCrossShardsToo) {
   EXPECT_EQ(got, big);
 }
 
+// A cross-shard request is a standalone pooled state behind the same
+// handle as Comm's: the send's or receive's process holds one reference,
+// so a dropped request still completes, and the last handle frees it (the
+// ASan tree with detect_leaks=1 checks that nothing is left).
+TEST(ShardedComm, DroppedCrossShardRequestsFinishAndAreFreed) {
+  ShardedMpiFixture f(4, 2);
+  mpi::CommBase::Request kept;
+  std::uint32_t posted_refs = 0;
+  std::int64_t got = 0;
+  auto sender = [&]() -> sim::Process {
+    f.comm->isend(0, 3, 6, 512);  // dropped at once
+    kept = f.comm->isend(0, 3, 5, 4096);
+    posted_refs = kept.use_count();  // this handle and the send's process
+    co_await f.comm->wait(0, kept);
+  };
+  auto receiver = [&]() -> sim::Process {
+    f.comm->irecv(3, 0, 6);  // dropped at once
+    got = co_await f.comm->recv(3, 0, 5);
+  };
+  sim::spawn(f.engines.shard(0), sender());
+  sim::spawn(f.engines.shard(1), receiver());
+  f.engines.run();
+  EXPECT_EQ(posted_refs, 2u);
+  EXPECT_EQ(got, 4096);
+  ASSERT_TRUE(kept);
+  EXPECT_TRUE(kept->done.signaled());
+  EXPECT_EQ(kept->bytes, 4096);
+  EXPECT_EQ(kept.use_count(), 1u);  // the send's process has finished
+  EXPECT_EQ(f.comm->stats().messages, 2);
+}
+
 // Rank bodies for the collective tests live at namespace scope: a coroutine
 // spawned from a loop-local lambda would outlive its closure (the captures
 // die with the lambda object, not with the frame).
