@@ -634,8 +634,8 @@ TEST(Footprint, ExchangeRoundAllocatesOnlyItsMessageRecords) {
 // engine, mailboxes and port queues are warmed by a first round here.  The
 // measured 608 bytes are 4 x 112 (send and receive records, each its
 // request's state with no control block) + 2 x 64 (transfers) + 2 x 16 (the
-// request vectors); with shared_ptr requests the records were 144 and 128
-// bytes and a round took 704.  Under AddressSanitizer the pool is off and
+// request vectors); the shared_ptr requests' 144- and 128-byte records
+// made it 704.  Under AddressSanitizer the pool is off and
 // blocks are their exact sizes, which stay within the same bound.
 TEST(Footprint, ExchangeRoundRecordsStayWithinTheirBytes) {
   sim::Engine e;
