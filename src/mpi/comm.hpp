@@ -76,7 +76,6 @@ class CommBase {
     std::int64_t bytes = 0;
 
    private:
-    friend class CommBase;
     friend class CommBase::Request;
     friend class Comm;
     // Which block holds the state, so the last reference frees its type.
