@@ -214,10 +214,9 @@ static void BM_MpiPairExchange(benchmark::State& state) {
     auto rank = [&comm](int r) -> sim::Process {
       for (int k = 0; k < kRounds; ++k) {
         const int peer = r ^ (1 << k);
-        std::vector<mpi::Comm::Request> reqs;
-        reqs.push_back(comm.irecv(r, peer, k));
-        reqs.push_back(comm.isend(r, peer, k, 64 * 1024));
-        co_await comm.waitall(r, std::move(reqs));
+        const mpi::Comm::Request reqs[] = {comm.irecv(r, peer, k),
+                                           comm.isend(r, peer, k, 64 * 1024)};
+        co_await comm.waitall(r, reqs);
       }
     };
     for (int r = 0; r < ranks; ++r) sim::spawn(e, rank(r));

@@ -34,8 +34,9 @@ sim::Process weather_rank(apps::AppContext& ctx, int rank, int steps) {
     auto r2 = comm.irecv(rank, right, 2);
     auto s1 = comm.isend(rank, right, 1, 600'000);
     auto s2 = comm.isend(rank, left, 2, 600'000);
-    std::vector<mpi::Comm::Request> reqs{s1, s2, r1, r2};
-    co_await comm.waitall(rank, std::move(reqs));
+    const mpi::Comm::Request reqs[] = {std::move(s1), std::move(s2), std::move(r1),
+                                       std::move(r2)};
+    co_await comm.waitall(rank, reqs);
     co_await comm.allreduce(rank, 64);
     ctx.call(ctx.hooks ? ctx.hooks->after_marked_comm : nullptr, rank);
   }

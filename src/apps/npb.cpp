@@ -105,10 +105,8 @@ sim::Process cg_rank(AppContext& ctx, CgSpec spec, double scale, int rank) {
       auto rr = comm.irecv(rank, partner, tag);
       auto sr = comm.isend(rank, partner, tag, bytes);
       ctx.call(ctx.hooks ? ctx.hooks->before_wait : nullptr, rank);
-      std::vector<mpi::Comm::Request> reqs;
-      reqs.push_back(std::move(sr));
-      reqs.push_back(std::move(rr));
-      co_await comm.waitall(rank, std::move(reqs));
+      const mpi::Comm::Request reqs[] = {std::move(sr), std::move(rr)};
+      co_await comm.waitall(rank, reqs);
       ctx.call(ctx.hooks ? ctx.hooks->after_wait : nullptr, rank);
       ctx.call(ctx.hooks ? ctx.hooks->after_any_comm : nullptr, rank);
     }
@@ -212,10 +210,8 @@ sim::Process lu_rank(AppContext& ctx, LuSpec spec, double scale, int rank) {
       // LU's "memory" time is pointer-chasing cache misses: the core stays
       // nearly fully active (hence LU's near-EP power profile in Table 2).
       co_await compute_phase(ctx, rank, spec.onchip_s / 2, spec.mem_s / 2, 0.95);
-      std::vector<mpi::Comm::Request> reqs;
-      reqs.push_back(std::move(sr));
-      reqs.push_back(std::move(rr));
-      co_await comm.waitall(rank, std::move(reqs));
+      const mpi::Comm::Request reqs[] = {std::move(sr), std::move(rr)};
+      co_await comm.waitall(rank, reqs);
     }
   }
   co_await comm.allreduce(rank, 64);
@@ -256,10 +252,8 @@ sim::Process mg_rank(AppContext& ctx, MgSpec spec, double scale, int rank) {
           auto rr = comm.irecv(rank, partner, kTagExchangeA + l);
           auto sr = comm.isend(rank, partner, kTagExchangeA + l,
                                static_cast<std::int64_t>(level_mb * 1e6));
-          std::vector<mpi::Comm::Request> reqs;
-          reqs.push_back(std::move(sr));
-          reqs.push_back(std::move(rr));
-          co_await comm.waitall(rank, std::move(reqs));
+          const mpi::Comm::Request reqs[] = {std::move(sr), std::move(rr)};
+          co_await comm.waitall(rank, reqs);
           ctx.call(ctx.hooks ? ctx.hooks->after_any_comm : nullptr, rank);
         }
         level_mb /= 4.0;
@@ -307,10 +301,8 @@ sim::Process sweep_rank(AppContext& ctx, SweepSpec spec, double scale, int rank)
           const int tag = kTagExchangeA + dir * 8 + side * 4 + (c % 4);
           auto rr = comm.irecv(rank, from, tag);
           auto sr = comm.isend(rank, to, tag, chunk_bytes);
-          std::vector<mpi::Comm::Request> reqs;
-          reqs.push_back(std::move(sr));
-          reqs.push_back(std::move(rr));
-          co_await comm.waitall(rank, std::move(reqs));
+          const mpi::Comm::Request reqs[] = {std::move(sr), std::move(rr)};
+          co_await comm.waitall(rank, reqs);
         }
         ctx.call(ctx.hooks ? ctx.hooks->after_any_comm : nullptr, rank);
       }

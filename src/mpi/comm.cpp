@@ -322,14 +322,14 @@ int coll_tag(int seq, int round) {
 
 }  // namespace
 
-sim::Op<> CommBase::barrier(int rank) {
+sim::Op CommBase::barrier(int rank) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_barrier"));
   co_await barrier_body(rank, seq);
 }
 
-sim::Op<> CommBase::barrier_body(int rank, int seq) {
+sim::Op CommBase::barrier_body(int rank, int seq) {
   // Dissemination barrier: log2(P) rounds of token exchange.
   const int p = size();
   int round = 0;
@@ -343,7 +343,7 @@ sim::Op<> CommBase::barrier_body(int rank, int seq) {
   }
 }
 
-sim::Op<> CommBase::bcast(int rank, int root, std::int64_t bytes) {
+sim::Op CommBase::bcast(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) {
@@ -352,7 +352,7 @@ sim::Op<> CommBase::bcast(int rank, int root, std::int64_t bytes) {
   co_await bcast_body(rank, root, bytes, seq);
 }
 
-sim::Op<> CommBase::bcast_body(int rank, int root, std::int64_t bytes, int seq) {
+sim::Op CommBase::bcast_body(int rank, int root, std::int64_t bytes, int seq) {
   // Binomial tree (MPICH-1 style).
   const int p = size();
   const int relative = (rank - root + p) % p;
@@ -377,7 +377,7 @@ sim::Op<> CommBase::bcast_body(int rank, int root, std::int64_t bytes, int seq) 
   }
 }
 
-sim::Op<> CommBase::reduce(int rank, int root, std::int64_t bytes) {
+sim::Op CommBase::reduce(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) {
@@ -386,7 +386,7 @@ sim::Op<> CommBase::reduce(int rank, int root, std::int64_t bytes) {
   co_await reduce_body(rank, root, bytes, seq);
 }
 
-sim::Op<> CommBase::reduce_body(int rank, int root, std::int64_t bytes, int seq) {
+sim::Op CommBase::reduce_body(int rank, int root, std::int64_t bytes, int seq) {
   // Reverse binomial tree; leaves send first.
   const int p = size();
   const int relative = (rank - root + p) % p;
@@ -408,7 +408,7 @@ sim::Op<> CommBase::reduce_body(int rank, int root, std::int64_t bytes, int seq)
   }
 }
 
-sim::Op<> CommBase::allreduce(int rank, std::int64_t bytes) {
+sim::Op CommBase::allreduce(int rank, std::int64_t bytes) {
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) {
     sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_allreduce", -1, bytes));
@@ -419,20 +419,20 @@ sim::Op<> CommBase::allreduce(int rank, std::int64_t bytes) {
   co_await bcast_body(rank, 0, bytes, seq2);
 }
 
-sim::Op<> CommBase::alltoall(int rank, std::int64_t bytes_per_pair) {
+sim::Op CommBase::alltoall(int rank, std::int64_t bytes_per_pair) {
   std::vector<std::int64_t> sizes(size(), bytes_per_pair);
   sizes[rank] = 0;
   co_await alltoallv(rank, std::move(sizes));
 }
 
-sim::Op<> CommBase::alltoallv(int rank, std::vector<std::int64_t> bytes_to) {
+sim::Op CommBase::alltoallv(int rank, std::vector<std::int64_t> bytes_to) {
   if (static_cast<int>(bytes_to.size()) != size()) {
     throw std::invalid_argument("alltoallv: bytes_to.size() != communicator size");
   }
   return alltoallv_body(rank, std::move(bytes_to), /*burst=*/false);
 }
 
-sim::Op<> CommBase::alltoallv_body(int rank, std::vector<std::int64_t> bytes_to,
+sim::Op CommBase::alltoallv_body(int rank, std::vector<std::int64_t> bytes_to,
                                bool burst) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
@@ -466,7 +466,7 @@ sim::Op<> CommBase::alltoallv_body(int rank, std::vector<std::int64_t> bytes_to,
   }
 }
 
-sim::Op<> CommBase::scatter(int rank, int root, std::int64_t bytes) {
+sim::Op CommBase::scatter(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) {
@@ -486,7 +486,7 @@ sim::Op<> CommBase::scatter(int rank, int root, std::int64_t bytes) {
   }
 }
 
-sim::Op<> CommBase::gather(int rank, int root, std::int64_t bytes) {
+sim::Op CommBase::gather(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) {
@@ -505,7 +505,7 @@ sim::Op<> CommBase::gather(int rank, int root, std::int64_t bytes) {
   }
 }
 
-sim::Op<> CommBase::reduce_scatter(int rank, std::int64_t bytes_per_rank) {
+sim::Op CommBase::reduce_scatter(int rank, std::int64_t bytes_per_rank) {
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) {
     sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_reduce_scatter", -1,
@@ -517,7 +517,7 @@ sim::Op<> CommBase::reduce_scatter(int rank, std::int64_t bytes_per_rank) {
   co_await scatter(rank, 0, bytes_per_rank);
 }
 
-sim::Op<> CommBase::alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to) {
+sim::Op CommBase::alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to) {
   // Validate eagerly (a coroutine body would capture the throw in the
   // promise instead of raising it at the call site).
   if (static_cast<int>(bytes_to.size()) != size()) {
@@ -526,7 +526,7 @@ sim::Op<> CommBase::alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to
   return alltoallv_body(rank, std::move(bytes_to), /*burst=*/true);
 }
 
-sim::Op<> CommBase::allgather(int rank, std::int64_t bytes) {
+sim::Op CommBase::allgather(int rank, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
   if (tracer_ != nullptr) {

@@ -36,6 +36,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -120,8 +121,9 @@ class CommBase {
 
   /// Blocks (WaitPoll) until the request completes.
   WaitCall wait(int rank, Request req);
-  /// Waits on each request in turn.
-  WaitallCall waitall(int rank, std::vector<Request> reqs);
+  /// Waits on each request in turn.  The requests stay in the caller's
+  /// storage (an array or a vector in its frame) until the call resumes.
+  WaitallCall waitall(int rank, std::span<const Request> reqs);
   /// Blocking send / receive; a receive yields the received bytes.
   SendCall send(int rank, int dst, int tag, std::int64_t bytes);
   RecvCall recv(int rank, int src = kAnySource, int tag = kAnyTag);
@@ -132,25 +134,25 @@ class CommBase {
 
   // ---- collectives (call from every rank, same order) ----
 
-  sim::Op<> barrier(int rank);
-  sim::Op<> bcast(int rank, int root, std::int64_t bytes);
-  sim::Op<> reduce(int rank, int root, std::int64_t bytes);
-  sim::Op<> allreduce(int rank, std::int64_t bytes);
+  sim::Op barrier(int rank);
+  sim::Op bcast(int rank, int root, std::int64_t bytes);
+  sim::Op reduce(int rank, int root, std::int64_t bytes);
+  sim::Op allreduce(int rank, std::int64_t bytes);
   /// Pairwise exchange; `bytes_per_pair` to each other rank.
-  sim::Op<> alltoall(int rank, std::int64_t bytes_per_pair);
+  sim::Op alltoall(int rank, std::int64_t bytes_per_pair);
   /// Vector variant: `bytes_to[d]` to rank d (bytes_to.size() == size()).
-  sim::Op<> alltoallv(int rank, std::vector<std::int64_t> bytes_to);
+  sim::Op alltoallv(int rank, std::vector<std::int64_t> bytes_to);
   /// Burst variant: posts *all* sends and receives at once instead of
   /// pairwise rounds — how MPICH-1's naive alltoallv behaves, and the
   /// traffic shape behind IS's collision-driven anomaly (§5.2).
-  sim::Op<> alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to);
-  sim::Op<> allgather(int rank, std::int64_t bytes);
+  sim::Op alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to);
+  sim::Op allgather(int rank, std::int64_t bytes);
   /// Root sends a distinct `bytes` block to every rank (linear, MPICH-1).
-  sim::Op<> scatter(int rank, int root, std::int64_t bytes);
+  sim::Op scatter(int rank, int root, std::int64_t bytes);
   /// Every rank sends `bytes` to the root (linear).
-  sim::Op<> gather(int rank, int root, std::int64_t bytes);
+  sim::Op gather(int rank, int root, std::int64_t bytes);
   /// Reduce + scatter of the result (`bytes` per rank).
-  sim::Op<> reduce_scatter(int rank, std::int64_t bytes_per_rank);
+  sim::Op reduce_scatter(int rank, std::int64_t bytes_per_rank);
 
  protected:
   CommBase(CostParams costs, trace::Tracer* tracer)
@@ -178,10 +180,10 @@ class CommBase {
 
  private:
   // Collective bodies, parameterized by the per-call sequence number.
-  sim::Op<> barrier_body(int rank, int seq);
-  sim::Op<> bcast_body(int rank, int root, std::int64_t bytes, int seq);
-  sim::Op<> reduce_body(int rank, int root, std::int64_t bytes, int seq);
-  sim::Op<> alltoallv_body(int rank, std::vector<std::int64_t> bytes_to, bool burst);
+  sim::Op barrier_body(int rank, int seq);
+  sim::Op bcast_body(int rank, int root, std::int64_t bytes, int seq);
+  sim::Op reduce_body(int rank, int root, std::int64_t bytes, int seq);
+  sim::Op alltoallv_body(int rank, std::vector<std::int64_t> bytes_to, bool burst);
 
   std::vector<int> coll_seq_;
 };
@@ -318,15 +320,15 @@ class [[nodiscard]] CommBase::WaitCall : public Blocking {
 
 class [[nodiscard]] CommBase::WaitallCall : public Blocking {
  public:
-  WaitallCall(CommBase& comm, int rank, std::vector<Request> reqs)
-      : Blocking(comm, rank), reqs_(std::move(reqs)) {}
+  WaitallCall(CommBase& comm, int rank, std::span<const Request> reqs)
+      : Blocking(comm, rank), reqs_(reqs) {}
   bool await_ready() {
     open_scope(trace::Cat::Wait, "mpi_waitall");
     return wait_on(reqs_.data(), reqs_.data() + reqs_.size());
   }
 
  private:
-  std::vector<Request> reqs_;
+  std::span<const Request> reqs_;
 };
 
 class [[nodiscard]] CommBase::SendCall : public Blocking {
@@ -400,8 +402,8 @@ inline CommBase::WaitAwaiter CommBase::wait_inner(int rank, const Request& req) 
 inline CommBase::WaitCall CommBase::wait(int rank, Request req) {
   return WaitCall(*this, rank, std::move(req));
 }
-inline CommBase::WaitallCall CommBase::waitall(int rank, std::vector<Request> reqs) {
-  return WaitallCall(*this, rank, std::move(reqs));
+inline CommBase::WaitallCall CommBase::waitall(int rank, std::span<const Request> reqs) {
+  return WaitallCall(*this, rank, reqs);
 }
 inline CommBase::SendCall CommBase::send(int rank, int dst, int tag, std::int64_t bytes) {
   return SendCall(*this, rank, dst, tag, bytes);

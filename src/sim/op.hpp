@@ -1,4 +1,4 @@
-// Op<>: a lazy, awaitable coroutine for composable simulation operations.
+// Op: a lazy, awaitable coroutine for composable simulation operations.
 //
 // Unlike Process (eagerly spawned, detachable, joined through shared state),
 // an Op starts only when awaited and resumes its awaiter on completion via
@@ -19,7 +19,6 @@
 #include <cassert>
 #include <coroutine>
 #include <exception>
-#include <type_traits>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -27,10 +26,7 @@
 
 namespace pcd::sim {
 
-template <typename T = void>
 class [[nodiscard]] Op {
-  static_assert(std::is_void_v<T>, "Op<> returns no value");
-
  public:
   struct promise_type {
     Engine* engine_ptr = nullptr;

@@ -4,7 +4,9 @@
     python3 tests/test_ab_pairs.py
 
 tests/data/ab_pairs_canned.json holds paired runs shaped to draw each
-verdict; its "expect" entries name the verdict each metric must get.
+verdict; its "expect" entries name the verdict each metric must get.  The
+sibling ab_pairs_cpu_worse.json and ab_pairs_setup_worse.json set the exit
+status: a worse cpu_s fails the pairs, a worse setup_s alone does not.
 """
 
 import importlib.util
@@ -17,6 +19,8 @@ import unittest
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 CANNED = os.path.join(HERE, "data", "ab_pairs_canned.json")
+CPU_WORSE = os.path.join(HERE, "data", "ab_pairs_cpu_worse.json")
+SETUP_WORSE = os.path.join(HERE, "data", "ab_pairs_setup_worse.json")
 TOOL = os.path.join(ROOT, "tools", "ab_pairs.py")
 
 spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
@@ -51,6 +55,20 @@ class CannedPairs(unittest.TestCase):
         self.assertIn("canned_seed1:", out)
         self.assertIn("canned_seed1_traced:", out)
         self.assertIn("11549547 [11549547, 11549547]", out)
+
+    def test_only_a_worse_cpu_s_fails_the_pairs(self):
+        for path, status in ((CPU_WORSE, 1), (SETUP_WORSE, 0)):
+            with open(path) as f:
+                (entry,) = json.load(f)["pairs"].values()
+            summary = ab.summarize(entry["runs"], ab.metric_specs(False))
+            proc = subprocess.run([sys.executable, TOOL, "--summarize", path],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True)
+            with self.subTest(path=os.path.basename(path)):
+                for metric, verdict in entry["expect"].items():
+                    self.assertEqual(summary[metric]["verdict"], verdict)
+                self.assertEqual(proc.returncode, status, proc.stderr)
+                self.assertEqual("cpu_s is worse" in proc.stderr, status == 1)
 
 
 class VerdictRule(unittest.TestCase):

@@ -432,31 +432,21 @@ TEST(Cluster, SetAllCpuspeedMatchesAPerNodeLoopInEveryNodeState) {
 // record; queues that are idle (CPU work backlog, switch port waiters), the
 // link state and the operating-point table cost no allocation of their own.
 
-TEST(Footprint, ClusterAndCommBuildAllocatesAtMostFourTimesPerNode) {
-  constexpr int kNodes = 1024;
-  sim::Engine e;
-  ClusterConfig cfg;
-  cfg.nodes = kNodes;
-  std::vector<int> ids(kNodes);
-  std::iota(ids.begin(), ids.end(), 0);
-  const std::int64_t before = heap_allocs();
-  Cluster c(e, cfg);
-  pcd::mpi::Comm comm(c, ids);
-  const std::int64_t allocs = heap_allocs() - before;
-  EXPECT_LE(allocs, 4 * kNodes) << allocs << " allocations for " << kNodes << " nodes";
-}
-
 // The nodes are one allocation, with their residency counters and power
-// lanes inside, so building a cluster allocates the same number of blocks
-// at any size (12 with its Comm at 4,096 nodes, against 8,208 when every
-// node and every residency vector was its own block).
+// lanes inside, and the communicator's per-rank tables are one block each,
+// so building a cluster and its Comm allocates the same number of blocks
+// at any size (12 at 4,096 nodes, against 8,208 when every node and every
+// residency vector was its own block).
 TEST(Footprint, ClusterBuildAllocationsDoNotGrowWithNodes) {
   auto build_allocs = [](int nodes) {
     sim::Engine e;
     ClusterConfig cfg;
     cfg.nodes = nodes;
+    std::vector<int> ids(static_cast<std::size_t>(nodes));
+    std::iota(ids.begin(), ids.end(), 0);
     const std::int64_t before = heap_allocs();
     Cluster c(e, cfg);
+    pcd::mpi::Comm comm(c, ids);
     return heap_allocs() - before;
   };
   EXPECT_EQ(build_allocs(64), build_allocs(1024));
@@ -576,12 +566,12 @@ TEST(Footprint, TransferAndParkedWaitAllocateNothingAfterWarmUp) {
 TEST(Footprint, ExchangeRoundAllocatesOnlyItsMessageRecords) {
   // A CG-shaped round on each of two ranks: a sliced compute phase, then
   // irecv + isend and a waitall that parks.  The phase and the blocking
-  // call are awaiters in the rank's frame, so a round allocates only its
-  // request vectors and its message records: per message one send record,
-  // one receive record and one transfer record.  With the frame pool on the
-  // records come from the pool after warm-up; under AddressSanitizer the
-  // pool is compiled out and each is a heap allocation, so a per-call
-  // coroutine frame coming back would show here as well.
+  // call are awaiters in the rank's frame and the requests sit in an array
+  // there, so a round allocates only its message records: per message one
+  // send record, one receive record and one transfer record.  With the frame
+  // pool on the records come from the pool after warm-up; under
+  // AddressSanitizer the pool is compiled out and each is a heap allocation,
+  // so a per-call coroutine frame coming back would show here as well.
   sim::Engine e;
   ClusterConfig cfg;
   cfg.nodes = 2;
@@ -593,11 +583,9 @@ TEST(Footprint, ExchangeRoundAllocatesOnlyItsMessageRecords) {
   auto rank = [&](int r, int rounds) -> sim::Process {
     for (int i = 0; i < rounds; ++i) {
       co_await pcd::apps::compute_phase(ctx, r, 0.06, 0.04);  // two slices
-      std::vector<pcd::mpi::Comm::Request> reqs;
-      reqs.reserve(2);
-      reqs.push_back(comm.irecv(r, 1 - r, 7));
-      reqs.push_back(comm.isend(r, 1 - r, 7, 64 * 1024));
-      co_await comm.waitall(r, std::move(reqs));
+      const pcd::mpi::Comm::Request reqs[] = {comm.irecv(r, 1 - r, 7),
+                                              comm.isend(r, 1 - r, 7, 64 * 1024)};
+      co_await comm.waitall(r, reqs);
     }
   };
   auto run = [&](int rounds) {
@@ -613,13 +601,12 @@ TEST(Footprint, ExchangeRoundAllocatesOnlyItsMessageRecords) {
   run(21);
   const std::int64_t one = run(1);
   const std::int64_t eleven = run(11);
-  constexpr std::int64_t kVectors = 2;  // one request vector per rank
 #ifdef PCD_FRAME_POOL_DISABLED
   constexpr std::int64_t kRecords = 2 * 3;  // two messages
 #else
   constexpr std::int64_t kRecords = 0;
 #endif
-  EXPECT_EQ(eleven - one, 10 * (kVectors + kRecords));
+  EXPECT_EQ(eleven - one, 10 * kRecords);
   constexpr int kRounds = 21 + 1 + 11;
   EXPECT_EQ(comm.stats().messages, 2 * kRounds);
   // Per round: four slice halves and the protocol work of two messages.
@@ -632,11 +619,10 @@ TEST(Footprint, ExchangeRoundAllocatesOnlyItsMessageRecords) {
 // record per rank, a transfer record per message) comes from ::operator new
 // at its pool size class; the rank frames are made on this thread, and the
 // engine, mailboxes and port queues are warmed by a first round here.  The
-// measured 608 bytes are 4 x 112 (send and receive records, each its
-// request's state with no control block) + 2 x 64 (transfers) + 2 x 16 (the
-// request vectors); the shared_ptr requests' 144- and 128-byte records
-// made it 704.  Under AddressSanitizer the pool is off and
-// blocks are their exact sizes, which stay within the same bound.
+// measured 576 bytes are 4 x 112 (send and receive records, each its
+// request's state with no control block) + 2 x 64 (transfers); the requests
+// sit in an array in the rank frame.  Under AddressSanitizer the pool is off
+// and blocks are their exact sizes, which stay within the same bound.
 TEST(Footprint, ExchangeRoundRecordsStayWithinTheirBytes) {
   sim::Engine e;
   ClusterConfig cfg;
@@ -645,11 +631,9 @@ TEST(Footprint, ExchangeRoundRecordsStayWithinTheirBytes) {
   Cluster c(e, cfg);
   pcd::mpi::Comm comm(c, {0, 1});
   auto rank = [&](int r) -> sim::Process {
-    std::vector<pcd::mpi::Comm::Request> reqs;
-    reqs.reserve(2);
-    reqs.push_back(comm.irecv(r, 1 - r, 7));
-    reqs.push_back(comm.isend(r, 1 - r, 7, 64 * 1024));
-    co_await comm.waitall(r, std::move(reqs));
+    const pcd::mpi::Comm::Request reqs[] = {comm.irecv(r, 1 - r, 7),
+                                            comm.isend(r, 1 - r, 7, 64 * 1024)};
+    co_await comm.waitall(r, reqs);
   };
   auto spawn_round = [&] {
     sim::spawn(e, rank(0));
@@ -665,7 +649,7 @@ TEST(Footprint, ExchangeRoundRecordsStayWithinTheirBytes) {
     bytes = heap_bytes_allocated() - before;
   }).join();
   RecordProperty("round_bytes", std::to_string(bytes));
-  EXPECT_LE(bytes, 608) << bytes << " bytes for one exchange round";
+  EXPECT_LE(bytes, 576) << bytes << " bytes for one exchange round";
   EXPECT_EQ(comm.stats().messages, 4);
   EXPECT_EQ(comm.live_records(), 0u);
 }

@@ -1,9 +1,10 @@
-// Tests for the lazy Op<> coroutine type used by the MPI layer.  An Op
+// Tests for the lazy Op coroutine type used by the MPI layer.  An Op
 // returns no value, so results come back through an out-parameter.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -14,22 +15,22 @@ namespace sim = pcd::sim;
 
 namespace {
 
-sim::Op<> answer(int* out) {
+sim::Op answer(int* out) {
   *out = 42;
   co_return;
 }
 
-sim::Op<> delayed_value(int v, sim::SimDuration dt, int* out) {
+sim::Op delayed_value(int v, sim::SimDuration dt, int* out) {
   co_await sim::delay(dt);
   *out = v;
 }
 
-sim::Op<> throws_inside() {
+sim::Op throws_inside() {
   co_await sim::delay(1);
   throw std::runtime_error("op failed");
 }
 
-sim::Op<> sums(int n, int* out) {
+sim::Op sums(int n, int* out) {
   int total = 0;
   for (int i = 1; i <= n; ++i) {
     int v = 0;
@@ -53,7 +54,7 @@ TEST(Op, ReturnsValueToAwaiter) {
 TEST(Op, LazyUntilAwaited) {
   sim::Engine e;
   bool started = false;
-  auto op = [&]() -> sim::Op<> {
+  auto op = [&]() -> sim::Op {
     started = true;
     co_return;
   };
@@ -124,15 +125,15 @@ TEST(Op, SequentialAwaitsShareTimeline) {
 }
 
 TEST(Op, MoveOnlySemantics) {
-  static_assert(!std::is_copy_constructible_v<sim::Op<>>);
-  static_assert(std::is_move_constructible_v<sim::Op<>>);
-  static_assert(!std::is_copy_assignable_v<sim::Op<>>);
+  static_assert(!std::is_copy_constructible_v<sim::Op>);
+  static_assert(std::is_move_constructible_v<sim::Op>);
+  static_assert(!std::is_copy_assignable_v<sim::Op>);
 }
 
 TEST(Op, VoidSpecialization) {
   sim::Engine e;
   bool ran = false;
-  auto op = [&]() -> sim::Op<> {
+  auto op = [&]() -> sim::Op {
     co_await sim::delay(5);
     ran = true;
   };

@@ -33,6 +33,12 @@ With --out the pairs (every run, and the summary) are merged into that JSON
 file under "<workload>_seed<seed>[_traced]", with the host.  --summarize
 recomputes and prints the verdicts of every pair set already in a file.
 The tool never edits perfbench/ or BENCHMARK.json.
+
+Exit status: 0 when the pairs pass; 1 when a run reported incorrect outputs
+or the cpu_s verdict is "worse" (the CI A/B gate); 2 on a usage, build or
+run error.  Only cpu_s gates: it is the metric every perf claim here is
+measured in, and the other time metrics are too noisy at 10 pairs to hold
+their 25% bound (setup_s has read an IQR of 40% of its median).
 """
 
 import argparse
@@ -47,6 +53,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9  # a gain needs at least this share of the pairs
+GATE = "cpu_s"  # the metric whose "worse" verdict fails the pairs
 
 
 def fail(msg):
@@ -121,6 +128,25 @@ def summarize(runs, specs):
         change = [side[(p, "change")][name] for p in pairs]
         out[name] = verdict(parent, change, better, bound)
     return out
+
+
+def gate_failures(summary, runs):
+    """Why a pair set fails: runs with incorrect outputs, a worse GATE."""
+    reasons = []
+    incorrect = sum(1 for r in runs if not r["correct"])
+    if incorrect:
+        reasons.append(f"{incorrect} run(s) reported incorrect outputs")
+    if GATE in summary and summary[GATE]["verdict"] == "worse":
+        ratio = summary[GATE]["ratio"]
+        reasons.append(f"{GATE} is worse: {ratio:.3f}x the parent's median")
+    return reasons
+
+
+def report(reasons):
+    """Prints the reasons to stderr; the exit status they call for."""
+    for reason in reasons:
+        print(f"ab_pairs: FAIL {reason}", file=sys.stderr)
+    return 1 if reasons else 0
 
 
 def metric_specs(trace):
@@ -231,9 +257,6 @@ def measure(args):
     key = f"{args.workload}_seed{args.seed}" + ("_traced" if args.trace else "")
     print_summary(f"{key}: {args.pairs} pairs, parent {sha[:12]} vs working tree, "
                   f"--seconds {args.seconds}", summary, args.claim)
-    incorrect = sum(1 for r in runs if not r["correct"])
-    if incorrect:
-        print(f"{incorrect} run(s) reported incorrect outputs", file=sys.stderr)
     if args.out:
         doc = {}
         if os.path.isfile(args.out):
@@ -254,17 +277,20 @@ def measure(args):
             json.dump(doc, f, indent=1)
             f.write("\n")
         print(f"wrote {args.out} [{key}]")
-    return 1 if incorrect else 0
+    return report(gate_failures(summary, runs))
 
 
 def summarize_file(path):
     with open(path) as f:
         doc = json.load(f)
+    reasons = []
     for key, entry in doc.get("pairs", {}).items():
         specs = metric_specs(key.endswith("_traced"))
         present = {m: s for m, s in specs.items() if m in entry["runs"][0]}
-        print_summary(f"{key}:", summarize(entry["runs"], present), entry.get("claim"))
-    return 0
+        summary = summarize(entry["runs"], present)
+        print_summary(f"{key}:", summary, entry.get("claim"))
+        reasons += [f"{key}: {r}" for r in gate_failures(summary, entry["runs"])]
+    return report(reasons)
 
 
 def main():

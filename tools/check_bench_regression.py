@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail if engine microbenchmark throughput regressed vs the checked-in baseline.
+"""Fail if engine microbenchmark throughput regressed vs a baseline run.
 
 Usage:
     check_bench_regression.py BASELINE.json CANDIDATE.json
@@ -8,7 +8,8 @@ Usage:
 
 Both files are google-benchmark --benchmark_out JSON.  For every benchmark in
 the baseline whose name starts with --prefix, the candidate must reach at
-least (1 - max_regress) x the baseline's items_per_second.  Benchmarks
+least (1 - max_regress) x the baseline's items_per_second.  CI's A/B gate
+passes the base commit's run, made on the same runner, as the baseline.  Benchmarks
 missing from the candidate fail loudly: a silently dropped benchmark would
 otherwise read as "no regression".
 
